@@ -20,8 +20,12 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from shadowhp._arrays import as_points, first, unwrap
 from shadowhp.errors import DomainError
-from shadowhp.geometry import KnifeGeometry, mu_of_s, r_of_s
+from shadowhp.geometry import mu_of_s  # noqa: F401  (perfbench/tracer.py wraps it here)
+from shadowhp.geometry import KnifeGeometry, mu_with_root, r_of_s
 from shadowhp.specfun import big_f, fresnel_fr
 
 _E3IPI4 = cmath.exp(0.75j * math.pi)
@@ -177,9 +181,16 @@ def gtd_far_field(p: FieldPoint, k: float, include_plane_wave: bool = True) -> c
     return out
 
 
-def h_of_s(s: complex, geo: KnifeGeometry, k: float) -> complex:
+def _h_mu(s, r, R: float, cb, sb, k: float):
+    # h in the rationalized form of h_of_s, and mu, sharing one square root
+    mu, root = mu_with_root(s, r, R, cb, sb, k)
+    return math.sqrt(k) * (s - 2.0 * R * cb) * root / (2.0 * r * (r + R)), mu
+
+
+def h_of_s(s, geo: KnifeGeometry, k: float):
     """Normal derivative of mu along the line:
-    h(s) = k sin(beta) (r(s) - R) / (2 r(s) mu(s)).
+    h(s) = k sin(beta) (r(s) - R) / (2 r(s) mu(s)), for a scalar or an
+    array of s.
 
     Evaluated in the rationalized form
     sqrt(k) (s - 2 R cos beta) sqrt(R - s cos beta + r) / (2 r (r + R)),
@@ -188,26 +199,31 @@ def h_of_s(s: complex, geo: KnifeGeometry, k: float) -> complex:
     """
     if not k > 0.0:
         raise DomainError(f"wavenumber must be positive, got {k}")
-    s = complex(s)
+    s, scalar = as_points(s)
     r = r_of_s(s, geo)
-    cb = math.cos(geo.beta)
-    root = cmath.sqrt(geo.R - s * cb + r)
-    return math.sqrt(k) * (s - 2.0 * geo.R * cb) * root / (2.0 * r * (r + geo.R))
+    h, _ = _h_mu(s, r, geo.R, math.cos(geo.beta), math.sin(geo.beta), k)
+    return unwrap(h, scalar)
 
 
-def g_of_s(s: complex, geo: KnifeGeometry, k: float) -> complex:
-    """Normal-derivative amplitude g(s) = e^{i 3pi/4}/sqrt(pi) h(s) - i k sin(beta) F(mu(s)).
+def g_of_s(s, geo: KnifeGeometry, k: float):
+    """Normal-derivative amplitude g(s) = e^{i 3pi/4}/sqrt(pi) h(s) - i k sin(beta) F(mu(s)),
+    for a scalar or an array of s.
 
     On the negative real axis the boundary trace satisfies the mirror rule
     g(-s; R, beta) = g(s; R, pi - beta), which is taken as the definition
     there; complex arguments use the analytic continuation of the formula.
     """
-    s = complex(s)
-    if s.imag == 0.0 and s.real < 0.0:
-        mirror = KnifeGeometry(geo.R, math.pi - geo.beta)
-        return g_of_s(-s.real, mirror, k)
-    h = h_of_s(s, geo, k)
-    return _E3IPI4 / _SQRTPI * h - 1j * k * math.sin(geo.beta) * big_f(mu_of_s(s, geo, k))
+    if not k > 0.0:
+        raise DomainError(f"wavenumber must be positive, got {k}")
+    s, scalar = as_points(s)
+    # r(s) is the same for the mirrored point, so one evaluation serves both
+    r = r_of_s(s, geo)
+    mirror = (s.imag == 0.0) & (s.real < 0.0)
+    s = np.where(mirror, -s.real, s)
+    cb = np.where(mirror, math.cos(math.pi - geo.beta), math.cos(geo.beta))
+    sb = np.where(mirror, math.sin(math.pi - geo.beta), math.sin(geo.beta))
+    h, mu = _h_mu(s, r, geo.R, cb, sb, k)
+    return unwrap(_E3IPI4 / _SQRTPI * h - 1j * k * sb * big_f(mu), scalar)
 
 
 def de_dn_check(s: float, geo: KnifeGeometry, k: float, step: float = 1e-6) -> float:
@@ -241,24 +257,30 @@ def de_dn_check(s: float, geo: KnifeGeometry, k: float, step: float = 1e-6) -> f
     return abs(fd - analytic)
 
 
-def amplitude_v(s: float, cfg: ShadowConfig) -> complex:
+def amplitude_v(s, cfg: ShadowConfig):
     """Shadow-boundary amplitude
     V(s) = -H(s - s_sb) g+(s - s_sb) + H(s_sb - s) g-(s_sb - s) - g-(s + s_sb)
-    with g+-(t) = g(t; r_alpha, beta+-) and H(0) = 1/2.
+    with g+-(t) = g(t; r_alpha, beta+-) and H(0) = 1/2, for a scalar or an
+    array of arc lengths.
 
     Defined for all real s >= 0 so the smoothness checks can follow the
     shadow boundary wherever alpha puts it.
     """
-    if not (math.isfinite(s) and s >= 0.0):
-        raise DomainError(f"arc length must be finite and >= 0, got {s}")
+    s, scalar = as_points(s, dtype=float)
+    if (s < 0.0).any():
+        raise DomainError(f"arc length must be finite and >= 0, got {first(s, s < 0.0)}")
     t = s - cfg.s_sb
-    out = 0j
-    if t >= 0.0:
-        out -= _heaviside(t) * g_of_s(t, cfg.geo_plus, cfg.k)
-    if t <= 0.0:
-        out += _heaviside(-t) * g_of_s(-t, cfg.geo_minus, cfg.k)
-    out -= g_of_s(s + cfg.s_sb, cfg.geo_minus, cfg.k)
-    return out
+    ahead = t >= 0.0
+    behind = t <= 0.0
+    # both g- terms in one evaluation: the behind points, then every s + s_sb
+    g_minus = g_of_s(np.concatenate((-t[behind], (s + cfg.s_sb).ravel())), cfg.geo_minus, cfg.k)
+    n_behind = int(behind.sum())
+    out = np.zeros(s.shape, dtype=complex)
+    if ahead.any():
+        out[ahead] -= np.where(t[ahead] > 0.0, 1.0, 0.5) * g_of_s(t[ahead], cfg.geo_plus, cfg.k)
+    out[behind] += np.where(t[behind] < 0.0, 1.0, 0.5) * g_minus[:n_behind]
+    out -= g_minus[n_behind:].reshape(s.shape)
+    return unwrap(out, scalar)
 
 
 def psi_go(s: float, cfg: ShadowConfig) -> complex:

@@ -13,6 +13,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from shadowhp._arrays import as_points, first, unwrap
 from shadowhp.errors import BranchCutError, DomainError
 
 #: half-angle of the sector in the strip condition, arctan sqrt((11+5*sqrt(5))/2)
@@ -68,38 +71,52 @@ def cut_distance(s: complex, geo: KnifeGeometry) -> float:
     return math.hypot(dx, dy)
 
 
-def _require_off_cut(s: complex, geo: KnifeGeometry) -> complex:
-    s = complex(s)
-    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
-        raise DomainError(f"argument must have finite components, got {s!r}")
-    if cut_distance(s, geo) <= CUT_RTOL * geo.R:
-        raise BranchCutError(f"s = {s!r} lies on a branch cut of r(s) for {geo}")
-    return s
+def _require_off_cut(s: np.ndarray, geo: KnifeGeometry) -> None:
+    # cut_distance over a whole array; cut_distance itself stays scalar for
+    # region_label, which labels one point at a time
+    dx = np.abs(s.real - geo.R * math.cos(geo.beta))
+    dy = geo.R * math.sin(geo.beta) - np.abs(s.imag)
+    on_cut = np.where(dy <= 0.0, dx, np.hypot(dx, dy)) <= CUT_RTOL * geo.R
+    if on_cut.any():
+        raise BranchCutError(f"s = {first(s, on_cut)!r} lies on a branch cut of r(s) for {geo}")
 
 
-def r_of_s(s: complex, geo: KnifeGeometry) -> complex:
-    """Principal branch of sqrt(R^2 + s^2 - 2 s R cos beta).
+def r_of_s(s, geo: KnifeGeometry):
+    """Principal branch of sqrt(R^2 + s^2 - 2 s R cos beta), for a scalar
+    or an array of s.
 
     Off the cuts the radicand avoids the negative real axis, so the
     principal square root is the analytic continuation of the positive
-    distance reached at real s.
+    distance reached at real s. Raises DomainError for a non-finite s and
+    BranchCutError for an s on a cut, naming the first such point.
     """
-    s = _require_off_cut(s, geo)
-    return cmath.sqrt(geo.R * geo.R + s * s - 2.0 * s * geo.R * math.cos(geo.beta))
+    s, scalar = as_points(s)
+    _require_off_cut(s, geo)
+    r = np.sqrt(geo.R * geo.R + s * s - 2.0 * s * geo.R * math.cos(geo.beta))
+    return unwrap(r, scalar)
 
 
-def mu_of_s(s: complex, geo: KnifeGeometry, k: float) -> complex:
-    """Fresnel argument mu(s) = sqrt(k) s sin(beta) / sqrt(R - s cos(beta) + r(s)).
+def mu_with_root(s, r, R: float, cb, sb, k: float):
+    """(mu, sqrt(R - s cb + r)) at points s with r = r(s) already known;
+    cb and sb are cos(beta) and sin(beta), scalars or arrays like s.
+    """
+    root = np.sqrt(R - s * cb + r)
+    return math.sqrt(k) * s * sb / root, root
+
+
+def mu_of_s(s, geo: KnifeGeometry, k: float):
+    """Fresnel argument mu(s) = sqrt(k) s sin(beta) / sqrt(R - s cos(beta) + r(s)),
+    for a scalar or an array of s.
 
     Satisfies mu(s)^2 = k (-R + s cos(beta) + r(s)); nonnegative for real
     s >= 0.
     """
     if not k > 0.0:
         raise DomainError(f"wavenumber must be positive, got {k}")
-    s = complex(s)
+    s, scalar = as_points(s)
     r = r_of_s(s, geo)
-    denom = cmath.sqrt(geo.R - s * math.cos(geo.beta) + r)
-    return math.sqrt(k) * s * math.sin(geo.beta) / denom
+    mu, _ = mu_with_root(s, r, geo.R, math.cos(geo.beta), math.sin(geo.beta), k)
+    return unwrap(mu, scalar)
 
 
 def region_label(s: complex, geo: KnifeGeometry) -> RegionLabel:

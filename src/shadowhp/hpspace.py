@@ -7,6 +7,7 @@ no linear solve, no conditioning questions.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -119,17 +120,66 @@ def shadow_mesh(cfg: ShadowConfig, n: int, sigma: float) -> Mesh:
     return Mesh(points=tuple([0.0, *interior, length]), n_layers=n, sigma=sigma)
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def gauss_legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """m-point Gauss-Legendre rule on [-1, 1], exact to degree 2m - 1."""
+    """m-point Gauss-Legendre rule on [-1, 1], exact to degree 2m - 1.
+
+    Cached per m (typed, so 2.0 is still rejected after 2 was cached); the
+    arrays are shared between callers and therefore read-only.
+    """
     if not (isinstance(m, int) and 1 <= m <= 256):
         raise DomainError(f"rule size must be an integer in [1, 256], got {m}")
-    return np.polynomial.legendre.leggauss(m)
+    x, w = np.polynomial.legendre.leggauss(m)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 def _orthonormal_vandermonde(x: np.ndarray, p: int) -> np.ndarray:
     # columns phi_j(x) with int_{-1}^{1} phi_i phi_j = delta_ij
     scale = np.sqrt((2.0 * np.arange(p + 1) + 1.0) / 2.0)
     return np.polynomial.legendre.legvander(x, p) * scale
+
+
+def _quadrature(space: PiecewisePolySpace, quad_order: int | None):
+    """Per-element Gauss nodes (n_elements, m), element half-lengths, and
+    the rule's weights; quad_order defaults to 2p + 16.
+    """
+    p = space.degree
+    if quad_order is None:
+        quad_order = 2 * p + 16
+    if quad_order < p + 1:
+        raise DomainError(f"quad_order must be >= degree + 1, got {quad_order}")
+    x, w = gauss_legendre_rule(quad_order)
+    pts = np.array(space.mesh.points)
+    a = pts[:-1, None]
+    half = 0.5 * (pts[1:] - pts[:-1])
+    return a + half[:, None] * (x + 1.0), half, x, w
+
+
+def _project_values(
+    f: np.ndarray, half: np.ndarray, x: np.ndarray, w: np.ndarray, space: PiecewisePolySpace
+) -> ProjectionResult:
+    """Projection of the values f (n_elements, m) at the Gauss nodes of
+    every element, all elements in one batched step.
+    """
+    van = _orthonormal_vandermonde(x, space.degree)
+    sqrt_half = np.sqrt(half)[:, None]
+    # coefficients in the orthonormal-on-[a,b] basis phi_j / sqrt(half)
+    c = (f * w) @ van * sqrt_half
+    proj = c @ van.T / sqrt_half
+    err2 = float(half @ (np.abs(f - proj) ** 2 @ w))
+    norm2 = float(half @ (np.abs(f) ** 2 @ w))
+    norm = math.sqrt(norm2)
+    if norm == 0.0:
+        raise DomainError("zero-norm target: relative error undefined")
+    error = math.sqrt(err2)
+    return ProjectionResult(
+        coefficients=tuple(c),
+        error_l2=error,
+        relative_error=error / norm,
+        dof=space.dof,
+    )
 
 
 def l2_project(
@@ -139,44 +189,16 @@ def l2_project(
 ) -> ProjectionResult:
     """L2-orthogonal projection of target onto the space, element by element.
 
-    quad_order is the per-element Gauss-Legendre size; the default 2p + 16
-    resolves (polynomial) x (smooth amplitude) integrands, which the
-    doubling self-test in the suite confirms. Raises on quad_order <= p
-    (the coefficients would alias) and on a zero-norm target (the relative
+    target is called once per quadrature node with a float. quad_order is
+    the per-element Gauss-Legendre size; the default 2p + 16 resolves
+    (polynomial) x (smooth amplitude) integrands, which the doubling
+    self-test in the suite confirms. Raises on quad_order <= p (the
+    coefficients would alias) and on a zero-norm target (the relative
     error would be undefined).
     """
-    p = space.degree
-    if quad_order is None:
-        quad_order = 2 * p + 16
-    if quad_order < p + 1:
-        raise DomainError(f"quad_order must be >= degree + 1, got {quad_order}")
-    x, w = gauss_legendre_rule(quad_order)
-    van = _orthonormal_vandermonde(x, p)
-
-    coeffs: list[np.ndarray] = []
-    err2 = 0.0
-    norm2 = 0.0
-    for a, b in space.mesh.elements():
-        half = 0.5 * (b - a)
-        nodes = a + half * (x + 1.0)
-        f = np.fromiter((target(float(t)) for t in nodes), dtype=complex, count=len(nodes))
-        # coefficients in the orthonormal-on-[a,b] basis phi_j / sqrt(half)
-        c = (van.T @ (w * f)) * half / math.sqrt(half)
-        proj = (van @ c) / math.sqrt(half)
-        coeffs.append(c)
-        err2 += half * float(np.sum(w * np.abs(f - proj) ** 2))
-        norm2 += half * float(np.sum(w * np.abs(f) ** 2))
-
-    norm = math.sqrt(norm2)
-    if norm == 0.0:
-        raise DomainError("zero-norm target: relative error undefined")
-    error = math.sqrt(err2)
-    return ProjectionResult(
-        coefficients=tuple(coeffs),
-        error_l2=error,
-        relative_error=error / norm,
-        dof=space.dof,
-    )
+    nodes, half, x, w = _quadrature(space, quad_order)
+    f = np.fromiter((target(float(t)) for t in nodes.flat), dtype=complex, count=nodes.size)
+    return _project_values(f.reshape(nodes.shape), half, x, w, space)
 
 
 def best_approx_error(
@@ -187,11 +209,13 @@ def best_approx_error(
     quad_order: int | None = None,
 ) -> ProjectionResult:
     """Best-approximation error of the shadow-boundary amplitude V on the
-    graded mesh: build shadow_mesh(cfg, n, sigma), project s -> V(s).
+    graded mesh: build shadow_mesh(cfg, n, sigma), project s -> V(s), with
+    V evaluated on every element's nodes in one call.
     """
     mesh = shadow_mesh(cfg, n, sigma)
     space = PiecewisePolySpace(mesh=mesh, degree=p)
-    return l2_project(lambda s: amplitude_v(s, cfg), space, quad_order)
+    nodes, half, x, w = _quadrature(space, quad_order)
+    return _project_values(amplitude_v(nodes, cfg), half, x, w, space)
 
 
 def bernstein_rho(eps: float) -> float:

@@ -6,7 +6,7 @@ so it stays bounded for arg z in [-pi/2, pi] and grows like
 exp(|z|^2 sin(2 arg z)) in the remaining sector.
 
 Two independent evaluation routes are kept deliberately separate:
-fresnel_fr / big_f run on the in-house Faddeeva kernel, while
+fresnel_fr / big_f run on the Faddeeva kernel w, while
 fresnel_oracle integrates the defining improper integral along a rotated
 contour with adaptive quadrature. Their agreement is the primary
 correctness check for both.
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
+from shadowhp._arrays import as_points, first, unwrap
 from shadowhp.errors import CertificationError, DomainError, OracleError
 from shadowhp.kernel import faddeeva_w
 
@@ -44,39 +45,46 @@ def _finite_complex(z: complex) -> complex:
     return z
 
 
-def fresnel_fr(z: complex) -> complex:
+def fresnel_fr(z):
     """Fresnel integral Fr(z) = (1/2) erfc(e^{-i pi/4} z), entire in z.
 
-    Raises OverflowError when the factor e^{i z^2} exceeds the double range
-    (only possible in the half-plane handled by the symmetry reflection).
+    Takes a scalar or an array. Raises OverflowError, naming the first such
+    point, when the factor e^{i z^2} exceeds the double range (only
+    possible in the half-plane handled by the symmetry reflection).
     """
-    z = _finite_complex(z)
-    zeta = _EIPI4 * z
-    if zeta.imag >= 0.0:
-        iz2 = 1j * z * z
-        if iz2.real > _EXP_MAX:
-            raise OverflowError(f"exp(i z^2) overflows at z = {z!r}")
-        return 0.5 * cmath.exp(iz2) * faddeeva_w(zeta)
-    # Fr(z) = 1 - Fr(-z); -z lands in the directly computable half-plane
-    return 1.0 - fresnel_fr(-z)
+    z, scalar = as_points(z)
+    # Fr(z) = 1 - Fr(-z) carries the half-plane Im(e^{i pi/4} z) < 0 into
+    # the one where e^{i z^2} w(e^{i pi/4} z) is computed directly
+    flip = (_EIPI4 * z).imag < 0.0
+    zz = np.where(flip, -z, z)
+    iz2 = 1j * zz * zz
+    over = iz2.real > _EXP_MAX
+    if over.any():
+        raise OverflowError(f"exp(i z^2) overflows at z = {first(z, over)!r}")
+    fr = 0.5 * np.exp(iz2) * faddeeva_w(_EIPI4 * zz)
+    return unwrap(np.where(flip, 1.0 - fr, fr), scalar)
 
 
-def big_f(z: complex) -> complex:
+def big_f(z):
     """F(z) = e^{-i z^2} Fr(z) = (1/2) w(e^{i pi/4} z), evaluated without
     forming the product of two overflowing factors.
 
-    Bounded on arg z in [-pi/2, pi]; in the growth sector arg z in
-    (-pi, -pi/2) it equals e^{-i z^2} - F(-z) and raises OverflowError once
-    the exponential factor leaves the double range.
+    Takes a scalar or an array. Bounded on arg z in [-pi/2, pi]; in the
+    growth sector arg z in (-pi, -pi/2) it equals e^{-i z^2} - F(-z) and
+    raises OverflowError, naming the first such point, once the
+    exponential factor leaves the double range.
     """
-    z = _finite_complex(z)
+    z, scalar = as_points(z)
     zeta = _EIPI4 * z
-    if zeta.imag >= 0.0:
-        return 0.5 * faddeeva_w(zeta)
-    m_iz2 = -1j * z * z
-    if m_iz2.real > _EXP_MAX:
-        raise OverflowError(f"exp(-i z^2) overflows at z = {z!r}")
-    return cmath.exp(m_iz2) - 0.5 * faddeeva_w(-zeta)
+    growth = zeta.imag < 0.0
+    zg = z[growth]
+    m_iz2 = -1j * zg * zg
+    over = m_iz2.real > _EXP_MAX
+    if over.any():
+        raise OverflowError(f"exp(-i z^2) overflows at z = {first(zg, over)!r}")
+    out = 0.5 * faddeeva_w(np.where(growth, -zeta, zeta))
+    out[growth] = np.exp(m_iz2) - out[growth]
+    return unwrap(out, scalar)
 
 
 def fresnel_oracle(z: complex, tol: float = 1e-13) -> complex:
@@ -147,6 +155,23 @@ class SectorBoundCert:
 _C_UPPER = 1.59
 
 
+def _sector_sample(n_samples: int) -> np.ndarray:
+    """The points of the bounded-sector check: the 25 x 40 polar grid
+    (angle-major), then seeded uniform (angle, radius) draws up to n_samples.
+    """
+    thetas = np.linspace(-0.5 * math.pi, math.pi, 25)
+    radii = np.geomspace(0.05, 40.0, 40)
+    grid = (radii * np.exp(1j * thetas)[:, None]).ravel()
+    # one uniform variate pair per draw, angle first, mapped as
+    # Generator.uniform maps them, so the sample is the per-draw one
+    u = np.random.default_rng(0).random(2 * max(n_samples - grid.size, 0))
+    th_lo, th_hi = -0.5 * math.pi, math.pi
+    r_lo, r_hi = 1e-3, 40.0
+    th = th_lo + (th_hi - th_lo) * u[0::2]
+    rad = r_lo + (r_hi - r_lo) * u[1::2]
+    return np.concatenate((grid, rad * np.exp(1j * th)))[:n_samples]
+
+
 def sector_bound_cert(n_samples: int) -> SectorBoundCert:
     """Sample |F| over the bounded sector and certify its bounds.
 
@@ -164,45 +189,31 @@ def sector_bound_cert(n_samples: int) -> SectorBoundCert:
     if n_samples < 1000:
         raise DomainError(f"n_samples must be >= 1000, got {n_samples}")
 
-    points: list[complex] = []
-    thetas = np.linspace(-0.5 * math.pi, math.pi, 25)
-    radii = np.geomspace(0.05, 40.0, 40)
-    for th in thetas:
-        for rad in radii:
-            points.append(rad * cmath.exp(1j * th))
-    rng = np.random.default_rng(0)
-    while len(points) < n_samples:
-        th = rng.uniform(-0.5 * math.pi, math.pi)
-        rad = rng.uniform(1e-3, 40.0)
-        points.append(rad * cmath.exp(1j * th))
-    points = points[:n_samples]
-
-    max_observed = 0.0
-    arg_max = 0j
-    for zp in points:
-        mag = abs(big_f(zp))
-        if mag > max_observed:
-            max_observed = mag
-            arg_max = zp
+    points = _sector_sample(n_samples)
+    mags = np.abs(big_f(points))
+    i_max = int(np.argmax(mags))
+    max_observed = float(mags[i_max])
     if max_observed > _C_UPPER:
         raise CertificationError(
-            f"|F({arg_max!r})| = {max_observed} exceeds the sector bound {_C_UPPER}"
+            f"|F({complex(points[i_max])!r})| = {max_observed} exceeds the sector bound {_C_UPPER}"
         )
 
     # growth sector: both angle endpoints are excluded (open sector) and the
     # per-angle radius is capped to keep e^X inside the double range; the
     # +-1/2 corridor is widened by a relative slack because once e^X exceeds
     # ~1e16 the corridor is narrower than one ulp of either side
-    for th in np.linspace(-math.pi + 0.02, -0.5 * math.pi - 0.02, 21):
-        growth = math.sin(2.0 * th)
-        r_cap = min(40.0, math.sqrt(693.0 / max(growth, 1e-6)))
-        for rad in np.geomspace(0.05, r_cap, 20):
-            zp = rad * cmath.exp(1j * th)
-            mag = abs(big_f(zp))
-            envelope = math.exp(rad * rad * growth)
-            if abs(mag - envelope) > 0.5 + 1e-10 * envelope:
-                raise CertificationError(
-                    f"growth bound violated at z = {zp!r}: |F| = {mag}, envelope = {envelope}"
-                )
+    thetas = np.linspace(-math.pi + 0.02, -0.5 * math.pi - 0.02, 21)
+    growth = np.sin(2.0 * thetas)
+    r_cap = np.minimum(40.0, np.sqrt(693.0 / np.maximum(growth, 1e-6)))
+    radii = np.geomspace(0.05, r_cap, 20, axis=1)
+    zp = radii * np.exp(1j * thetas)[:, None]
+    mag = np.abs(big_f(zp))
+    envelope = np.exp(radii * radii * growth[:, None])
+    violated = np.abs(mag - envelope) > 0.5 + 1e-10 * envelope
+    if violated.any():
+        raise CertificationError(
+            f"growth bound violated at z = {first(zp, violated)!r}: "
+            f"|F| = {first(mag, violated)}, envelope = {first(envelope, violated)}"
+        )
 
     return SectorBoundCert(c_upper=_C_UPPER, n_samples=len(points), max_observed=max_observed)

@@ -277,3 +277,48 @@ def test_epsilon_star():
     k = 9.0
     expected = 1.0 * min(1.0, 1.0 / (math.sin(geo.beta) * math.sqrt(k * geo.R)))
     assert abs(epsilon_star(geo, k) - expected) <= 1e-15
+
+
+def _assert_scalar_array_parity(fn, pts):
+    batch = fn(pts)
+    assert isinstance(batch, np.ndarray) and batch.shape == pts.shape
+    scalar = [fn(v.item()) for v in pts.flat]
+    assert all(type(v) is complex for v in scalar)
+    np.testing.assert_allclose(batch.ravel(), scalar, rtol=1e-13, atol=0.0)
+
+
+def test_h_and_g_scalar_array_parity():
+    geo = KnifeGeometry(R=1.0, beta=math.pi / 3)
+    rng = np.random.default_rng(45)
+    strip = rng.uniform(-3, 6, 1000) + 1j * rng.uniform(-0.75, 0.75, 1000)
+    # mixed-sign real points take the mirror rule for s < 0 inside one call
+    real = np.concatenate((rng.uniform(-3, 3, 500), [0.0, -0.3, 0.3])).astype(complex)
+    for pts in (strip, real):
+        _assert_scalar_array_parity(lambda s: h_of_s(s, geo, 10.0), pts)
+        _assert_scalar_array_parity(lambda s: g_of_s(s, geo, 10.0), pts)
+    mirrored = g_of_s(np.array([-0.3, 0.3]), geo, 5.0)
+    other = g_of_s(0.3, KnifeGeometry(R=1.0, beta=math.pi - math.pi / 3), 5.0)
+    assert abs(mirrored[0] - other) <= 1e-13
+
+
+def test_amplitude_v_scalar_array_parity_on_reference_nodes():
+    from shadowhp.hpspace import gauss_legendre_rule, shadow_mesh
+
+    cfg = ShadowConfig(k=16.0, alpha=0.75 * math.pi, l_nc=1.5, l_nc_prime=1.0)
+    pts = np.array(shadow_mesh(cfg, 8, 0.15).points)
+    x, _ = gauss_legendre_rule(2 * 8 + 16)
+    nodes = pts[:-1, None] + 0.5 * (pts[1:] - pts[:-1])[:, None] * (x + 1.0)
+    # the shadow point itself, where H(0) = 1/2 takes both one-sided terms
+    nodes = np.append(nodes, [0.0, cfg.s_sb]).reshape(-1, 2)
+    _assert_scalar_array_parity(lambda s: amplitude_v(s, cfg), nodes)
+
+
+def test_amplitude_v_array_rejects_one_bad_point():
+    cfg = ShadowConfig(k=9.0, alpha=math.pi, l_nc=1.5, l_nc_prime=1.0)
+    with pytest.raises(DomainError, match="-0.1"):
+        amplitude_v(np.array([0.2, -0.1, 0.4]), cfg)
+    with pytest.raises(DomainError):
+        amplitude_v(np.array([0.2, math.nan]), cfg)
+    geo = KnifeGeometry(R=1.0, beta=math.pi / 3)
+    with pytest.raises(DomainError):
+        g_of_s(np.array([0.2, complex(0.0, math.inf)]), geo, 5.0)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -177,3 +178,30 @@ def test_strip_S_delta():
     assert not strip_S_delta(1.0 + 0.8j, geo, 0.1)
     with pytest.raises(DomainError):
         strip_S_delta(0.5, geo, 1.5)
+
+
+def test_r_and_mu_scalar_array_parity():
+    geo = KnifeGeometry(R=1.4, beta=2.2)
+    pts = np.array(random_off_cut_points(geo, 2000, seed=37))
+    for fn in (lambda s: r_of_s(s, geo), lambda s: mu_of_s(s, geo, 7.0)):
+        batch = fn(pts)
+        assert isinstance(batch, np.ndarray) and batch.shape == pts.shape
+        scalar = [fn(complex(s)) for s in pts]
+        assert all(type(v) is complex for v in scalar)
+        np.testing.assert_allclose(batch, scalar, rtol=1e-13, atol=0.0)
+        grid = pts[:600].reshape(20, 30)
+        np.testing.assert_array_equal(fn(grid), fn(grid.ravel()).reshape(20, 30))
+
+
+def test_array_input_rejects_one_bad_point():
+    geo = KnifeGeometry(R=1.0, beta=2 * math.pi / 3)
+    on_cut = complex(math.cos(geo.beta), math.sin(geo.beta) + 0.5)
+    pts = np.array([0.3 + 0.1j, on_cut, 0.2j])
+    with pytest.raises(BranchCutError, match=re.escape(repr(on_cut))):
+        r_of_s(pts, geo)
+    with pytest.raises(BranchCutError):
+        mu_of_s(pts, geo, 3.0)
+    with pytest.raises(DomainError, match="nan"):
+        r_of_s(np.array([0.3, complex(math.nan, 0.0)]), geo)
+    with pytest.raises(DomainError):
+        mu_of_s(np.array([0.3, math.inf]), geo, 3.0)

@@ -111,6 +111,16 @@ def test_gauss_rule_monomial_exactness():
             assert float(np.sum(w * x**j)) == pytest.approx(exact, abs=1e-13)
 
 
+def test_gauss_rule_is_shared_and_read_only():
+    x, w = gauss_legendre_rule(20)
+    again = gauss_legendre_rule(20)
+    assert again[0] is x and again[1] is w
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+
+
 def test_gauss_rule_validation():
     with pytest.raises(DomainError):
         gauss_legendre_rule(0)
@@ -220,6 +230,19 @@ def test_best_approx_monotone_in_p_on_fixed_mesh():
 def test_best_approx_decreases_with_layered_refinement():
     errors = [best_approx_error(CFG, max(1, p), 0.15, p).error_l2 for p in (2, 4, 6)]
     assert errors[2] < errors[1] < errors[0]
+
+
+def test_best_approx_matches_pointwise_projection():
+    # best_approx_error evaluates V on all nodes at once; l2_project calls
+    # the target one node at a time; both feed the same projection
+    for n, p in ((1, 0), (4, 3), (8, 8)):
+        space = PiecewisePolySpace(mesh=shadow_mesh(CFG, n, 0.15), degree=p)
+        batch = best_approx_error(CFG, n, 0.15, p)
+        pointwise = l2_project(lambda s: amplitude_v(s, CFG), space)
+        assert batch.dof == pointwise.dof
+        assert batch.error_l2 == pytest.approx(pointwise.error_l2, rel=1e-12)
+        for c0, c1 in zip(batch.coefficients, pointwise.coefficients):
+            np.testing.assert_allclose(c0, c1, rtol=1e-12, atol=1e-13 * np.max(np.abs(c1)))
 
 
 def test_dof_counting():

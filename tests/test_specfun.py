@@ -126,3 +126,57 @@ def test_sector_cert_dataclass_enforces_invariant():
 
     with pytest.raises(CertificationError):
         SectorBoundCert(c_upper=1.59, n_samples=1000, max_observed=1.60)
+
+
+def _plane_points(n: int, seed: int) -> np.ndarray:
+    # bounded and growth sectors alike, inside the range where nothing overflows
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.0, 6.0, n) * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+
+
+def test_scalar_array_parity():
+    pts = _plane_points(3000, 24)
+    for fn in (big_f, fresnel_fr):
+        batch = fn(pts)
+        assert isinstance(batch, np.ndarray) and batch.shape == pts.shape
+        scalar = [fn(complex(z)) for z in pts]
+        assert all(type(v) is complex for v in scalar)
+        np.testing.assert_allclose(batch, scalar, rtol=1e-13, atol=0.0)
+        np.testing.assert_array_equal(fn(pts.reshape(60, 50)), batch.reshape(60, 50))
+
+
+def test_array_input_rejects_one_bad_point():
+    fine = _plane_points(10, 25)
+    with pytest.raises(OverflowError, match="exp"):
+        big_f(np.append(fine, 40.0 * cmath.exp(-0.75j * math.pi)))
+    with pytest.raises(OverflowError, match="exp"):
+        fresnel_fr(np.append(fine, complex(-21.0, 21.0)))
+    for fn in (big_f, fresnel_fr):
+        with pytest.raises(DomainError, match="nan"):
+            fn(np.append(fine, complex(0.5, math.nan)))
+
+
+def test_sector_sample_matches_the_per_draw_loop():
+    from shadowhp.specfun import _sector_sample
+
+    points = []
+    for th in np.linspace(-0.5 * math.pi, math.pi, 25):
+        for rad in np.geomspace(0.05, 40.0, 40):
+            points.append(rad * cmath.exp(1j * th))
+    rng = np.random.default_rng(0)
+    while len(points) < 10000:
+        th = rng.uniform(-0.5 * math.pi, math.pi)
+        rad = rng.uniform(1e-3, 40.0)
+        points.append(rad * cmath.exp(1j * th))
+    np.testing.assert_array_equal(_sector_sample(10000), np.array(points))
+    assert _sector_sample(1000).size == 1000
+
+
+def test_sector_cert_growth_check_names_the_violating_point(monkeypatch):
+    import shadowhp.specfun as specfun
+
+    # |F| = 0 passes the bounded-sector maximum but not the growth corridor,
+    # which the first growth point already leaves (e^X - 1/2 > 0 there)
+    monkeypatch.setattr(specfun, "big_f", lambda z: np.zeros(np.shape(z), dtype=complex))
+    with pytest.raises(CertificationError, match=r"growth bound violated at z = \("):
+        sector_bound_cert(1000)
