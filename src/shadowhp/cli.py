@@ -23,16 +23,18 @@ from shadowhp.amplitudes import (
     psi_go,
 )
 from shadowhp.errors import CertificationError, ConfigError, DomainError
-from shadowhp.experiments import ExperimentGrid, layers_for_degree, run_grid, write_csv
+from shadowhp.experiments import (
+    ExperimentGrid,
+    _fmt,
+    layers_for_degree,
+    run_grid,
+    write_csv,
+)
 from shadowhp.geometry import KnifeGeometry, region_label
 from shadowhp.hpspace import best_approx_error
 from shadowhp.specfun import big_f, fresnel_fr, sector_bound_cert
 
 __all__ = ["main"]
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _print_complex(v: complex) -> None:
@@ -165,11 +167,13 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         )
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-    rows = run_grid(
-        grid,
-        quad_order=values.get("quad_order"),
-        parallelism=values.get("parallelism", 1),
-    )
+    quad_order = values.get("quad_order")
+    if quad_order is not None and not 1 <= quad_order <= 256:
+        raise ConfigError(f"quad_order must lie in [1, 256], got {quad_order}")
+    parallelism = values.get("parallelism", 1)
+    if parallelism < 1:
+        raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
+    rows = run_grid(grid, quad_order=quad_order, parallelism=parallelism)
     out = args.output if args.output is not None else values["output"]
     write_csv(rows, out)
     n_failed = sum(1 for r in rows if r.status != "ok")

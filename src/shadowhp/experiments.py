@@ -3,24 +3,33 @@
 deterministic CSV emission.
 
 Rows are pure functions of their parameters, so the harness may fan them
-out to worker processes; results are always merged back in canonical
-(k, alpha, p) order and the output is bit-identical regardless of the
-parallelism degree.
+out to worker processes. `parallelism` is an upper bound on the worker
+count, not an exact count: the pool never has more workers than the
+process may run on cores, and a grid too small to repay a pool's start-up
+(fewer than 2 * _MIN_ROWS_PER_WORKER rows) runs in-process. Results are
+always merged back in canonical (k, alpha, p) order and the output is
+bit-identical regardless of the parallelism degree.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from shadowhp.amplitudes import ShadowConfig
-from shadowhp.errors import DomainError
+from shadowhp.errors import DomainError, OracleError
 from shadowhp.hpspace import best_approx_error
 
 CSV_HEADER = "k,alpha,p,n_layers,dof,error_l2,relative_error,status"
+
+#: Rows a pool worker needs to repay its share of the pool's start-up and
+#: teardown. On a 2-core VM a chunked 2-worker pool lost to the serial loop
+#: at 72-99 rows and won from about 126 rows on (figures in CHANGES.md).
+_MIN_ROWS_PER_WORKER = 64
 
 __all__ = [
     "CSV_HEADER",
@@ -54,18 +63,18 @@ class ExperimentGrid:
     def __post_init__(self) -> None:
         if not (self.k_values and self.alpha_values and self.p_values):
             raise DomainError("k_values, alpha_values and p_values must be nonempty")
-        if any(k <= 0.0 for k in self.k_values):
-            raise DomainError("wavenumbers must be positive")
+        if any(not (math.isfinite(k) and k > 0.0) for k in self.k_values):
+            raise DomainError("wavenumbers must be finite and positive")
         if any(not 0.5 * math.pi < a <= math.pi for a in self.alpha_values):
             raise DomainError("alpha values must lie in (pi/2, pi]")
         if any(not (isinstance(p, int) and p >= 0) for p in self.p_values):
             raise DomainError("degrees must be nonnegative integers")
-        if not (self.l_nc > 0.0 and self.l_nc_prime > 0.0):
-            raise DomainError("side lengths must be positive")
+        if not all(math.isfinite(x) and x > 0.0 for x in (self.l_nc, self.l_nc_prime)):
+            raise DomainError("side lengths must be finite and positive")
         if not 0.0 < self.sigma < 1.0:
             raise DomainError("grading must lie in (0, 1)")
-        if not self.c > 0.0:
-            raise DomainError("layer constant c must be positive")
+        if not (math.isfinite(self.c) and self.c > 0.0):
+            raise DomainError("layer constant c must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -108,10 +117,18 @@ def _row_task(args: tuple) -> GridRow:
     try:
         cfg = ShadowConfig(k=k, alpha=alpha, l_nc=l_nc, l_nc_prime=l_nc_prime)
         res = best_approx_error(cfg, n, sigma, p, quad_order)
-    except Exception as exc:
+    except (DomainError, OverflowError, OracleError) as exc:
         reason = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
         return GridRow(k, alpha, p, n, 0, math.nan, math.nan, f"failed: {reason}")
     return GridRow(k, alpha, p, n, res.dof, res.error_l2, res.relative_error, "ok")
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def run_grid(
@@ -119,8 +136,13 @@ def run_grid(
     quad_order: int | None = None,
     parallelism: int = 1,
 ) -> list[GridRow]:
-    """One row per (k, alpha, p), in canonical sorted order. A failing row
-    records its reason in the status column; the sweep continues.
+    """One row per (k, alpha, p), in canonical sorted order. A row that
+    fails with a domain, overflow or oracle error records its reason in the
+    status column and the sweep continues; any other exception propagates.
+
+    At most `parallelism` worker processes are used, never more than the
+    usable cores and never fewer than _MIN_ROWS_PER_WORKER rows per worker;
+    below two workers the rows run in-process.
     """
     if parallelism < 1:
         raise DomainError(f"parallelism must be >= 1, got {parallelism}")
@@ -130,10 +152,12 @@ def run_grid(
         for alpha in sorted(grid.alpha_values)
         for p in sorted(grid.p_values)
     ]
-    if parallelism == 1:
+    workers = min(parallelism, _usable_cores(), len(tasks) // _MIN_ROWS_PER_WORKER)
+    if workers < 2:
         return [_row_task(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(_row_task, tasks))
+    chunksize = math.ceil(len(tasks) / (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_row_task, tasks, chunksize=chunksize))
 
 
 def fit_rate(pairs: list[tuple[float, float]]) -> RateFit:

@@ -207,6 +207,29 @@ def test_experiment_malformed_key(tmp_path, capsys):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("quad_order", "0"),
+        ("quad_order", "257"),
+        ("parallelism", "0"),
+        ("k_values", "nan"),
+        ("l_nc", "inf"),
+    ],
+)
+def test_experiment_rejects_bad_run_options_before_any_row(tmp_path, capsys, key, value):
+    out_file = tmp_path / "never.csv"
+    values = {"k_values": "16", "alpha_values": "2.0", "p_values": "2", "output": out_file}
+    values[key] = value
+    cfg = tmp_path / "bad.conf"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()), encoding="ascii")
+    code, out, err = run_cli(["experiment", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "config error" in err
+    assert not out_file.exists()
+
+
 def test_experiment_missing_config_file(tmp_path, capsys):
     code, _, err = run_cli(["experiment", str(tmp_path / "absent.conf")], capsys)
     assert code == 2

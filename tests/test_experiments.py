@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import shadowhp.experiments as experiments
 from shadowhp.errors import DomainError
 from shadowhp.experiments import (
     CSV_HEADER,
@@ -18,6 +19,12 @@ from shadowhp.experiments import (
 )
 
 SMALL = ExperimentGrid(k_values=(16.0,), alpha_values=(0.75 * math.pi,), p_values=(2, 3, 4))
+# 2 k x 8 alpha x 9 p = 144 rows: enough rows for a 2-worker pool, not for 3
+POOLED = ExperimentGrid(
+    k_values=(4.0, 64.0),
+    alpha_values=tuple(float(a) for a in np.linspace(0.5 * math.pi, math.pi, 9)[1:]),
+    p_values=tuple(range(2, 11)),
+)
 
 
 def test_layers_for_degree():
@@ -37,6 +44,15 @@ def test_grid_validation():
         ExperimentGrid(k_values=(16.0,), alpha_values=(2.0,), p_values=(-1,))
     with pytest.raises(DomainError):
         ExperimentGrid(k_values=(16.0,), alpha_values=(2.0,), p_values=(2,), sigma=1.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            ExperimentGrid(k_values=(bad,), alpha_values=(2.0,), p_values=(2,))
+        with pytest.raises(DomainError):
+            ExperimentGrid(k_values=(16.0,), alpha_values=(2.0,), p_values=(2,), l_nc=bad)
+        with pytest.raises(DomainError):
+            ExperimentGrid(k_values=(16.0,), alpha_values=(2.0,), p_values=(2,), l_nc_prime=bad)
+        with pytest.raises(DomainError):
+            ExperimentGrid(k_values=(16.0,), alpha_values=(2.0,), p_values=(2,), c=bad)
 
 
 def test_fit_rate_exact_exponential():
@@ -103,6 +119,48 @@ def test_run_grid_records_failures_and_continues():
     assert "," not in by_p[8].status
     assert math.isnan(by_p[8].error_l2)
     assert by_p[8].dof == 0
+
+
+def test_run_grid_propagates_bugs(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("bug")
+
+    monkeypatch.setattr(experiments, "best_approx_error", broken)
+    with pytest.raises(TypeError, match="bug"):
+        run_grid(SMALL)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Worker count of every pool run_grid builds."""
+    sizes = []
+
+    class RecordingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_run_grid_pool_output_identical_across_parallelism(monkeypatch, pool_sizes):
+    assert 2 * experiments._MIN_ROWS_PER_WORKER <= 144 < 3 * experiments._MIN_ROWS_PER_WORKER
+    monkeypatch.setattr(experiments, "_usable_cores", lambda: 8)
+    csv = {par: format_csv(run_grid(POOLED, parallelism=par)) for par in (1, 2, 4)}
+    assert csv[1] == csv[2] == csv[4]
+    assert csv[1].count("\n") == 145
+    assert pool_sizes == [2, 2]
+
+
+def test_run_grid_runs_in_process_when_a_pool_cannot_pay(monkeypatch, pool_sizes):
+    # a small grid, however many cores and workers are allowed
+    monkeypatch.setattr(experiments, "_usable_cores", lambda: 8)
+    assert run_grid(SMALL, parallelism=4) == run_grid(SMALL)
+    # a grid large enough for a pool, on one usable core
+    monkeypatch.setattr(experiments, "_usable_cores", lambda: 1)
+    assert len(run_grid(POOLED, parallelism=4)) == 144
+    assert pool_sizes == []
 
 
 def test_run_grid_rejects_bad_parallelism():
