@@ -92,14 +92,15 @@ class ShadowConfig:
     l_nc_prime: float
 
     def __post_init__(self) -> None:
-        if not self.k > 0.0:
-            raise DomainError(f"wavenumber must be positive, got {self.k}")
+        if not (math.isfinite(self.k) and self.k > 0.0):
+            raise DomainError(f"wavenumber k must be finite and positive, got {self.k}")
         if not 0.5 * math.pi < self.alpha < 1.5 * math.pi:
             raise DomainError(
                 f"alpha must lie strictly inside (pi/2, 3pi/2), got {self.alpha}"
             )
-        if not (self.l_nc > 0.0 and self.l_nc_prime > 0.0):
-            raise DomainError("side lengths must be positive")
+        for name, length in (("l_nc", self.l_nc), ("l_nc_prime", self.l_nc_prime)):
+            if not (math.isfinite(length) and length > 0.0):
+                raise DomainError(f"side length {name} must be finite and positive, got {length}")
 
     @property
     def s_sb(self) -> float:

@@ -31,7 +31,7 @@ from shadowhp.experiments import (
     write_csv,
 )
 from shadowhp.geometry import KnifeGeometry, region_label
-from shadowhp.hpspace import best_approx_error
+from shadowhp.hpspace import best_approx_error, gauss_legendre_rule
 from shadowhp.specfun import big_f, fresnel_fr, sector_bound_cert
 
 __all__ = ["main"]
@@ -94,6 +94,11 @@ def _cmd_region(args: argparse.Namespace) -> int:
 
 
 def _cmd_project(args: argparse.Namespace) -> int:
+    if args.quad_order is not None:
+        try:
+            gauss_legendre_rule(args.quad_order)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
     cfg = ShadowConfig(
         k=args.k, alpha=_rad(args.alpha, args.degrees), l_nc=args.lnc, l_nc_prime=args.lncp
     )
@@ -155,26 +160,15 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     values = parse_config(text)
+    output = values.pop("output")
+    quad_order = values.pop("quad_order", None)
+    parallelism = values.pop("parallelism", 1)
+    # rows keep their own DomainErrors: one that escapes names a bad value or option
     try:
-        grid = ExperimentGrid(
-            k_values=values["k_values"],
-            alpha_values=values["alpha_values"],
-            p_values=values["p_values"],
-            l_nc=values.get("l_nc", 1.5),
-            l_nc_prime=values.get("l_nc_prime", 1.0),
-            sigma=values.get("sigma", 0.15),
-            c=values.get("c", 1.0),
-        )
+        rows = run_grid(ExperimentGrid(**values), quad_order=quad_order, parallelism=parallelism)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-    quad_order = values.get("quad_order")
-    if quad_order is not None and not 1 <= quad_order <= 256:
-        raise ConfigError(f"quad_order must lie in [1, 256], got {quad_order}")
-    parallelism = values.get("parallelism", 1)
-    if parallelism < 1:
-        raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
-    rows = run_grid(grid, quad_order=quad_order, parallelism=parallelism)
-    out = args.output if args.output is not None else values["output"]
+    out = args.output if args.output is not None else output
     write_csv(rows, out)
     n_failed = sum(1 for r in rows if r.status != "ok")
     print(f"wrote {len(rows)} rows to {out}" + (f" ({n_failed} failed)" if n_failed else ""))
@@ -249,10 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
     pj.add_argument("--k", type=float, required=True)
     pj.add_argument("--alpha", type=float, required=True)
     pj.add_argument("--p", type=int, required=True)
-    pj.add_argument("--lnc", type=float, default=1.5)
-    pj.add_argument("--lncp", type=float, default=1.0)
-    pj.add_argument("--sigma", type=float, default=0.15)
-    pj.add_argument("--c", type=float, default=1.0)
+    pj.add_argument("--lnc", type=float, default=ExperimentGrid.l_nc)
+    pj.add_argument("--lncp", type=float, default=ExperimentGrid.l_nc_prime)
+    pj.add_argument("--sigma", type=float, default=ExperimentGrid.sigma)
+    pj.add_argument("--c", type=float, default=ExperimentGrid.c)
     pj.add_argument("--n", type=int, default=None, help="override n = max(1, ceil(c p))")
     pj.add_argument("--quad-order", type=int, default=None)
     pj.add_argument("--degrees", action="store_true", help="alpha is given in degrees")

@@ -13,16 +13,18 @@ bit-identical regardless of the parallelism degree.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from shadowhp.amplitudes import ShadowConfig
 from shadowhp.errors import DomainError, OracleError
-from shadowhp.hpspace import best_approx_error
+from shadowhp.hpspace import best_approx_error, gauss_legendre_rule
 
 CSV_HEADER = "k,alpha,p,n_layers,dof,error_l2,relative_error,status"
 
@@ -111,12 +113,12 @@ def layers_for_degree(p: int, c: float) -> int:
     return max(1, math.ceil(c * p))
 
 
-def _row_task(args: tuple) -> GridRow:
-    k, alpha, p, l_nc, l_nc_prime, sigma, c, quad_order = args
-    n = layers_for_degree(p, c)
+def _row_task(grid: ExperimentGrid, quad_order: int | None, key: tuple) -> GridRow:
+    k, alpha, p = key
+    n = layers_for_degree(p, grid.c)
     try:
-        cfg = ShadowConfig(k=k, alpha=alpha, l_nc=l_nc, l_nc_prime=l_nc_prime)
-        res = best_approx_error(cfg, n, sigma, p, quad_order)
+        cfg = ShadowConfig(k=k, alpha=alpha, l_nc=grid.l_nc, l_nc_prime=grid.l_nc_prime)
+        res = best_approx_error(cfg, n, grid.sigma, p, quad_order)
     except (DomainError, OverflowError, OracleError) as exc:
         reason = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
         return GridRow(k, alpha, p, n, 0, math.nan, math.nan, f"failed: {reason}")
@@ -139,6 +141,7 @@ def run_grid(
     """One row per (k, alpha, p), in canonical sorted order. A row that
     fails with a domain, overflow or oracle error records its reason in the
     status column and the sweep continues; any other exception propagates.
+    A bad `quad_order` or `parallelism` raises DomainError before any row.
 
     At most `parallelism` worker processes are used, never more than the
     usable cores and never fewer than _MIN_ROWS_PER_WORKER rows per worker;
@@ -146,18 +149,17 @@ def run_grid(
     """
     if parallelism < 1:
         raise DomainError(f"parallelism must be >= 1, got {parallelism}")
-    tasks = [
-        (k, alpha, p, grid.l_nc, grid.l_nc_prime, grid.sigma, grid.c, quad_order)
-        for k in sorted(grid.k_values)
-        for alpha in sorted(grid.alpha_values)
-        for p in sorted(grid.p_values)
-    ]
-    workers = min(parallelism, _usable_cores(), len(tasks) // _MIN_ROWS_PER_WORKER)
+    if quad_order is not None:
+        gauss_legendre_rule(quad_order)
+    axes = (sorted(grid.k_values), sorted(grid.alpha_values), sorted(grid.p_values))
+    keys = list(itertools.product(*axes))
+    task = functools.partial(_row_task, grid, quad_order)
+    workers = min(parallelism, _usable_cores(), len(keys) // _MIN_ROWS_PER_WORKER)
     if workers < 2:
-        return [_row_task(t) for t in tasks]
-    chunksize = math.ceil(len(tasks) / (4 * workers))
+        return [task(key) for key in keys]
+    chunksize = math.ceil(len(keys) / (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_row_task, tasks, chunksize=chunksize))
+        return list(pool.map(task, keys, chunksize=chunksize))
 
 
 def fit_rate(pairs: list[tuple[float, float]]) -> RateFit:
@@ -198,15 +200,7 @@ def dip_scan(
         raise DomainError(f"the dip is resolved only for p >= 6, got {p}")
     if len(grid.alpha_values) < 3:
         raise DomainError("dip_scan needs at least 3 alpha values")
-    scan = ExperimentGrid(
-        k_values=(sorted(grid.k_values)[0],),
-        alpha_values=tuple(sorted(grid.alpha_values)),
-        p_values=(p,),
-        l_nc=grid.l_nc,
-        l_nc_prime=grid.l_nc_prime,
-        sigma=grid.sigma,
-        c=grid.c,
-    )
+    scan = replace(grid, k_values=(min(grid.k_values),), p_values=(p,))
     rows = run_grid(scan, quad_order, parallelism)
     points = tuple((row.alpha, row.relative_error) for row in rows)
     errs = [e for _, e in points]

@@ -94,6 +94,8 @@ def geometric_mesh(length: float, n: int, sigma: float) -> Mesh:
         raise DomainError(f"layer count must be an integer >= 1, got {n}")
     if not 0.0 < sigma < 1.0:
         raise DomainError(f"grading must lie in (0, 1), got {sigma}")
+    if sigma ** (n - 1) * length == 0.0:
+        raise DomainError(f"{n} layers at grading {sigma} put the finest point at 0.0")
     pts = [0.0] + [sigma ** (n - i) * length for i in range(1, n + 1)]
     return Mesh(points=tuple(pts), n_layers=n, sigma=sigma)
 
@@ -128,7 +130,7 @@ def gauss_legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     arrays are shared between callers and therefore read-only.
     """
     if not (isinstance(m, int) and 1 <= m <= 256):
-        raise DomainError(f"rule size must be an integer in [1, 256], got {m}")
+        raise DomainError(f"quad_order (rule size) must be an integer in [1, 256], got {m}")
     x, w = np.polynomial.legendre.leggauss(m)
     x.flags.writeable = False
     w.flags.writeable = False

@@ -190,6 +190,13 @@ def test_shadow_config_validation_and_derived():
         ShadowConfig(k=16.0, alpha=0.5 * math.pi, l_nc=1.5, l_nc_prime=1.0)
     with pytest.raises(DomainError):
         ShadowConfig(k=-1.0, alpha=2.0, l_nc=1.5, l_nc_prime=1.0)
+    for name in ("k", "l_nc", "l_nc_prime"):
+        for bad in (math.nan, math.inf):
+            fields = {"k": 16.0, "alpha": 2.0, "l_nc": 1.5, "l_nc_prime": 1.0, name: bad}
+            with pytest.raises(DomainError, match=rf"\b{name} must be finite"):
+                ShadowConfig(**fields)
+    # huge but finite k is a real wavenumber: V grows like sqrt(k), it does not break
+    assert ShadowConfig(k=1e300, alpha=2.0, l_nc=1.5, l_nc_prime=1.0).k == 1e300
     cfg = ShadowConfig(k=16.0, alpha=0.75 * math.pi, l_nc=1.5, l_nc_prime=1.0)
     assert abs(cfg.s_sb - 1.0) <= 1e-14
     assert abs(cfg.r_alpha - math.sqrt(2.0)) <= 1e-14

@@ -1,14 +1,22 @@
 """Command-line interface: output formats, exit codes, config handling."""
 
+import contextlib
+import dataclasses
+import io
 import math
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import configuration, example, given, settings
+from hypothesis import strategies as st
 
 from shadowhp.amplitudes import ShadowConfig, amplitude_v
-from shadowhp.cli import main, parse_config
+from shadowhp.cli import _CONFIG_SCHEMA, main, parse_config
 from shadowhp.errors import ConfigError
+from shadowhp.experiments import ExperimentGrid
 from shadowhp.hpspace import best_approx_error
 from shadowhp.specfun import fresnel_fr
 
@@ -170,6 +178,23 @@ def test_project_matches_library(capsys):
     assert int(dof_s) == want.dof
 
 
+@pytest.mark.parametrize(
+    "flag, value, code, message",
+    [
+        ("--quad-order", "0", 2, "config error"),
+        ("--quad-order", "257", 2, "config error"),
+        ("--lnc", "inf", 1, "side length l_nc"),
+    ],
+)
+def test_project_rejects_bad_options(capsys, flag, value, code, message):
+    got, out, err = run_cli(
+        ["project", "--k", "16", "--alpha", "2.4", "--p", "4", flag, value], capsys
+    )
+    assert got == code
+    assert out == ""
+    assert message in err
+
+
 CONFIG_OK = """\
 # baseline sweep
 k_values = 16
@@ -228,6 +253,112 @@ def test_experiment_rejects_bad_run_options_before_any_row(tmp_path, capsys, key
     assert out == ""
     assert "config error" in err
     assert not out_file.exists()
+
+
+def test_config_schema_is_the_grid_plus_run_options():
+    run_options = {"quad_order", "parallelism", "output"}
+    grid_fields = {f.name for f in dataclasses.fields(ExperimentGrid)}
+    assert set(_CONFIG_SCHEMA) - run_options == grid_fields
+
+
+# Documented ranges of the config values, and values on either side of them.
+_SPECIALS = (math.nan, math.inf, -math.inf, 0.0)
+_NONPOSITIVE = st.one_of(st.sampled_from(_SPECIALS), st.floats(-1e3, 0.0))
+_VALID = {
+    "k_values": st.floats(0.0, 1e3, exclude_min=True),
+    "alpha_values": st.floats(0.5 * math.pi, math.pi, exclude_min=True),
+    "l_nc": st.floats(0.0, 10.0, exclude_min=True),
+    "l_nc_prime": st.floats(0.0, 10.0, exclude_min=True),
+    "sigma": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    "c": st.floats(0.0, 1e3, exclude_min=True),
+    "quad_order": st.one_of(st.none(), st.integers(1, 256)),
+    "parallelism": st.integers(1, 4),
+}
+_INVALID = {
+    "k_values": _NONPOSITIVE,
+    "alpha_values": st.one_of(
+        _NONPOSITIVE, st.floats(0.0, 0.5 * math.pi), st.floats(math.pi, 4.0, exclude_min=True)
+    ),
+    "l_nc": _NONPOSITIVE,
+    "l_nc_prime": _NONPOSITIVE,
+    "sigma": st.one_of(_NONPOSITIVE, st.floats(1.0, 1.5)),
+    "c": _NONPOSITIVE,
+    "quad_order": st.one_of(st.integers(-5, 0), st.integers(257, 300)),
+    "parallelism": st.integers(-2, 0),
+}
+
+
+# Values at and just past the ends of each range, run on every test run
+# whatever hypothesis draws; None holds in-range ends.
+_EDGES = {
+    None: [("alpha_values", math.pi), ("quad_order", 1), ("quad_order", 256)],
+    **{key: [(key, v) for v in _SPECIALS] for key in ("k_values", "l_nc", "l_nc_prime", "c")},
+    "alpha_values": [("alpha_values", v) for v in (*_SPECIALS, 0.5 * math.pi, 3.15)],
+    "sigma": [("sigma", v) for v in (*_SPECIALS, 1.0)],
+    "quad_order": [("quad_order", 0), ("quad_order", 257)],
+    "parallelism": [("parallelism", 0)],
+}
+_BASE = {
+    "k_values": 16.0, "alpha_values": 2.0, "l_nc": 1.5, "l_nc_prime": 1.0,
+    "sigma": 0.15, "c": 1.0, "quad_order": None, "parallelism": 1,
+}
+
+
+def _in_documented_range(v):
+    return (
+        0.0 < v["k_values"] < math.inf
+        and 0.5 * math.pi < v["alpha_values"] <= math.pi
+        and 0.0 < v["l_nc"] < math.inf
+        and 0.0 < v["l_nc_prime"] < math.inf
+        and 0.0 < v["sigma"] < 1.0
+        and 0.0 < v["c"] < math.inf
+        and (v["quad_order"] is None or 1 <= v["quad_order"] <= 256)
+        and v["parallelism"] >= 1
+    )
+
+
+def _check_experiment_exit_code(values):
+    # hypothesis rejects function-scoped fixtures, so no tmp_path or capsys here
+    with tempfile.TemporaryDirectory() as tmp:
+        out_file = os.path.join(tmp, "sweep.csv")
+        lines = [f"{key} = {val!r}\n" for key, val in values.items() if val is not None]
+        cfg = os.path.join(tmp, "sweep.conf")
+        with open(cfg, "w", encoding="ascii") as fh:
+            fh.write("".join(lines) + f"p_values = 2\noutput = {out_file}\n")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["experiment", cfg])
+        if _in_documented_range(values):
+            assert code == 0, err.getvalue()
+            with open(out_file, encoding="ascii") as fh:
+                assert len(fh.read().splitlines()) == 2
+        else:
+            assert code == 2, err.getvalue()
+            assert "config error" in err.getvalue()
+            assert out.getvalue() == ""
+            assert not os.path.exists(out_file)
+
+
+# subnormal k and l_nc_prime overflow inside mu_of_s; the row records the DomainError
+@pytest.mark.filterwarnings("ignore:.*encountered in divide:RuntimeWarning")
+@pytest.mark.parametrize("broken", [None, *_VALID])
+def test_experiment_exits_2_exactly_on_out_of_range_values(broken):
+    # every value in its range except `broken`, which is drawn outside it
+    values = st.fixed_dictionaries(
+        {key: (_INVALID if key == broken else _VALID)[key] for key in _VALID}
+    )
+    check = given(values=values)(_check_experiment_exit_code)
+    for key, value in _EDGES[broken]:
+        check = example(values={**_BASE, key: value})(check)
+    check = settings(derandomize=True, database=None, max_examples=6, deadline=None)(check)
+    # hypothesis caches the constants of local modules under its home directory,
+    # ./.hypothesis unless told otherwise; keep that cache out of the working tree
+    with tempfile.TemporaryDirectory() as home:
+        configuration.set_hypothesis_home_dir(home)
+        try:
+            check()
+        finally:
+            configuration.set_hypothesis_home_dir(None)
 
 
 def test_experiment_missing_config_file(tmp_path, capsys):

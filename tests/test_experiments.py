@@ -168,6 +168,15 @@ def test_run_grid_rejects_bad_parallelism():
         run_grid(SMALL, parallelism=0)
 
 
+@pytest.mark.parametrize("quad_order", [0, 257])
+def test_run_grid_rejects_bad_quad_order_before_any_row(monkeypatch, quad_order):
+    calls = []
+    monkeypatch.setattr(experiments, "best_approx_error", lambda *args: calls.append(args))
+    with pytest.raises(DomainError, match="quad_order"):
+        run_grid(SMALL, quad_order=quad_order)
+    assert calls == []
+
+
 def test_dip_scan_locates_the_dip():
     alphas = tuple(float(a) for a in np.linspace(0.5 * math.pi, math.pi, 33)[1:])
     grid = ExperimentGrid(k_values=(16.0,), alpha_values=alphas, p_values=(8,))
@@ -178,6 +187,21 @@ def test_dip_scan_locates_the_dip():
     assert result.alpha_min in alphas
     assert result.within_pi_32
     assert len(result.points) == 32
+
+
+def test_dip_scan_keeps_the_grid_parameters():
+    alphas = (1.7, 2.0, 2.3, 2.6)
+    params = {"l_nc": 2.0, "l_nc_prime": 0.7, "sigma": 0.2, "c": 1.7}
+    grid = ExperimentGrid(
+        k_values=(32.0, 8.0), alpha_values=alphas[::-1], p_values=(3,), **params
+    )
+    result = dip_scan(grid, p=6)
+    rows = run_grid(
+        ExperimentGrid(k_values=(8.0,), alpha_values=alphas, p_values=(6,), **params)
+    )
+    assert result.points == tuple((r.alpha, r.relative_error) for r in rows)
+    defaults = run_grid(ExperimentGrid(k_values=(8.0,), alpha_values=alphas, p_values=(6,)))
+    assert all(a.relative_error != b.relative_error for a, b in zip(rows, defaults))
 
 
 def test_dip_scan_validation():

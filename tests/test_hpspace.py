@@ -43,6 +43,9 @@ def test_geometric_mesh_validation():
         geometric_mesh(1.0, 2, 1.0)
     with pytest.raises(DomainError):
         geometric_mesh(1.0, 2, 0.0)
+    # the finest point underflows to 0.0: rejected before a billion points are built
+    with pytest.raises(DomainError, match="finest point"):
+        geometric_mesh(1.5, 10**9, 0.15)
 
 
 def test_mesh_validation():
