@@ -9,6 +9,7 @@ cert (sector bound certification). Exit codes: 0 success, 1 domain error,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from collections.abc import Sequence
@@ -184,7 +185,11 @@ def _cmd_cert(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: `parse_args` returns
+    a fresh Namespace and leaves the parser as it was.
+    """
     parser = argparse.ArgumentParser(
         prog="shadowhp",
         description="Shadow-boundary amplitudes, analyticity regions and hp best approximation.",
@@ -265,8 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -2,13 +2,17 @@
 (k, alpha, p), exponential-rate fits, the error-dip locator, and
 deterministic CSV emission.
 
-Rows are pure functions of their parameters, so the harness may fan them
-out to worker processes. `parallelism` is an upper bound on the worker
-count, not an exact count: the pool never has more workers than the
-process may run on cores, and a grid too small to repay a pool's start-up
-(fewer than 2 * _MIN_ROWS_PER_WORKER rows) runs in-process. Results are
-always merged back in canonical (k, alpha, p) order and the output is
-bit-identical regardless of the parallelism degree.
+Rows are pure functions of their parameters. The unit of work is a
+(k, alpha) pair: one batched best_approx_error call evaluates V once for
+all of the pair's degrees, and a pair whose batch fails reruns its rows
+one at a time, so each row keeps its own status. Pairs may fan out to
+worker processes. `parallelism` is an upper bound on the worker count,
+not an exact count: the pool never has more workers than the process may
+run on cores or than there are pairs, and a grid too small to repay a
+pool's start-up (fewer than 2 * _MIN_ROWS_PER_WORKER rows) runs
+in-process. Results are always merged back in canonical (k, alpha, p)
+order and the output is bit-identical regardless of the parallelism
+degree.
 """
 
 from __future__ import annotations
@@ -29,9 +33,10 @@ from shadowhp.hpspace import best_approx_error, gauss_legendre_rule
 CSV_HEADER = "k,alpha,p,n_layers,dof,error_l2,relative_error,status"
 
 #: Rows a pool worker needs to repay its share of the pool's start-up and
-#: teardown. On a 2-core VM a chunked 2-worker pool lost to the serial loop
-#: at 72-99 rows and won from about 126 rows on (figures in CHANGES.md).
-_MIN_ROWS_PER_WORKER = 64
+#: teardown. On a 2-core VM, with rows batched per (k, alpha), a 2-worker
+#: pool lost to the serial loop up to 216 rows and won from 252 rows on
+#: (figures in CHANGES.md).
+_MIN_ROWS_PER_WORKER = 128
 
 __all__ = [
     "CSV_HEADER",
@@ -113,16 +118,39 @@ def layers_for_degree(p: int, c: float) -> int:
     return max(1, math.ceil(c * p))
 
 
+#: what a failed row records; any other exception is a bug and propagates
+_ROW_ERRORS = (DomainError, OverflowError, OracleError)
+
+
 def _row_task(grid: ExperimentGrid, quad_order: int | None, key: tuple) -> GridRow:
     k, alpha, p = key
     n = layers_for_degree(p, grid.c)
     try:
         cfg = ShadowConfig(k=k, alpha=alpha, l_nc=grid.l_nc, l_nc_prime=grid.l_nc_prime)
         res = best_approx_error(cfg, n, grid.sigma, p, quad_order)
-    except (DomainError, OverflowError, OracleError) as exc:
+    except _ROW_ERRORS as exc:
         reason = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
         return GridRow(k, alpha, p, n, 0, math.nan, math.nan, f"failed: {reason}")
     return GridRow(k, alpha, p, n, res.dof, res.error_l2, res.relative_error, "ok")
+
+
+def _pair_task(grid: ExperimentGrid, quad_order: int | None, pair: tuple) -> list[GridRow]:
+    """The rows of one (k, alpha) pair, in ascending p, from one batched
+    best_approx_error call. If the batch fails, each row is rerun on its
+    own, so that every row records its own status.
+    """
+    k, alpha = pair
+    ps = sorted(grid.p_values)
+    ns = [layers_for_degree(p, grid.c) for p in ps]
+    try:
+        cfg = ShadowConfig(k=k, alpha=alpha, l_nc=grid.l_nc, l_nc_prime=grid.l_nc_prime)
+        results = best_approx_error(cfg, ns, grid.sigma, ps, quad_order)
+    except _ROW_ERRORS:
+        return [_row_task(grid, quad_order, (k, alpha, p)) for p in ps]
+    return [
+        GridRow(k, alpha, p, n, res.dof, res.error_l2, res.relative_error, "ok")
+        for p, n, res in zip(ps, ns, results)
+    ]
 
 
 def _usable_cores() -> int:
@@ -143,23 +171,26 @@ def run_grid(
     status column and the sweep continues; any other exception propagates.
     A bad `quad_order` or `parallelism` raises DomainError before any row.
 
-    At most `parallelism` worker processes are used, never more than the
-    usable cores and never fewer than _MIN_ROWS_PER_WORKER rows per worker;
-    below two workers the rows run in-process.
+    The unit of work is a (k, alpha) pair: V is evaluated once for all of
+    its degrees (see _pair_task), and the pairs' rows are concatenated in
+    sorted pair order. At most `parallelism` worker processes are used,
+    never more than the usable cores or the pairs, and never fewer than
+    _MIN_ROWS_PER_WORKER rows per worker; below two workers the pairs run
+    in-process.
     """
     if parallelism < 1:
         raise DomainError(f"parallelism must be >= 1, got {parallelism}")
     if quad_order is not None:
         gauss_legendre_rule(quad_order)
-    axes = (sorted(grid.k_values), sorted(grid.alpha_values), sorted(grid.p_values))
-    keys = list(itertools.product(*axes))
-    task = functools.partial(_row_task, grid, quad_order)
-    workers = min(parallelism, _usable_cores(), len(keys) // _MIN_ROWS_PER_WORKER)
+    pairs = list(itertools.product(sorted(grid.k_values), sorted(grid.alpha_values)))
+    n_rows = len(pairs) * len(grid.p_values)
+    task = functools.partial(_pair_task, grid, quad_order)
+    workers = min(parallelism, _usable_cores(), len(pairs), n_rows // _MIN_ROWS_PER_WORKER)
     if workers < 2:
-        return [task(key) for key in keys]
-    chunksize = math.ceil(len(keys) / (4 * workers))
+        return [row for pair in pairs for row in task(pair)]
+    chunksize = math.ceil(len(pairs) / (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, keys, chunksize=chunksize))
+        return [row for rows in pool.map(task, pairs, chunksize=chunksize) for row in rows]
 
 
 def fit_rate(pairs: list[tuple[float, float]]) -> RateFit:

@@ -87,21 +87,39 @@ def r_of_s(s, geo: KnifeGeometry):
 
     Off the cuts the radicand avoids the negative real axis, so the
     principal square root is the analytic continuation of the positive
-    distance reached at real s. Raises DomainError for a non-finite s and
-    BranchCutError for an s on a cut, naming the first such point.
+    distance reached at real s. Raises DomainError for a non-finite s,
+    BranchCutError for an s on a cut and OverflowError for an s whose
+    radicand leaves the double range, naming the first such point.
     """
     s, scalar = as_points(s)
     _require_off_cut(s, geo)
-    r = np.sqrt(geo.R * geo.R + s * s - 2.0 * s * geo.R * math.cos(geo.beta))
-    return unwrap(r, scalar)
+    # an overflow here is reported by the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        radicand = geo.R * geo.R + s * s - 2.0 * s * geo.R * math.cos(geo.beta)
+    big = ~np.isfinite(radicand)
+    if big.any():
+        raise OverflowError(f"r(s)^2 overflows at s = {first(s, big)!r} for {geo}")
+    return unwrap(np.sqrt(radicand), scalar)
 
 
 def mu_with_root(s, r, R: float, cb, sb, k: float):
     """(mu, sqrt(R - s cb + r)) at points s with r = r(s) already known;
     cb and sb are cos(beta) and sin(beta), scalars or arrays like s.
+
+    Raises DomainError, naming k and the first such s, where mu is not a
+    finite double: at subnormal k and R the root can underflow to 0.
     """
     root = np.sqrt(R - s * cb + r)
-    return math.sqrt(k) * s * sb / root, root
+    # a division by zero or an overflow is reported by the check below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        mu = math.sqrt(k) * s * sb / root
+    bad = ~np.isfinite(mu)
+    if bad.any():
+        raise DomainError(
+            f"mu(s) is not finite at s = {first(s, bad)!r} for k = {k!r}: "
+            f"sqrt(R - s cos(beta) + r(s)) = {first(root, bad)!r}"
+        )
+    return mu, root
 
 
 def mu_of_s(s, geo: KnifeGeometry, k: float):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,41 +137,58 @@ def gauss_legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _orthonormal_vandermonde(x: np.ndarray, p: int) -> np.ndarray:
-    # columns phi_j(x) with int_{-1}^{1} phi_i phi_j = delta_ij
+@functools.lru_cache(maxsize=128)
+def _orthonormal_vandermonde(m: int, p: int) -> np.ndarray:
+    """Columns phi_0..phi_p at the m-point Gauss nodes, with
+    int_{-1}^{1} phi_i phi_j = delta_ij.
+
+    Cached per (m, p) like gauss_legendre_rule, so the array is shared
+    between callers and therefore read-only.
+    """
+    x, _ = gauss_legendre_rule(m)
     scale = np.sqrt((2.0 * np.arange(p + 1) + 1.0) / 2.0)
-    return np.polynomial.legendre.legvander(x, p) * scale
+    van = np.polynomial.legendre.legvander(x, p) * scale
+    van.flags.writeable = False
+    return van
 
 
 def _quadrature(space: PiecewisePolySpace, quad_order: int | None):
     """Per-element Gauss nodes (n_elements, m), element half-lengths, and
-    the rule's weights; quad_order defaults to 2p + 16.
+    the rule size m; quad_order defaults to 2p + 16.
     """
     p = space.degree
     if quad_order is None:
         quad_order = 2 * p + 16
     if quad_order < p + 1:
         raise DomainError(f"quad_order must be >= degree + 1, got {quad_order}")
-    x, w = gauss_legendre_rule(quad_order)
+    x, _ = gauss_legendre_rule(quad_order)
     pts = np.array(space.mesh.points)
     a = pts[:-1, None]
     half = 0.5 * (pts[1:] - pts[:-1])
-    return a + half[:, None] * (x + 1.0), half, x, w
+    return a + half[:, None] * (x + 1.0), half, quad_order
 
 
 def _project_values(
-    f: np.ndarray, half: np.ndarray, x: np.ndarray, w: np.ndarray, space: PiecewisePolySpace
+    f: np.ndarray, half: np.ndarray, m: int, space: PiecewisePolySpace
 ) -> ProjectionResult:
-    """Projection of the values f (n_elements, m) at the Gauss nodes of
-    every element, all elements in one batched step.
+    """Projection of the values f (n_elements, m) at the m Gauss nodes of
+    every element, all elements in one batched step. Raises OverflowError
+    when the squared L2 error or norm leaves the double range.
     """
-    van = _orthonormal_vandermonde(x, space.degree)
+    _, w = gauss_legendre_rule(m)
+    van = _orthonormal_vandermonde(m, space.degree)
     sqrt_half = np.sqrt(half)[:, None]
     # coefficients in the orthonormal-on-[a,b] basis phi_j / sqrt(half)
     c = (f * w) @ van * sqrt_half
     proj = c @ van.T / sqrt_half
-    err2 = float(half @ (np.abs(f - proj) ** 2 @ w))
-    norm2 = float(half @ (np.abs(f) ** 2 @ w))
+    # an overflow here is reported by the finiteness check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        err2 = float(half @ (np.abs(f - proj) ** 2 @ w))
+        norm2 = float(half @ (np.abs(f) ** 2 @ w))
+    if not (math.isfinite(err2) and math.isfinite(norm2)):
+        raise OverflowError(
+            f"squared L2 error {err2!r} or norm {norm2!r} of the target is not finite"
+        )
     norm = math.sqrt(norm2)
     if norm == 0.0:
         raise DomainError("zero-norm target: relative error undefined")
@@ -198,26 +215,46 @@ def l2_project(
     coefficients would alias) and on a zero-norm target (the relative
     error would be undefined).
     """
-    nodes, half, x, w = _quadrature(space, quad_order)
+    nodes, half, m = _quadrature(space, quad_order)
     f = np.fromiter((target(float(t)) for t in nodes.flat), dtype=complex, count=nodes.size)
-    return _project_values(f.reshape(nodes.shape), half, x, w, space)
+    return _project_values(f.reshape(nodes.shape), half, m, space)
 
 
 def best_approx_error(
     cfg: ShadowConfig,
-    n: int,
+    n: int | Sequence[int],
     sigma: float,
-    p: int,
+    p: int | Sequence[int],
     quad_order: int | None = None,
-) -> ProjectionResult:
+) -> ProjectionResult | list[ProjectionResult]:
     """Best-approximation error of the shadow-boundary amplitude V on the
-    graded mesh: build shadow_mesh(cfg, n, sigma), project s -> V(s), with
-    V evaluated on every element's nodes in one call.
+    graded mesh: build shadow_mesh(cfg, n, sigma) and project s -> V(s)
+    onto the piecewise polynomials of degree p.
+
+    n and p are integers, or equal-length sequences of them for a batch of
+    rows on one configuration, which returns a list of results in order.
+    Every mesh and quadrature is built first; V is then evaluated in one
+    call on all their nodes, and each row is projected from its own slice.
+    A scalar call is a one-row batch, so both give the same bits.
     """
-    mesh = shadow_mesh(cfg, n, sigma)
-    space = PiecewisePolySpace(mesh=mesh, degree=p)
-    nodes, half, x, w = _quadrature(space, quad_order)
-    return _project_values(amplitude_v(nodes, cfg), half, x, w, space)
+    scalar = np.ndim(n) == 0 and np.ndim(p) == 0
+    ns, ps = ([n], [p]) if scalar else (list(n), list(p))
+    if not ns or len(ns) != len(ps):
+        raise DomainError(
+            f"n and p must be nonempty and of equal length, got {len(ns)} and {len(ps)}"
+        )
+    spaces = [
+        PiecewisePolySpace(mesh=shadow_mesh(cfg, layers, sigma), degree=degree)
+        for layers, degree in zip(ns, ps)
+    ]
+    quads = [_quadrature(space, quad_order) for space in spaces]
+    values = amplitude_v(np.concatenate([nodes.ravel() for nodes, _, _ in quads]), cfg)
+    results, start = [], 0
+    for space, (nodes, half, m) in zip(spaces, quads):
+        f = values[start:start + nodes.size].reshape(nodes.shape)
+        start += nodes.size
+        results.append(_project_values(f, half, m, space))
+    return results[0] if scalar else results
 
 
 def bernstein_rho(eps: float) -> float:

@@ -25,12 +25,15 @@ def faddeeva_w(z):
     the lower half-plane.
 
     For Im z < 0, w(z) = 2 exp(-z^2) - w(-z), and exp(-z^2) overflows once
-    Im(z)^2 - Re(z)^2 exceeds the double-precision exponent range. The
-    error names the first such point. Scalar input returns a Python complex.
+    Im(z)^2 - Re(z)^2 exceeds the double-precision exponent range, or is
+    itself not representable (inf - inf far out). The error names the first
+    such point. Scalar input returns a Python complex.
     """
     arr = np.asarray(z, dtype=complex)
-    re_mz2 = arr.imag * arr.imag - arr.real * arr.real
-    over = (arr.imag < 0.0) & (re_mz2 > _RE_MZ2_MAX)
+    # an overflow here only matters in the lower half-plane, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        re_mz2 = arr.imag * arr.imag - arr.real * arr.real
+    over = (arr.imag < 0.0) & ~(re_mz2 <= _RE_MZ2_MAX)
     if over.any():
         raise OverflowError(
             f"w(z) overflows at z = {first(arr, over)!r}: exp({first(re_mz2, over):.1f})"

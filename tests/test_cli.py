@@ -14,7 +14,7 @@ from hypothesis import configuration, example, given, settings
 from hypothesis import strategies as st
 
 from shadowhp.amplitudes import ShadowConfig, amplitude_v
-from shadowhp.cli import _CONFIG_SCHEMA, main, parse_config
+from shadowhp.cli import _CONFIG_SCHEMA, build_parser, main, parse_config
 from shadowhp.errors import ConfigError
 from shadowhp.experiments import ExperimentGrid
 from shadowhp.hpspace import best_approx_error
@@ -27,6 +27,36 @@ def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_commands_repeat_identically_in_one_process(tmp_path, capsys):
+    # the parser is shared between calls, so no call may leave state in it
+    csv = tmp_path / "sweep.csv"
+    cfg = tmp_path / "sweep.conf"
+    cfg.write_text(f"k_values = 16\nalpha_values = 2.3\np_values = 2, 3\noutput = {csv}\n")
+    v = ["eval", "V", "--s", "0.5", "--k", "16", "--lnc", "1.5", "--lncp", "1"]
+    commands = [
+        ["experiment", str(cfg)],
+        ["project", "--k", "16", "--alpha", "2.35619449", "--p", "4"],
+        [*v, "--alpha", "135", "--degrees"],
+        ["region", "--R", "1", "--beta", "2", "--nx", "4", "--ny", "3"],
+        [*v, "--alpha", "2.35619449"],
+        ["cert", "--n-samples", "1000"],
+    ]
+    passes = []
+    for _ in range(2):
+        outputs = []
+        for argv in commands:
+            code, out, err = run_cli(argv, capsys)
+            assert code == 0, err
+            outputs.append(out)
+        outputs.append(csv.read_text(encoding="ascii"))
+        passes.append(outputs)
+    assert passes[0] == passes[1]
 
 
 def test_eval_fr_origin(capsys):
@@ -339,8 +369,6 @@ def _check_experiment_exit_code(values):
             assert not os.path.exists(out_file)
 
 
-# subnormal k and l_nc_prime overflow inside mu_of_s; the row records the DomainError
-@pytest.mark.filterwarnings("ignore:.*encountered in divide:RuntimeWarning")
 @pytest.mark.parametrize("broken", [None, *_VALID])
 def test_experiment_exits_2_exactly_on_out_of_range_values(broken):
     # every value in its range except `broken`, which is drawn outside it

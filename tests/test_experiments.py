@@ -1,6 +1,8 @@
 """Convergence-sweep harness: grids, rate fits, dip location, CSV."""
 
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,10 +21,10 @@ from shadowhp.experiments import (
 )
 
 SMALL = ExperimentGrid(k_values=(16.0,), alpha_values=(0.75 * math.pi,), p_values=(2, 3, 4))
-# 2 k x 8 alpha x 9 p = 144 rows: enough rows for a 2-worker pool, not for 3
+# 2 k x 16 alpha x 9 p = 288 rows: enough rows for a 2-worker pool, not for 3
 POOLED = ExperimentGrid(
     k_values=(4.0, 64.0),
-    alpha_values=tuple(float(a) for a in np.linspace(0.5 * math.pi, math.pi, 9)[1:]),
+    alpha_values=tuple(float(a) for a in np.linspace(0.5 * math.pi, math.pi, 17)[1:]),
     p_values=tuple(range(2, 11)),
 )
 
@@ -121,6 +123,41 @@ def test_run_grid_records_failures_and_continues():
     assert by_p[8].dof == 0
 
 
+def test_run_grid_rows_equal_row_by_row_rows():
+    # at quad_order = 5 the p = 8 row of every pair fails, and with it the pair's batch
+    grid = ExperimentGrid(
+        k_values=(16.0, 64.0), alpha_values=(2.0, 0.75 * math.pi, math.pi), p_values=(0, 2, 8)
+    )
+    keys = itertools.product(grid.k_values, grid.alpha_values, grid.p_values)
+    rows = run_grid(grid, quad_order=5)
+    assert [r.status.split(":")[0] for r in rows] == ["ok", "ok", "failed"] * 6
+    assert rows == [experiments._row_task(grid, 5, key) for key in keys]
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ExperimentGrid(k_values=(1.7976931348623157e308,), alpha_values=(2.4,), p_values=(2,)),
+        ExperimentGrid(k_values=(16.0,), alpha_values=(2.4,), p_values=(2,), l_nc=1e300),
+    ],
+    ids=["k-max", "lnc-1e300"],
+)
+def test_run_grid_non_finite_errors_fail_the_row(grid):
+    (row,) = run_grid(grid)
+    assert row.status.startswith("failed: OverflowError")
+    assert math.isnan(row.error_l2) and row.dof == 0
+
+
+def test_run_grid_subnormal_row_names_k_and_s():
+    alpha = float(np.nextafter(0.5 * math.pi, math.pi))
+    grid = ExperimentGrid(
+        k_values=(5e-324,), alpha_values=(alpha,), p_values=(2,), l_nc_prime=5e-324
+    )
+    (row,) = run_grid(grid)
+    assert row.status.startswith("failed: DomainError: mu(s) is not finite at s = ")
+    assert "for k = 5e-324" in row.status
+
+
 def test_run_grid_propagates_bugs(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("bug")
@@ -145,11 +182,11 @@ def pool_sizes(monkeypatch):
 
 
 def test_run_grid_pool_output_identical_across_parallelism(monkeypatch, pool_sizes):
-    assert 2 * experiments._MIN_ROWS_PER_WORKER <= 144 < 3 * experiments._MIN_ROWS_PER_WORKER
+    assert 2 * experiments._MIN_ROWS_PER_WORKER <= 288 < 3 * experiments._MIN_ROWS_PER_WORKER
     monkeypatch.setattr(experiments, "_usable_cores", lambda: 8)
     csv = {par: format_csv(run_grid(POOLED, parallelism=par)) for par in (1, 2, 4)}
     assert csv[1] == csv[2] == csv[4]
-    assert csv[1].count("\n") == 145
+    assert csv[1].count("\n") == 289
     assert pool_sizes == [2, 2]
 
 
@@ -159,8 +196,19 @@ def test_run_grid_runs_in_process_when_a_pool_cannot_pay(monkeypatch, pool_sizes
     assert run_grid(SMALL, parallelism=4) == run_grid(SMALL)
     # a grid large enough for a pool, on one usable core
     monkeypatch.setattr(experiments, "_usable_cores", lambda: 1)
-    assert len(run_grid(POOLED, parallelism=4)) == 144
+    assert len(run_grid(POOLED, parallelism=4)) == 288
     assert pool_sizes == []
+
+
+def test_run_grid_never_starts_more_workers_than_pairs(monkeypatch, pool_sizes):
+    monkeypatch.setattr(experiments, "_usable_cores", lambda: 8)
+    monkeypatch.setattr(experiments, "_MIN_ROWS_PER_WORKER", 1)
+    one_pair = ExperimentGrid(k_values=(16.0,), alpha_values=(2.5,), p_values=(2, 3, 4, 5))
+    assert run_grid(one_pair, parallelism=4) == run_grid(one_pair)
+    assert pool_sizes == []
+    two_pairs = replace(one_pair, alpha_values=(2.5, 3.0))
+    assert run_grid(two_pairs, parallelism=4) == run_grid(two_pairs)
+    assert pool_sizes == [2]
 
 
 def test_run_grid_rejects_bad_parallelism():

@@ -205,3 +205,18 @@ def test_array_input_rejects_one_bad_point():
         r_of_s(np.array([0.3, complex(math.nan, 0.0)]), geo)
     with pytest.raises(DomainError):
         mu_of_s(np.array([0.3, math.inf]), geo, 3.0)
+
+
+def test_r_overflow_raises_naming_the_point():
+    geo = KnifeGeometry(R=1.0, beta=2.0)
+    with pytest.raises(OverflowError, match=re.escape(repr(complex(1e300)))):
+        r_of_s(np.array([0.5, 1e300]), geo)
+
+
+def test_mu_subnormal_input_names_k_and_s():
+    # k = 5e-324 on the geometry of l_nc_prime = 5e-324, alpha just above pi/2:
+    # R^2 underflows and the root sqrt(R - s cos(beta) + r) rounds to 0
+    geo = KnifeGeometry(R=1.7441082120055883e-308, beta=2.220446049250313e-16)
+    assert mu_of_s(0.0, geo, 5e-324) == 0.0
+    with pytest.raises(DomainError, match=r"s = \(0\.5\+0j\) for k = 5e-324"):
+        mu_of_s(np.array([0.0, 0.5, 1.0]), geo, 5e-324)

@@ -11,6 +11,7 @@ from shadowhp.hpspace import (
     MERGE_RTOL,
     Mesh,
     PiecewisePolySpace,
+    _orthonormal_vandermonde,
     bernstein_rho,
     best_approx_error,
     gauss_legendre_rule,
@@ -122,6 +123,16 @@ def test_gauss_rule_is_shared_and_read_only():
         x[0] = 0.0
     with pytest.raises(ValueError):
         w[0] = 0.0
+
+
+def test_orthonormal_vandermonde_is_shared_and_read_only():
+    van = _orthonormal_vandermonde(20, 4)
+    assert _orthonormal_vandermonde(20, 4) is van
+    assert van.shape == (20, 5)
+    with pytest.raises(ValueError):
+        van[0, 0] = 0.0
+    _, w = gauss_legendre_rule(20)
+    np.testing.assert_allclose(van.T @ (w[:, None] * van), np.eye(5), atol=1e-13)
 
 
 def test_gauss_rule_validation():
@@ -254,3 +265,54 @@ def test_dof_counting():
     assert space.dof == mesh.n_elements * 5
     res = l2_project(lambda s: amplitude_v(s, CFG), space)
     assert res.dof == space.dof
+
+
+# s_sb = 0 at alpha = pi; at alpha = 1.7 the shadow point lies beyond the
+# side, so every mesh is one element
+AT_PI = ShadowConfig(k=16.0, alpha=math.pi, l_nc=1.5, l_nc_prime=1.0)
+ONE_ELEMENT = ShadowConfig(k=64.0, alpha=1.7, l_nc=1.5, l_nc_prime=1.0)
+
+
+def test_batch_cases_cover_their_meshes():
+    assert AT_PI.s_sb == 0.0
+    assert all(shadow_mesh(ONE_ELEMENT, n, 0.15).n_elements == 1 for n in range(1, 11))
+
+
+@pytest.mark.parametrize(
+    "cfg, sigma, c",
+    [
+        (AT_PI, 0.15, 1.0),
+        (ONE_ELEMENT, 0.15, 1.0),
+        (CFG, 0.15, 2.0),
+        (ShadowConfig(k=8.0, alpha=2.6, l_nc=2.0, l_nc_prime=0.7), 0.2, 1.0),
+    ],
+    ids=["alpha-pi", "one-element", "c2", "lnc-sigma"],
+)
+def test_best_approx_batch_equals_rows_bitwise(cfg, sigma, c):
+    ps = list(range(11))
+    ns = [max(1, math.ceil(c * p)) for p in ps]
+    batch = best_approx_error(cfg, ns, sigma, ps)
+    assert isinstance(batch, list) and len(batch) == len(ps)
+    for n, p, got in zip(ns, ps, batch):
+        want = best_approx_error(cfg, n, sigma, p)
+        assert (got.error_l2, got.relative_error, got.dof) == (
+            want.error_l2, want.relative_error, want.dof
+        )
+        assert len(got.coefficients) == len(want.coefficients)
+        assert all(np.array_equal(a, b) for a, b in zip(got.coefficients, want.coefficients))
+
+
+def test_best_approx_batch_validation():
+    with pytest.raises(DomainError, match="equal length"):
+        best_approx_error(CFG, [2, 3], 0.15, [2])
+    with pytest.raises(DomainError, match="nonempty"):
+        best_approx_error(CFG, [], 0.15, [])
+    # one bad row fails the whole batch
+    with pytest.raises(DomainError, match="quad_order"):
+        best_approx_error(CFG, [2, 8], 0.15, [2, 8], quad_order=5)
+
+
+def test_best_approx_non_finite_error_raises():
+    huge_k = ShadowConfig(k=1.7976931348623157e308, alpha=2.4, l_nc=1.5, l_nc_prime=1.0)
+    with pytest.raises(OverflowError, match="not finite"):
+        best_approx_error(huge_k, 2, 0.15, 2)

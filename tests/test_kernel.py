@@ -104,3 +104,12 @@ def test_array_overflow_names_the_first_offending_point():
     pts = np.array([1.0 + 1.0j, 0.0 - 30.0j, 0.0 - 40.0j])
     with pytest.raises(OverflowError, match=r"-30j"):
         faddeeva_w(pts)
+
+
+def test_far_out_points():
+    # Im(z)^2 - Re(z)^2 is inf - inf here: no longer representable, so an overflow
+    with pytest.raises(OverflowError, match="nan"):
+        faddeeva_w(complex(1e160, -1e160))
+    # in the upper half-plane the same size is fine: w(z) ~ i / (sqrt(pi) z)
+    w = faddeeva_w(complex(1e200, 1e200))
+    assert w == pytest.approx(1j / (math.sqrt(math.pi) * complex(1e200, 1e200)), rel=1e-15)
