@@ -27,6 +27,7 @@ from shadowhp.errors import CertificationError, ConfigError, DomainError
 from shadowhp.experiments import (
     ExperimentGrid,
     _fmt,
+    check_layer_constant,
     layers_for_degree,
     run_grid,
     write_csv,
@@ -56,8 +57,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         p = FieldPoint(r=args.r, psi=_rad(args.psi, deg))
         _print_complex(e_field(p, args.k))
     elif fn in ("g", "h"):
+        if len(args.s) > 2:
+            raise ConfigError(f"--s takes RE [IM], got {len(args.s)} values")
         geo = KnifeGeometry(R=args.R, beta=_rad(args.beta, deg))
-        s = complex(args.s[0], args.s[1] if len(args.s) > 1 else 0.0)
+        s = complex(*args.s)
         f = g_of_s if fn == "g" else h_of_s
         _print_complex(f(s, geo, args.k))
     else:
@@ -95,11 +98,12 @@ def _cmd_region(args: argparse.Namespace) -> int:
 
 
 def _cmd_project(args: argparse.Namespace) -> int:
-    if args.quad_order is not None:
-        try:
+    try:
+        check_layer_constant(args.c)
+        if args.quad_order is not None:
             gauss_legendre_rule(args.quad_order)
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
     cfg = ShadowConfig(
         k=args.k, alpha=_rad(args.alpha, args.degrees), l_nc=args.lnc, l_nc_prime=args.lncp
     )

@@ -44,6 +44,7 @@ __all__ = [
     "ExperimentGrid",
     "GridRow",
     "RateFit",
+    "check_layer_constant",
     "dip_scan",
     "fit_rate",
     "format_csv",
@@ -80,8 +81,7 @@ class ExperimentGrid:
             raise DomainError("side lengths must be finite and positive")
         if not 0.0 < self.sigma < 1.0:
             raise DomainError("grading must lie in (0, 1)")
-        if not (math.isfinite(self.c) and self.c > 0.0):
-            raise DomainError("layer constant c must be finite and positive")
+        check_layer_constant(self.c)
 
 
 @dataclass(frozen=True)
@@ -111,6 +111,14 @@ class DipScanResult:
     alpha_min: float
     expected_alpha: float
     within_pi_32: bool
+
+
+def check_layer_constant(c: float) -> None:
+    """Raise DomainError, naming c, unless the layer constant is finite
+    and positive.
+    """
+    if not (math.isfinite(c) and c > 0.0):
+        raise DomainError(f"layer constant c must be finite and positive, got {c}")
 
 
 def layers_for_degree(p: int, c: float) -> int:

@@ -104,17 +104,22 @@ def shadow_mesh(cfg: ShadowConfig, n: int, sigma: float) -> Mesh:
     """Mesh on (0, l_nc) graded toward the shadow point from both sides:
     the union of s_sb + G and s_sb - G (G the geometric mesh points)
     intersected with the open side, plus the two endpoints. Candidates
-    closer than MERGE_RTOL * l_nc are merged; the endpoints always win.
+    closer than MERGE_RTOL * l_nc are merged, the lowest of a cluster
+    surviving; the endpoints and a shadow point inside the side always win.
     """
-    base = geometric_mesh(cfg.l_nc, n, sigma).points
+    s_sb = cfg.s_sb
     length = cfg.l_nc
     tol = MERGE_RTOL * length
-    candidates = sorted(
-        {cfg.s_sb + x for x in base} | {cfg.s_sb - x for x in base}
-    )
+    base = geometric_mesh(length, n, sigma).points
+    # V jumps at s_sb (itself a candidate, s_sb + 0), so an element must not
+    # straddle it: layers finer than tol are dropped rather than displacing it
+    pinned = tol < s_sb < length - tol
+    candidates = sorted({s_sb + x for x in base} | {s_sb - x for x in base})
     interior: list[float] = []
     for c in candidates:
         if not tol < c < length - tol:
+            continue
+        if pinned and c != s_sb and abs(c - s_sb) <= tol:
             continue
         if interior and c - interior[-1] <= tol:
             continue

@@ -9,17 +9,19 @@ Two independent evaluation routes are kept deliberately separate:
 fresnel_fr / big_f run on the Faddeeva kernel w, while
 fresnel_oracle integrates the defining improper integral along a rotated
 contour with adaptive quadrature. Their agreement is the primary
-correctness check for both.
+correctness check for both. The oracle imports scipy.integrate when it
+runs, so a process that never calls it (every CLI command) does not load
+that package.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from shadowhp._arrays import as_points, first, unwrap
 from shadowhp.errors import CertificationError, DomainError, OracleError
@@ -101,6 +103,10 @@ def fresnel_oracle(z: complex, tol: float = 1e-13) -> complex:
     the envelope falls below exp(-746) and handed to adaptive quadrature.
     Raises OracleError when the declared quadrature error exceeds tol.
     """
+    # imported here, not at module level: scipy.integrate costs every process
+    # ~0.25 s and ~26 MB of start-up, and only this oracle uses it
+    from scipy.integrate import quad
+
     z = _finite_complex(z)
     if tol < 1e-14:
         raise DomainError(f"oracle tolerance must be >= 1e-14, got {tol}")
@@ -155,9 +161,13 @@ class SectorBoundCert:
 _C_UPPER = 1.59
 
 
+@functools.lru_cache(maxsize=4, typed=True)
 def _sector_sample(n_samples: int) -> np.ndarray:
     """The points of the bounded-sector check: the 25 x 40 polar grid
     (angle-major), then seeded uniform (angle, radius) draws up to n_samples.
+
+    Cached per n_samples like gauss_legendre_rule, so the array is shared
+    between callers and therefore read-only.
     """
     thetas = np.linspace(-0.5 * math.pi, math.pi, 25)
     radii = np.geomspace(0.05, 40.0, 40)
@@ -169,7 +179,9 @@ def _sector_sample(n_samples: int) -> np.ndarray:
     r_lo, r_hi = 1e-3, 40.0
     th = th_lo + (th_hi - th_lo) * u[0::2]
     rad = r_lo + (r_hi - r_lo) * u[1::2]
-    return np.concatenate((grid, rad * np.exp(1j * th)))[:n_samples]
+    points = np.concatenate((grid, rad * np.exp(1j * th)))[:n_samples]
+    points.flags.writeable = False
+    return points
 
 
 def sector_bound_cert(n_samples: int) -> SectorBoundCert:

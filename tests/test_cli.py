@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import io
+import json
 import math
 import os
 import subprocess
@@ -119,6 +120,19 @@ def test_eval_domain_error_exit_code(capsys):
     assert "domain error" in err
 
 
+@pytest.mark.parametrize("fn", ["g", "h"])
+def test_eval_s_takes_at_most_two_values(capsys, fn):
+    tail = ["--R", "1", "--beta", "2", "--k", "4"]
+    code, out, err = run_cli(["eval", fn, "--s", "1", "2", "3", *tail], capsys)
+    assert code == 2
+    assert out == ""
+    assert "config error" in err and "--s" in err
+    code_1, out_1, _ = run_cli(["eval", fn, "--s", "1", *tail], capsys)
+    code_2, out_2, _ = run_cli(["eval", fn, "--s", "1", "0", *tail], capsys)
+    assert code_1 == code_2 == 0
+    assert out_1 == out_2
+
+
 def test_eval_v_negative_s_exit_code(capsys):
     code, out, err = run_cli(
         ["eval", "V", "--s", "-0.5", "--k", "16", "--alpha", "2.4",
@@ -214,6 +228,10 @@ def test_project_matches_library(capsys):
         ("--quad-order", "0", 2, "config error"),
         ("--quad-order", "257", 2, "config error"),
         ("--lnc", "inf", 1, "side length l_nc"),
+        ("--c", "nan", 2, "layer constant c"),
+        ("--c", "inf", 2, "layer constant c"),
+        ("--c", "0", 2, "layer constant c"),
+        ("--c", "-3", 2, "layer constant c"),
     ],
 )
 def test_project_rejects_bad_options(capsys, flag, value, code, message):
@@ -419,6 +437,49 @@ def test_cert_reports_bound(capsys):
     assert float(fields["c_upper"]) == 1.59
     assert 0.0 < float(fields["max_observed"]) <= 1.59
     assert int(fields["n_samples"]) == 10000
+
+
+_STARTUP_PROBE = """
+import contextlib, io, json, sys
+import shadowhp
+from shadowhp.cli import main
+
+commands = [
+    ["experiment", sys.argv[1]],
+    ["cert", "--n-samples", "1000"],
+    ["region", "--R", "1", "--beta", "2", "--nx", "4", "--ny", "3"],
+    ["project", "--k", "16", "--alpha", "2.4", "--p", "4"],
+    ["eval", "V", "--s", "0.5", "--k", "16", "--alpha", "2.4", "--lnc", "1.5", "--lncp", "1"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in commands]
+before = "scipy.integrate" in sys.modules
+from shadowhp.specfun import fresnel_fr, fresnel_oracle
+z = 0.5 + 0.5j
+rel = abs(fresnel_oracle(z) - fresnel_fr(z)) / abs(fresnel_fr(z))
+print(json.dumps([codes, before, rel, "scipy.integrate" in sys.modules]))
+"""
+
+
+def test_cli_commands_do_not_load_scipy_integrate(tmp_path):
+    # scipy.integrate is a large share of a command's start-up, and only the
+    # test oracle needs it; a fresh interpreter shows what a command loads
+    conf = tmp_path / "sweep.conf"
+    conf.write_text(
+        f"k_values = 16\nalpha_values = 2.3\np_values = 2, 3\noutput = {tmp_path / 'sweep.csv'}\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE, str(conf)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded_by_commands, oracle_rel, loaded_by_oracle = json.loads(proc.stdout)
+    assert codes == [0] * 5
+    assert not loaded_by_commands
+    # the import is deferred, not removed: the oracle still runs and agrees
+    assert oracle_rel <= 1e-12
+    assert loaded_by_oracle
 
 
 def test_module_entry_point():

@@ -96,6 +96,25 @@ def test_shadow_mesh_merges_near_endpoint():
     assert np.all(gaps > MERGE_RTOL * cfg.l_nc)
 
 
+@pytest.mark.parametrize("alpha", [2.2, 0.75 * math.pi, 2.6, 2.9, 3.1])
+def test_shadow_mesh_keeps_the_shadow_point(alpha):
+    # V jumps at s_sb, so no element may straddle it however fine the layers
+    cfg = ShadowConfig(k=16.0, alpha=alpha, l_nc=1.5, l_nc_prime=1.0)
+    assert 0.0 < cfg.s_sb < cfg.l_nc
+    for n in range(1, 41):
+        mesh = shadow_mesh(cfg, n, 0.15)
+        assert cfg.s_sb in mesh.points
+        assert np.all(np.diff(mesh.points) > MERGE_RTOL * cfg.l_nc)
+
+
+def test_best_approx_converges_past_the_merge_tolerance():
+    # from n = 16 the finest layers fall below the merge tolerance; if they
+    # displaced s_sb, one element would straddle the jump and the error stall
+    # near 1e-6
+    cfg = ShadowConfig(k=1024.0, alpha=0.75 * math.pi, l_nc=1.5, l_nc_prime=1.0)
+    assert best_approx_error(cfg, 24, 0.15, 24).relative_error < 1e-11
+
+
 def test_gauss_rule_examples():
     x1, w1 = gauss_legendre_rule(1)
     assert x1[0] == pytest.approx(0.0, abs=1e-300)

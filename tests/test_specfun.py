@@ -172,6 +172,16 @@ def test_sector_sample_matches_the_per_draw_loop():
     assert _sector_sample(1000).size == 1000
 
 
+def test_sector_sample_is_shared_and_read_only():
+    from shadowhp.specfun import _sector_sample
+
+    points = _sector_sample(2000)
+    assert _sector_sample(2000) is points
+    with pytest.raises(ValueError):
+        points[0] = 0.0
+    np.testing.assert_array_equal(points, _sector_sample.__wrapped__(2000))
+
+
 def test_sector_cert_growth_check_names_the_violating_point(monkeypatch):
     import shadowhp.specfun as specfun
 
