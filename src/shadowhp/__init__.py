@@ -11,7 +11,6 @@ from shadowhp.amplitudes import (
     e_field,
     e_go,
     e_remainder_check,
-    epsilon_star,
     g_of_s,
     gtd_far_field,
     h_of_s,
@@ -94,7 +93,6 @@ __all__ = [
     "e_field",
     "e_go",
     "e_remainder_check",
-    "epsilon_star",
     "fit_rate",
     "fresnel_fr",
     "fresnel_oracle",

@@ -39,7 +39,6 @@ __all__ = [
     "e_field",
     "e_go",
     "e_remainder_check",
-    "epsilon_star",
     "g_of_s",
     "gtd_far_field",
     "h_of_s",
@@ -309,11 +308,3 @@ def psi_go(s: float, cfg: ShadowConfig) -> complex:
         out -= h_ref * 1j * k * ca * cmath.exp(-1j * k * (s * sa + cfg.l_nc_prime * ca))
     return out
 
-
-def epsilon_star(geo: KnifeGeometry, k: float) -> float:
-    """Diagnostic radius (R/2) min{1, 1/(sin(beta) sqrt(kR))} below which no
-    k-independent bound on g can hold; not used as a gate anywhere.
-    """
-    if not k > 0.0:
-        raise DomainError(f"wavenumber must be positive, got {k}")
-    return 0.5 * geo.R * min(1.0, 1.0 / (math.sin(geo.beta) * math.sqrt(k * geo.R)))

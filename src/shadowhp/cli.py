@@ -9,6 +9,7 @@ cert (sector bound certification). Exit codes: 0 success, 1 domain error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
@@ -33,8 +34,14 @@ from shadowhp.experiments import (
     write_csv,
 )
 from shadowhp.geometry import KnifeGeometry, region_label
-from shadowhp.hpspace import best_approx_error, gauss_legendre_rule
-from shadowhp.specfun import big_f, fresnel_fr, sector_bound_cert
+from shadowhp.hpspace import (
+    best_approx_error,
+    check_degree,
+    check_grading,
+    check_layer_count,
+    gauss_legendre_rule,
+)
+from shadowhp.specfun import big_f, check_sample_size, fresnel_fr, sector_bound_cert
 
 __all__ = ["main"]
 
@@ -47,13 +54,25 @@ def _rad(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
 
 
+@contextlib.contextmanager
+def _run_options():
+    """Turn a DomainError raised inside into a ConfigError (exit 2): the
+    checks run here name a bad run option, not a bad model value.
+    """
+    try:
+        yield
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
-    deg = args.degrees
     fn = args.function
     if fn in ("fr", "F"):
         z = complex(args.re, args.im)
         _print_complex(fresnel_fr(z) if fn == "fr" else big_f(z))
-    elif fn == "E":
+        return 0
+    deg = args.degrees
+    if fn == "E":
         p = FieldPoint(r=args.r, psi=_rad(args.psi, deg))
         _print_complex(e_field(p, args.k))
     elif fn in ("g", "h"):
@@ -98,12 +117,14 @@ def _cmd_region(args: argparse.Namespace) -> int:
 
 
 def _cmd_project(args: argparse.Namespace) -> int:
-    try:
+    with _run_options():
+        check_degree(args.p)
+        check_grading(args.sigma)
         check_layer_constant(args.c)
+        if args.n is not None:
+            check_layer_count(args.n)
         if args.quad_order is not None:
             gauss_legendre_rule(args.quad_order)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
     cfg = ShadowConfig(
         k=args.k, alpha=_rad(args.alpha, args.degrees), l_nc=args.lnc, l_nc_prime=args.lncp
     )
@@ -169,10 +190,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     quad_order = values.pop("quad_order", None)
     parallelism = values.pop("parallelism", 1)
     # rows keep their own DomainErrors: one that escapes names a bad value or option
-    try:
+    with _run_options():
         rows = run_grid(ExperimentGrid(**values), quad_order=quad_order, parallelism=parallelism)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
     out = args.output if args.output is not None else output
     write_csv(rows, out)
     n_failed = sum(1 for r in rows if r.status != "ok")
@@ -181,6 +200,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_cert(args: argparse.Namespace) -> int:
+    with _run_options():
+        check_sample_size(args.n_samples)
     cert = sector_bound_cert(args.n_samples)
     print(
         f"max_observed={_fmt(cert.max_observed)},c_upper={_fmt(cert.c_upper)},"
@@ -206,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
         q = ev_sub.add_parser(name, help=doc)
         q.add_argument("re", type=float)
         q.add_argument("im", type=float, nargs="?", default=0.0)
-        q.add_argument("--degrees", action="store_true")
         q.set_defaults(func=_cmd_eval)
     q = ev_sub.add_parser("E", help="knife-edge field E(r, psi)")
     q.add_argument("--r", type=float, required=True)

@@ -28,7 +28,8 @@ import numpy as np
 
 from shadowhp.amplitudes import ShadowConfig
 from shadowhp.errors import DomainError, OracleError
-from shadowhp.hpspace import best_approx_error, gauss_legendre_rule
+from shadowhp.hpspace import best_approx_error, check_degree, check_grading, gauss_legendre_rule
+from shadowhp.kernel import load_wofz
 
 CSV_HEADER = "k,alpha,p,n_layers,dof,error_l2,relative_error,status"
 
@@ -75,12 +76,11 @@ class ExperimentGrid:
             raise DomainError("wavenumbers must be finite and positive")
         if any(not 0.5 * math.pi < a <= math.pi for a in self.alpha_values):
             raise DomainError("alpha values must lie in (pi/2, pi]")
-        if any(not (isinstance(p, int) and p >= 0) for p in self.p_values):
-            raise DomainError("degrees must be nonnegative integers")
+        for p in self.p_values:
+            check_degree(p)
         if not all(math.isfinite(x) and x > 0.0 for x in (self.l_nc, self.l_nc_prime)):
             raise DomainError("side lengths must be finite and positive")
-        if not 0.0 < self.sigma < 1.0:
-            raise DomainError("grading must lie in (0, 1)")
+        check_grading(self.sigma)
         check_layer_constant(self.c)
 
 
@@ -197,6 +197,8 @@ def run_grid(
     if workers < 2:
         return [row for pair in pairs for row in task(pair)]
     chunksize = math.ceil(len(pairs) / (4 * workers))
+    # forked workers inherit scipy.special from here instead of each importing it
+    load_wofz()
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return [row for rows in pool.map(task, pairs, chunksize=chunksize) for row in rows]
 

@@ -27,11 +27,32 @@ __all__ = [
     "ProjectionResult",
     "bernstein_rho",
     "best_approx_error",
+    "check_degree",
+    "check_grading",
+    "check_layer_count",
     "gauss_legendre_rule",
     "geometric_mesh",
     "l2_project",
     "shadow_mesh",
 ]
+
+
+def check_degree(p: int) -> None:
+    """Raise DomainError, naming p, unless the degree is an integer >= 0."""
+    if not (isinstance(p, int) and p >= 0):
+        raise DomainError(f"degree must be a nonnegative integer, got {p}")
+
+
+def check_layer_count(n: int) -> None:
+    """Raise DomainError, naming n, unless the layer count is an integer >= 1."""
+    if not (isinstance(n, int) and n >= 1):
+        raise DomainError(f"layer count must be an integer >= 1, got {n}")
+
+
+def check_grading(sigma: float) -> None:
+    """Raise DomainError, naming sigma, unless the grading lies in (0, 1)."""
+    if not 0.0 < sigma < 1.0:
+        raise DomainError(f"grading must lie in (0, 1), got {sigma}")
 
 
 @dataclass(frozen=True)
@@ -66,8 +87,7 @@ class PiecewisePolySpace:
     degree: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.degree, int) and self.degree >= 0):
-            raise DomainError(f"degree must be a nonnegative integer, got {self.degree}")
+        check_degree(self.degree)
 
     @property
     def dof(self) -> int:
@@ -90,10 +110,8 @@ def geometric_mesh(length: float, n: int, sigma: float) -> Mesh:
     """
     if not (length > 0.0 and math.isfinite(length)):
         raise DomainError(f"length must be positive and finite, got {length}")
-    if not (isinstance(n, int) and n >= 1):
-        raise DomainError(f"layer count must be an integer >= 1, got {n}")
-    if not 0.0 < sigma < 1.0:
-        raise DomainError(f"grading must lie in (0, 1), got {sigma}")
+    check_layer_count(n)
+    check_grading(sigma)
     if sigma ** (n - 1) * length == 0.0:
         raise DomainError(f"{n} layers at grading {sigma} put the finest point at 0.0")
     pts = [0.0] + [sigma ** (n - i) * length for i in range(1, n + 1)]

@@ -3,12 +3,19 @@
 w is S. G. Johnson's Faddeeva Package as shipped in scipy.special.wofz,
 applied elementwise. BACKEND names it so that run records can say which
 kernel produced them.
+
+scipy.special is imported at the first evaluation of w, not with this
+module: it is about two thirds of the package's import time, and a
+process that never evaluates w (`shadowhp region`, `--help`, a command
+that exits 2 on a bad option) does not load it. Reading BACKEND loads
+nothing.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from scipy.special import wofz
 
 from shadowhp._arrays import first
 
@@ -17,7 +24,15 @@ BACKEND = "scipy"
 #: largest Re(-z^2) for which the lower-half-plane term exp(-z^2) is kept
 _RE_MZ2_MAX = 708.0
 
-__all__ = ["BACKEND", "faddeeva_w"]
+__all__ = ["BACKEND", "faddeeva_w", "load_wofz"]
+
+
+@functools.cache
+def load_wofz():
+    """scipy.special.wofz, imported on the first call."""
+    from scipy.special import wofz
+
+    return wofz
 
 
 def faddeeva_w(z):
@@ -38,5 +53,5 @@ def faddeeva_w(z):
         raise OverflowError(
             f"w(z) overflows at z = {first(arr, over)!r}: exp({first(re_mz2, over):.1f})"
         )
-    w = wofz(arr)
+    w = load_wofz()(arr)
     return complex(w) if arr.ndim == 0 else w

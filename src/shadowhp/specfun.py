@@ -34,6 +34,7 @@ _EXP_MAX = 709.0  # exp overflows just above this in double precision
 __all__ = [
     "SectorBoundCert",
     "big_f",
+    "check_sample_size",
     "fresnel_fr",
     "fresnel_oracle",
     "sector_bound_cert",
@@ -161,6 +162,14 @@ class SectorBoundCert:
 _C_UPPER = 1.59
 
 
+def check_sample_size(n_samples: int) -> None:
+    """Raise DomainError, naming n_samples, unless the certificate's sample
+    holds at least the 1000 points of its boundary-inclusive grid.
+    """
+    if n_samples < 1000:
+        raise DomainError(f"n_samples must be >= 1000, got {n_samples}")
+
+
 @functools.lru_cache(maxsize=4, typed=True)
 def _sector_sample(n_samples: int) -> np.ndarray:
     """The points of the bounded-sector check: the 25 x 40 polar grid
@@ -198,9 +207,7 @@ def sector_bound_cert(n_samples: int) -> SectorBoundCert:
     radii where e^X is representable. Any violation raises
     CertificationError naming the point.
     """
-    if n_samples < 1000:
-        raise DomainError(f"n_samples must be >= 1000, got {n_samples}")
-
+    check_sample_size(n_samples)
     points = _sector_sample(n_samples)
     mags = np.abs(big_f(points))
     i_max = int(np.argmax(mags))

@@ -14,7 +14,6 @@ from shadowhp.amplitudes import (
     e_field,
     e_go,
     e_remainder_check,
-    epsilon_star,
     g_of_s,
     gtd_far_field,
     h_of_s,
@@ -277,13 +276,6 @@ def test_v_scaling_with_k():
         ratios.append(peak / cfg.k)
     assert all(0.30 <= r <= 0.45 for r in ratios), ratios
     assert max(ratios) / min(ratios) <= 1.15
-
-
-def test_epsilon_star():
-    geo = KnifeGeometry(R=2.0, beta=math.pi / 4)
-    k = 9.0
-    expected = 1.0 * min(1.0, 1.0 / (math.sin(geo.beta) * math.sqrt(k * geo.R)))
-    assert abs(epsilon_star(geo, k) - expected) <= 1e-15
 
 
 def _assert_scalar_array_parity(fn, pts):

@@ -108,6 +108,17 @@ def test_degrees_flag_equivalence(capsys):
     assert out_r == out_d
 
 
+@pytest.mark.parametrize("fn", ["fr", "F"])
+def test_eval_fr_and_f_reject_degrees(capsys, fn):
+    # the argument is a complex number, not an angle: --degrees would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", fn, "1", "2", "--degrees"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--degrees" in captured.err
+
+
 def test_eval_domain_error_exit_code(capsys):
     # point on the branch cut of r(s)
     code, out, err = run_cli(
@@ -232,15 +243,19 @@ def test_project_matches_library(capsys):
         ("--c", "inf", 2, "layer constant c"),
         ("--c", "0", 2, "layer constant c"),
         ("--c", "-3", 2, "layer constant c"),
+        ("--n", "0", 2, "layer count must be an integer >= 1, got 0"),
+        ("--p", "-1", 2, "degree must be a nonnegative integer, got -1"),
+        ("--sigma", "1.5", 2, "grading must lie in (0, 1), got 1.5"),
+        ("--sigma", "0", 2, "grading must lie in (0, 1), got 0.0"),
     ],
 )
 def test_project_rejects_bad_options(capsys, flag, value, code, message):
-    got, out, err = run_cli(
-        ["project", "--k", "16", "--alpha", "2.4", "--p", "4", flag, value], capsys
-    )
+    argv = ["project", "--k", "16", "--alpha", "2.4", "--p", "4", flag, value]
+    got, out, err = run_cli(argv, capsys)
     assert got == code
     assert out == ""
     assert message in err
+    assert err.startswith("config error" if code == 2 else "domain error")
 
 
 CONFIG_OK = """\
@@ -439,47 +454,134 @@ def test_cert_reports_bound(capsys):
     assert int(fields["n_samples"]) == 10000
 
 
+@pytest.mark.parametrize("n_samples, code", [("999", 2), ("0", 2), ("1000", 0)])
+def test_cert_sample_size_is_a_run_option(capsys, n_samples, code):
+    got, out, err = run_cli(["cert", "--n-samples", n_samples], capsys)
+    assert got == code
+    if code == 2:
+        assert out == ""
+        assert err == f"config error: n_samples must be >= 1000, got {n_samples}\n"
+
+
 _STARTUP_PROBE = """
 import contextlib, io, json, sys
 import shadowhp
 from shadowhp.cli import main
 
-commands = [
-    ["experiment", sys.argv[1]],
-    ["cert", "--n-samples", "1000"],
-    ["region", "--R", "1", "--beta", "2", "--nx", "4", "--ny", "3"],
-    ["project", "--k", "16", "--alpha", "2.4", "--p", "4"],
-    ["eval", "V", "--s", "0.5", "--k", "16", "--alpha", "2.4", "--lnc", "1.5", "--lncp", "1"],
-]
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [main(argv) for argv in commands]
-before = "scipy.integrate" in sys.modules
+
+def loaded():
+    return [m for m in ("scipy.integrate", "scipy.special") if m in sys.modules]
+
+
+kernel_free, commands = json.loads(sys.argv[1])
+report = {"backend": shadowhp.KERNEL_BACKEND, "on_import": loaded()}
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    report["kernel_free_codes"] = [main(argv) for argv in kernel_free]
+    report["after_kernel_free"] = loaded()
+    report["codes"] = [main(argv) for argv in commands]
+report["after_commands"] = loaded()
 from shadowhp.specfun import fresnel_fr, fresnel_oracle
 z = 0.5 + 0.5j
-rel = abs(fresnel_oracle(z) - fresnel_fr(z)) / abs(fresnel_fr(z))
-print(json.dumps([codes, before, rel, "scipy.integrate" in sys.modules]))
+report["oracle_rel"] = abs(fresnel_oracle(z) - fresnel_fr(z)) / abs(fresnel_fr(z))
+report["after_oracle"] = loaded()
+print(json.dumps(report))
+"""
+
+#: commands that never evaluate w(z), with their exit codes
+_KERNEL_FREE = [
+    (["region", "--R", "1", "--beta", "2", "--nx", "4", "--ny", "3"], 0),
+    (["project", "--k", "16", "--alpha", "2.4", "--p", "4", "--sigma", "1.5"], 2),
+    (["project", "--k", "16", "--alpha", "2.4", "--p", "4", "--n", "0"], 2),
+    (["cert", "--n-samples", "999"], 2),
+]
+
+
+@pytest.fixture(scope="module")
+def startup_report(tmp_path_factory):
+    """What a fresh interpreter loads as it imports the package, runs the
+    kernel-free commands, then one of each command (`eval F` first), then
+    the test oracle.
+    """
+    tmp = tmp_path_factory.mktemp("startup")
+    conf = tmp / "sweep.conf"
+    conf.write_text(
+        f"k_values = 16\nalpha_values = 2.3\np_values = 2, 3\noutput = {tmp / 'sweep.csv'}\n"
+    )
+    commands = [
+        ["eval", "F", "1", "2"],
+        ["experiment", str(conf)],
+        ["cert", "--n-samples", "1000"],
+        ["region", "--R", "1", "--beta", "2", "--nx", "4", "--ny", "3"],
+        ["project", "--k", "16", "--alpha", "2.4", "--p", "4"],
+        ["eval", "V", "--s", "0.5", "--k", "16", "--alpha", "2.4", "--lnc", "1.5", "--lncp", "1"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE,
+         json.dumps([[argv for argv, _ in _KERNEL_FREE], commands])],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["kernel_free_codes"] == [code for _, code in _KERNEL_FREE]
+    assert report["codes"] == [0] * len(commands)
+    return report
+
+
+def test_cli_commands_do_not_load_scipy_integrate(startup_report):
+    # scipy.integrate is a large share of a command's start-up, and only the
+    # test oracle needs it
+    assert "scipy.integrate" not in startup_report["after_commands"]
+    # the import is deferred, not removed: the oracle still runs and agrees
+    assert startup_report["oracle_rel"] <= 1e-12
+    assert "scipy.integrate" in startup_report["after_oracle"]
+
+
+def test_scipy_special_loads_at_the_first_w_evaluation(startup_report):
+    # scipy.special is most of the package's import time: importing the
+    # package, reading its backend and running a command that never
+    # evaluates w leave it unloaded
+    assert startup_report["backend"] == "scipy"
+    assert startup_report["on_import"] == []
+    assert startup_report["after_kernel_free"] == []
+    assert "scipy.special" in startup_report["after_commands"]
+
+
+_POOL_PROBE = """
+import json, sys
+from shadowhp import experiments
+
+at_pool = []
+
+
+class RecordingPool(experiments.ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        at_pool.append("scipy.special" in sys.modules)
+        super().__init__(*args, **kwargs)
+
+
+experiments.ProcessPoolExecutor = RecordingPool
+experiments._usable_cores = lambda: 2
+experiments._MIN_ROWS_PER_WORKER = 1
+before = "scipy.special" in sys.modules
+grid = experiments.ExperimentGrid(k_values=(4.0, 16.0), alpha_values=(2.4,), p_values=(2,))
+rows = experiments.run_grid(grid, parallelism=2)
+print(json.dumps([before, at_pool, [r.status for r in rows]]))
 """
 
 
-def test_cli_commands_do_not_load_scipy_integrate(tmp_path):
-    # scipy.integrate is a large share of a command's start-up, and only the
-    # test oracle needs it; a fresh interpreter shows what a command loads
-    conf = tmp_path / "sweep.conf"
-    conf.write_text(
-        f"k_values = 16\nalpha_values = 2.3\np_values = 2, 3\noutput = {tmp_path / 'sweep.csv'}\n"
-    )
+def test_pooled_grid_loads_the_kernel_before_forking():
+    # forked workers inherit the parent's modules; without the preload each
+    # worker would import scipy.special on its first row
     proc = subprocess.run(
-        [sys.executable, "-c", _STARTUP_PROBE, str(conf)],
-        capture_output=True,
-        text=True,
+        [sys.executable, "-c", _POOL_PROBE], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    codes, loaded_by_commands, oracle_rel, loaded_by_oracle = json.loads(proc.stdout)
-    assert codes == [0] * 5
-    assert not loaded_by_commands
-    # the import is deferred, not removed: the oracle still runs and agrees
-    assert oracle_rel <= 1e-12
-    assert loaded_by_oracle
+    before, at_pool, statuses = json.loads(proc.stdout)
+    assert not before
+    assert at_pool == [True]
+    assert statuses == ["ok", "ok"]
 
 
 def test_module_entry_point():
