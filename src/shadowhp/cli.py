@@ -3,13 +3,15 @@
 Subcommands: eval (point values), region (membership point cloud), project
 (one best-approximation run), experiment (full sweep from a config file),
 cert (sector bound certification). Exit codes: 0 success, 1 domain error,
-2 configuration error, 3 certification failure.
+2 configuration error, 3 certification failure. The error's type picks the
+code: each range rule raises ConfigError (a run option or config value,
+exit 2) or DomainError (a model value, exit 1) where it lives, and the
+commands restate none of them.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import math
 import sys
@@ -25,23 +27,10 @@ from shadowhp.amplitudes import (
     psi_go,
 )
 from shadowhp.errors import CertificationError, ConfigError, DomainError
-from shadowhp.experiments import (
-    ExperimentGrid,
-    _fmt,
-    check_layer_constant,
-    layers_for_degree,
-    run_grid,
-    write_csv,
-)
+from shadowhp.experiments import ExperimentGrid, _fmt, layers_for_degree, run_grid, write_csv
 from shadowhp.geometry import KnifeGeometry, region_label
-from shadowhp.hpspace import (
-    best_approx_error,
-    check_degree,
-    check_grading,
-    check_layer_count,
-    gauss_legendre_rule,
-)
-from shadowhp.specfun import big_f, check_sample_size, fresnel_fr, sector_bound_cert
+from shadowhp.hpspace import best_approx_error
+from shadowhp.specfun import MAX_SAMPLES, big_f, fresnel_fr, sector_bound_cert
 
 __all__ = ["main"]
 
@@ -52,17 +41,6 @@ def _print_complex(v: complex) -> None:
 
 def _rad(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
-
-
-@contextlib.contextmanager
-def _run_options():
-    """Turn a DomainError raised inside into a ConfigError (exit 2): the
-    checks run here name a bad run option, not a bad model value.
-    """
-    try:
-        yield
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -117,14 +95,6 @@ def _cmd_region(args: argparse.Namespace) -> int:
 
 
 def _cmd_project(args: argparse.Namespace) -> int:
-    with _run_options():
-        check_degree(args.p)
-        check_grading(args.sigma)
-        check_layer_constant(args.c)
-        if args.n is not None:
-            check_layer_count(args.n)
-        if args.quad_order is not None:
-            gauss_legendre_rule(args.quad_order)
     cfg = ShadowConfig(
         k=args.k, alpha=_rad(args.alpha, args.degrees), l_nc=args.lnc, l_nc_prime=args.lncp
     )
@@ -189,9 +159,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     output = values.pop("output")
     quad_order = values.pop("quad_order", None)
     parallelism = values.pop("parallelism", 1)
-    # rows keep their own DomainErrors: one that escapes names a bad value or option
-    with _run_options():
-        rows = run_grid(ExperimentGrid(**values), quad_order=quad_order, parallelism=parallelism)
+    rows = run_grid(ExperimentGrid(**values), quad_order=quad_order, parallelism=parallelism)
     out = args.output if args.output is not None else output
     write_csv(rows, out)
     n_failed = sum(1 for r in rows if r.status != "ok")
@@ -200,8 +168,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_cert(args: argparse.Namespace) -> int:
-    with _run_options():
-        check_sample_size(args.n_samples)
     cert = sector_bound_cert(args.n_samples)
     print(
         f"max_observed={_fmt(cert.max_observed)},c_upper={_fmt(cert.c_upper)},"
@@ -275,8 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
     pj.add_argument("--lnc", type=float, default=ExperimentGrid.l_nc)
     pj.add_argument("--lncp", type=float, default=ExperimentGrid.l_nc_prime)
     pj.add_argument("--sigma", type=float, default=ExperimentGrid.sigma)
-    pj.add_argument("--c", type=float, default=ExperimentGrid.c)
-    pj.add_argument("--n", type=int, default=None, help="override n = max(1, ceil(c p))")
+    depth = pj.add_mutually_exclusive_group()
+    depth.add_argument("--c", type=float, default=ExperimentGrid.c)
+    depth.add_argument("--n", type=int, default=None, help="override n = max(1, ceil(c p))")
     pj.add_argument("--quad-order", type=int, default=None)
     pj.add_argument("--degrees", action="store_true", help="alpha is given in degrees")
     pj.set_defaults(func=_cmd_project)
@@ -287,7 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     ex.set_defaults(func=_cmd_experiment)
 
     ct = sub.add_parser("cert", help="certify the sector bound of F by sampling")
-    ct.add_argument("--n-samples", type=int, default=10000)
+    ct.add_argument(
+        "--n-samples", type=int, default=10000, help=f"sample size in [1000, {MAX_SAMPLES}]"
+    )
     ct.set_defaults(func=_cmd_cert)
 
     return parser

@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from shadowhp.amplitudes import ShadowConfig
-from shadowhp.errors import DomainError, OracleError
-from shadowhp.hpspace import best_approx_error, check_degree, check_grading, gauss_legendre_rule
+from shadowhp.errors import ConfigError, DomainError, OracleError
+from shadowhp.hpspace import best_approx_error, check_degree, check_grading, check_quad_order
 from shadowhp.kernel import load_wofz
 
 CSV_HEADER = "k,alpha,p,n_layers,dof,error_l2,relative_error,status"
@@ -58,7 +58,8 @@ __all__ = [
 @dataclass(frozen=True)
 class ExperimentGrid:
     """Parameter grid of the convergence study. Angles are radians; by the
-    symmetry of the setup only alpha in (pi/2, pi] is admitted.
+    symmetry of the setup only alpha in (pi/2, pi] is admitted. The grid is
+    read from a config file, so every bad value raises ConfigError.
     """
 
     k_values: tuple[float, ...]
@@ -71,15 +72,19 @@ class ExperimentGrid:
 
     def __post_init__(self) -> None:
         if not (self.k_values and self.alpha_values and self.p_values):
-            raise DomainError("k_values, alpha_values and p_values must be nonempty")
+            raise ConfigError("k_values, alpha_values and p_values must be nonempty")
         if any(not (math.isfinite(k) and k > 0.0) for k in self.k_values):
-            raise DomainError("wavenumbers must be finite and positive")
+            raise ConfigError("wavenumbers must be finite and positive")
         if any(not 0.5 * math.pi < a <= math.pi for a in self.alpha_values):
-            raise DomainError("alpha values must lie in (pi/2, pi]")
+            raise ConfigError("alpha values must lie in (pi/2, pi]")
         for p in self.p_values:
             check_degree(p)
+        for name in ("k_values", "alpha_values", "p_values"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} repeats a value: {values}")
         if not all(math.isfinite(x) and x > 0.0 for x in (self.l_nc, self.l_nc_prime)):
-            raise DomainError("side lengths must be finite and positive")
+            raise ConfigError("side lengths must be finite and positive")
         check_grading(self.sigma)
         check_layer_constant(self.c)
 
@@ -114,15 +119,16 @@ class DipScanResult:
 
 
 def check_layer_constant(c: float) -> None:
-    """Raise DomainError, naming c, unless the layer constant is finite
+    """Raise ConfigError, naming c, unless the layer constant is finite
     and positive.
     """
     if not (math.isfinite(c) and c > 0.0):
-        raise DomainError(f"layer constant c must be finite and positive, got {c}")
+        raise ConfigError(f"layer constant c must be finite and positive, got {c}")
 
 
 def layers_for_degree(p: int, c: float) -> int:
     """Mesh depth n = max(1, ceil(c p)) used throughout the sweeps."""
+    check_layer_constant(c)
     return max(1, math.ceil(c * p))
 
 
@@ -177,7 +183,7 @@ def run_grid(
     """One row per (k, alpha, p), in canonical sorted order. A row that
     fails with a domain, overflow or oracle error records its reason in the
     status column and the sweep continues; any other exception propagates.
-    A bad `quad_order` or `parallelism` raises DomainError before any row.
+    A bad `quad_order` or `parallelism` raises ConfigError before any row.
 
     The unit of work is a (k, alpha) pair: V is evaluated once for all of
     its degrees (see _pair_task), and the pairs' rows are concatenated in
@@ -187,9 +193,8 @@ def run_grid(
     in-process.
     """
     if parallelism < 1:
-        raise DomainError(f"parallelism must be >= 1, got {parallelism}")
-    if quad_order is not None:
-        gauss_legendre_rule(quad_order)
+        raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
+    check_quad_order(max(grid.p_values), quad_order)
     pairs = list(itertools.product(sorted(grid.k_values), sorted(grid.alpha_values)))
     n_rows = len(pairs) * len(grid.p_values)
     task = functools.partial(_pair_task, grid, quad_order)

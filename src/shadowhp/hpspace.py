@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from shadowhp.amplitudes import ShadowConfig, amplitude_v
-from shadowhp.errors import DomainError
+from shadowhp.errors import ConfigError, DomainError
 
 #: relative tolerance below which neighbouring mesh candidates are merged
 MERGE_RTOL = 1e-12
@@ -29,7 +29,7 @@ __all__ = [
     "best_approx_error",
     "check_degree",
     "check_grading",
-    "check_layer_count",
+    "check_quad_order",
     "gauss_legendre_rule",
     "geometric_mesh",
     "l2_project",
@@ -38,21 +38,28 @@ __all__ = [
 
 
 def check_degree(p: int) -> None:
-    """Raise DomainError, naming p, unless the degree is an integer >= 0."""
+    """Raise ConfigError, naming p, unless the degree is an integer >= 0."""
     if not (isinstance(p, int) and p >= 0):
-        raise DomainError(f"degree must be a nonnegative integer, got {p}")
-
-
-def check_layer_count(n: int) -> None:
-    """Raise DomainError, naming n, unless the layer count is an integer >= 1."""
-    if not (isinstance(n, int) and n >= 1):
-        raise DomainError(f"layer count must be an integer >= 1, got {n}")
+        raise ConfigError(f"degree must be a nonnegative integer, got {p}")
 
 
 def check_grading(sigma: float) -> None:
-    """Raise DomainError, naming sigma, unless the grading lies in (0, 1)."""
+    """Raise ConfigError, naming sigma, unless the grading lies in (0, 1)."""
     if not 0.0 < sigma < 1.0:
-        raise DomainError(f"grading must lie in (0, 1), got {sigma}")
+        raise ConfigError(f"grading must lie in (0, 1), got {sigma}")
+
+
+def check_quad_order(p: int, quad_order: int | None) -> int:
+    """The per-element rule size for degree p: quad_order, or 2p + 16 when
+    it is None. Raise ConfigError unless the size is an integer in
+    [p + 1, 256]; a smaller rule would alias the coefficients, so under
+    the default p is at most 120.
+    """
+    m = 2 * p + 16 if quad_order is None else quad_order
+    if not (isinstance(m, int) and p + 1 <= m <= 256):
+        name = "quad_order (the default 2p + 16)" if quad_order is None else "quad_order"
+        raise ConfigError(f"{name} for degree {p} must be an integer in [{p + 1}, 256], got {m}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -110,7 +117,8 @@ def geometric_mesh(length: float, n: int, sigma: float) -> Mesh:
     """
     if not (length > 0.0 and math.isfinite(length)):
         raise DomainError(f"length must be positive and finite, got {length}")
-    check_layer_count(n)
+    if not (isinstance(n, int) and n >= 1):
+        raise ConfigError(f"layer count must be an integer >= 1, got {n}")
     check_grading(sigma)
     if sigma ** (n - 1) * length == 0.0:
         raise DomainError(f"{n} layers at grading {sigma} put the finest point at 0.0")
@@ -153,7 +161,7 @@ def gauss_legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     arrays are shared between callers and therefore read-only.
     """
     if not (isinstance(m, int) and 1 <= m <= 256):
-        raise DomainError(f"quad_order (rule size) must be an integer in [1, 256], got {m}")
+        raise ConfigError(f"quad_order (rule size) must be an integer in [1, 256], got {m}")
     x, w = np.polynomial.legendre.leggauss(m)
     x.flags.writeable = False
     w.flags.writeable = False
@@ -179,11 +187,7 @@ def _quadrature(space: PiecewisePolySpace, quad_order: int | None):
     """Per-element Gauss nodes (n_elements, m), element half-lengths, and
     the rule size m; quad_order defaults to 2p + 16.
     """
-    p = space.degree
-    if quad_order is None:
-        quad_order = 2 * p + 16
-    if quad_order < p + 1:
-        raise DomainError(f"quad_order must be >= degree + 1, got {quad_order}")
+    quad_order = check_quad_order(space.degree, quad_order)
     x, _ = gauss_legendre_rule(quad_order)
     pts = np.array(space.mesh.points)
     a = pts[:-1, None]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from shadowhp._arrays import as_points, first, unwrap
-from shadowhp.errors import CertificationError, DomainError, OracleError
+from shadowhp.errors import CertificationError, ConfigError, DomainError, OracleError
 from shadowhp.kernel import faddeeva_w
 
 _EIPI4 = cmath.exp(0.25j * math.pi)
@@ -32,9 +32,9 @@ _SQRTPI = math.sqrt(math.pi)
 _EXP_MAX = 709.0  # exp overflows just above this in double precision
 
 __all__ = [
+    "MAX_SAMPLES",
     "SectorBoundCert",
     "big_f",
-    "check_sample_size",
     "fresnel_fr",
     "fresnel_oracle",
     "sector_bound_cert",
@@ -160,14 +160,9 @@ class SectorBoundCert:
 
 
 _C_UPPER = 1.59
-
-
-def check_sample_size(n_samples: int) -> None:
-    """Raise DomainError, naming n_samples, unless the certificate's sample
-    holds at least the 1000 points of its boundary-inclusive grid.
-    """
-    if n_samples < 1000:
-        raise DomainError(f"n_samples must be >= 1000, got {n_samples}")
+#: largest sample sector_bound_cert draws: 100x the command's default,
+#: about 80 MB at the ~80 bytes a sample costs
+MAX_SAMPLES = 1_000_000
 
 
 @functools.lru_cache(maxsize=4, typed=True)
@@ -205,9 +200,12 @@ def sector_bound_cert(n_samples: int) -> SectorBoundCert:
 
     on a grid in the growth sector arg z in (-pi, -pi/2), restricted to
     radii where e^X is representable. Any violation raises
-    CertificationError naming the point.
+    CertificationError naming the point. n_samples must lie in
+    [1000, MAX_SAMPLES]: the sample holds at least the 1000 points of its
+    grid, and the cap bounds its memory.
     """
-    check_sample_size(n_samples)
+    if not 1000 <= n_samples <= MAX_SAMPLES:
+        raise ConfigError(f"n_samples must lie in [1000, {MAX_SAMPLES}], got {n_samples}")
     points = _sector_sample(n_samples)
     mags = np.abs(big_f(points))
     i_max = int(np.argmax(mags))

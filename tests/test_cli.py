@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 from shadowhp.amplitudes import ShadowConfig, amplitude_v
 from shadowhp.cli import _CONFIG_SCHEMA, build_parser, main, parse_config
-from shadowhp.errors import ConfigError
+from shadowhp.errors import ConfigError, DomainError
 from shadowhp.experiments import ExperimentGrid
 from shadowhp.hpspace import best_approx_error
-from shadowhp.specfun import fresnel_fr
+from shadowhp.specfun import MAX_SAMPLES, fresnel_fr
 
 PI = math.pi
 
@@ -238,6 +238,8 @@ def test_project_matches_library(capsys):
     [
         ("--quad-order", "0", 2, "config error"),
         ("--quad-order", "257", 2, "config error"),
+        ("--quad-order", "2", 2, "quad_order for degree 4 must be an integer in [5, 256], got 2"),
+        ("--p", "121", 2, "quad_order (the default 2p + 16) for degree 121 must be an integer"),
         ("--lnc", "inf", 1, "side length l_nc"),
         ("--c", "nan", 2, "layer constant c"),
         ("--c", "inf", 2, "layer constant c"),
@@ -256,6 +258,21 @@ def test_project_rejects_bad_options(capsys, flag, value, code, message):
     assert out == ""
     assert message in err
     assert err.startswith("config error" if code == 2 else "domain error")
+
+
+def test_config_errors_are_domain_errors():
+    # library callers that catch DomainError also catch a bad run option
+    assert issubclass(ConfigError, DomainError)
+
+
+def test_project_rejects_both_c_and_n(capsys):
+    # --n overrides the depth that --c sets, so giving both would ignore --c
+    with pytest.raises(SystemExit) as exc:
+        main(["project", "--k", "16", "--alpha", "2.4", "--p", "4", "--c", "7", "--n", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--n: not allowed with argument --c" in captured.err
 
 
 CONFIG_OK = """\
@@ -300,9 +317,13 @@ def test_experiment_malformed_key(tmp_path, capsys):
     [
         ("quad_order", "0"),
         ("quad_order", "257"),
+        ("quad_order", "2"),
         ("parallelism", "0"),
         ("k_values", "nan"),
         ("l_nc", "inf"),
+        ("k_values", "16, 16"),
+        ("alpha_values", "2.0, 2.0"),
+        ("p_values", "2, 2"),
     ],
 )
 def test_experiment_rejects_bad_run_options_before_any_row(tmp_path, capsys, key, value):
@@ -334,7 +355,8 @@ _VALID = {
     "l_nc_prime": st.floats(0.0, 10.0, exclude_min=True),
     "sigma": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     "c": st.floats(0.0, 1e3, exclude_min=True),
-    "quad_order": st.one_of(st.none(), st.integers(1, 256)),
+    # p_values = 2, so an explicit rule size lies in [p + 1, 256]
+    "quad_order": st.one_of(st.none(), st.integers(3, 256)),
     "parallelism": st.integers(1, 4),
 }
 _INVALID = {
@@ -346,7 +368,7 @@ _INVALID = {
     "l_nc_prime": _NONPOSITIVE,
     "sigma": st.one_of(_NONPOSITIVE, st.floats(1.0, 1.5)),
     "c": _NONPOSITIVE,
-    "quad_order": st.one_of(st.integers(-5, 0), st.integers(257, 300)),
+    "quad_order": st.one_of(st.integers(-5, 2), st.integers(257, 300)),
     "parallelism": st.integers(-2, 0),
 }
 
@@ -354,11 +376,11 @@ _INVALID = {
 # Values at and just past the ends of each range, run on every test run
 # whatever hypothesis draws; None holds in-range ends.
 _EDGES = {
-    None: [("alpha_values", math.pi), ("quad_order", 1), ("quad_order", 256)],
+    None: [("alpha_values", math.pi), ("quad_order", 3), ("quad_order", 256)],
     **{key: [(key, v) for v in _SPECIALS] for key in ("k_values", "l_nc", "l_nc_prime", "c")},
     "alpha_values": [("alpha_values", v) for v in (*_SPECIALS, 0.5 * math.pi, 3.15)],
     "sigma": [("sigma", v) for v in (*_SPECIALS, 1.0)],
-    "quad_order": [("quad_order", 0), ("quad_order", 257)],
+    "quad_order": [("quad_order", 2), ("quad_order", 257)],
     "parallelism": [("parallelism", 0)],
 }
 _BASE = {
@@ -375,7 +397,7 @@ def _in_documented_range(v):
         and 0.0 < v["l_nc_prime"] < math.inf
         and 0.0 < v["sigma"] < 1.0
         and 0.0 < v["c"] < math.inf
-        and (v["quad_order"] is None or 1 <= v["quad_order"] <= 256)
+        and (v["quad_order"] is None or 3 <= v["quad_order"] <= 256)
         and v["parallelism"] >= 1
     )
 
@@ -454,13 +476,17 @@ def test_cert_reports_bound(capsys):
     assert int(fields["n_samples"]) == 10000
 
 
-@pytest.mark.parametrize("n_samples, code", [("999", 2), ("0", 2), ("1000", 0)])
+@pytest.mark.parametrize(
+    "n_samples, code", [(999, 2), (0, 2), (MAX_SAMPLES + 1, 2), (1000, 0)]
+)
 def test_cert_sample_size_is_a_run_option(capsys, n_samples, code):
-    got, out, err = run_cli(["cert", "--n-samples", n_samples], capsys)
+    got, out, err = run_cli(["cert", "--n-samples", str(n_samples)], capsys)
     assert got == code
     if code == 2:
         assert out == ""
-        assert err == f"config error: n_samples must be >= 1000, got {n_samples}\n"
+        assert err == (
+            f"config error: n_samples must lie in [1000, {MAX_SAMPLES}], got {n_samples}\n"
+        )
 
 
 _STARTUP_PROBE = """
@@ -487,12 +513,22 @@ report["after_oracle"] = loaded()
 print(json.dumps(report))
 """
 
+#: configs of `experiment` runs that exit 2, by file name
+_BAD_CONFIGS = {
+    "low-quad.conf": "k_values = 16\nalpha_values = 2.4\np_values = 2, 8\nquad_order = 5\n",
+    "repeat.conf": "k_values = 16, 16\nalpha_values = 2.4\np_values = 2\n",
+}
+
 #: commands that never evaluate w(z), with their exit codes
 _KERNEL_FREE = [
     (["region", "--R", "1", "--beta", "2", "--nx", "4", "--ny", "3"], 0),
     (["project", "--k", "16", "--alpha", "2.4", "--p", "4", "--sigma", "1.5"], 2),
     (["project", "--k", "16", "--alpha", "2.4", "--p", "4", "--n", "0"], 2),
+    (["project", "--k", "16", "--alpha", "2.4", "--p", "4", "--quad-order", "2"], 2),
+    (["project", "--k", "16", "--alpha", "2.4", "--p", "121"], 2),
     (["cert", "--n-samples", "999"], 2),
+    (["cert", "--n-samples", str(MAX_SAMPLES + 1)], 2),
+    *((["experiment", name], 2) for name in _BAD_CONFIGS),
 ]
 
 
@@ -503,6 +539,11 @@ def startup_report(tmp_path_factory):
     the test oracle.
     """
     tmp = tmp_path_factory.mktemp("startup")
+    for name, text in _BAD_CONFIGS.items():
+        (tmp / name).write_text(text + f"output = {tmp / 'never.csv'}\n")
+    kernel_free = [
+        [str(tmp / a) if a in _BAD_CONFIGS else a for a in argv] for argv, _ in _KERNEL_FREE
+    ]
     conf = tmp / "sweep.conf"
     conf.write_text(
         f"k_values = 16\nalpha_values = 2.3\np_values = 2, 3\noutput = {tmp / 'sweep.csv'}\n"
@@ -517,7 +558,7 @@ def startup_report(tmp_path_factory):
     ]
     proc = subprocess.run(
         [sys.executable, "-c", _STARTUP_PROBE,
-         json.dumps([[argv for argv, _ in _KERNEL_FREE], commands])],
+         json.dumps([kernel_free, commands])],
         capture_output=True,
         text=True,
         timeout=120,
@@ -526,6 +567,7 @@ def startup_report(tmp_path_factory):
     report = json.loads(proc.stdout)
     assert report["kernel_free_codes"] == [code for _, code in _KERNEL_FREE]
     assert report["codes"] == [0] * len(commands)
+    assert not (tmp / "never.csv").exists()
     return report
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import shadowhp.experiments as experiments
-from shadowhp.errors import DomainError
+from shadowhp.errors import ConfigError, DomainError
 from shadowhp.experiments import (
     CSV_HEADER,
     ExperimentGrid,
@@ -55,6 +55,12 @@ def test_grid_validation():
             ExperimentGrid(k_values=(16.0,), alpha_values=(2.0,), p_values=(2,), l_nc_prime=bad)
         with pytest.raises(DomainError):
             ExperimentGrid(k_values=(16.0,), alpha_values=(2.0,), p_values=(2,), c=bad)
+    # a repeated value would write the same row twice
+    for field in ("k_values", "alpha_values", "p_values"):
+        values = {"k_values": (16.0,), "alpha_values": (2.0,), "p_values": (2,)}
+        values[field] *= 2
+        with pytest.raises(ConfigError, match=f"{field} repeats a value"):
+            ExperimentGrid(**values)
 
 
 def test_fit_rate_exact_exponential():
@@ -111,10 +117,11 @@ def test_run_grid_monotone_trend():
 
 
 def test_run_grid_records_failures_and_continues():
+    # at c = 50, p = 8 asks for 400 layers, whose finest point underflows to 0
     grid = ExperimentGrid(
-        k_values=(16.0,), alpha_values=(0.75 * math.pi,), p_values=(2, 8)
+        k_values=(16.0,), alpha_values=(0.75 * math.pi,), p_values=(2, 8), c=50.0
     )
-    rows = run_grid(grid, quad_order=5)
+    rows = run_grid(grid)
     by_p = {r.p: r for r in rows}
     assert by_p[2].status == "ok"
     assert by_p[8].status.startswith("failed: DomainError")
@@ -124,14 +131,17 @@ def test_run_grid_records_failures_and_continues():
 
 
 def test_run_grid_rows_equal_row_by_row_rows():
-    # at quad_order = 5 the p = 8 row of every pair fails, and with it the pair's batch
+    # at c = 50 the p = 8 row of every pair fails, and with it the pair's batch
     grid = ExperimentGrid(
-        k_values=(16.0, 64.0), alpha_values=(2.0, 0.75 * math.pi, math.pi), p_values=(0, 2, 8)
+        k_values=(16.0, 64.0),
+        alpha_values=(2.0, 0.75 * math.pi, math.pi),
+        p_values=(0, 2, 8),
+        c=50.0,
     )
     keys = itertools.product(grid.k_values, grid.alpha_values, grid.p_values)
-    rows = run_grid(grid, quad_order=5)
+    rows = run_grid(grid)
     assert [r.status.split(":")[0] for r in rows] == ["ok", "ok", "failed"] * 6
-    assert rows == [experiments._row_task(grid, 5, key) for key in keys]
+    assert rows == [experiments._row_task(grid, None, key) for key in keys]
 
 
 @pytest.mark.parametrize(
@@ -212,16 +222,26 @@ def test_run_grid_never_starts_more_workers_than_pairs(monkeypatch, pool_sizes):
 
 
 def test_run_grid_rejects_bad_parallelism():
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError):
         run_grid(SMALL, parallelism=0)
 
 
-@pytest.mark.parametrize("quad_order", [0, 257])
-def test_run_grid_rejects_bad_quad_order_before_any_row(monkeypatch, quad_order):
+@pytest.mark.parametrize(
+    "grid, quad_order",
+    [
+        pytest.param(SMALL, 0, id="0"),
+        pytest.param(SMALL, 257, id="257"),
+        # below p + 1 for the grid's largest degree, 4
+        pytest.param(SMALL, 4, id="4"),
+        # p = 121 needs the default rule 2p + 16 = 258
+        pytest.param(replace(SMALL, p_values=(2, 121)), None, id="default-p121"),
+    ],
+)
+def test_run_grid_rejects_bad_quad_order_before_any_row(monkeypatch, grid, quad_order):
     calls = []
     monkeypatch.setattr(experiments, "best_approx_error", lambda *args: calls.append(args))
-    with pytest.raises(DomainError, match="quad_order"):
-        run_grid(SMALL, quad_order=quad_order)
+    with pytest.raises(ConfigError, match="quad_order"):
+        run_grid(grid, quad_order=quad_order)
     assert calls == []
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from shadowhp.amplitudes import ShadowConfig, amplitude_v
-from shadowhp.errors import DomainError
+from shadowhp.errors import ConfigError, DomainError
 from shadowhp.hpspace import (
     MERGE_RTOL,
     Mesh,
@@ -326,9 +326,11 @@ def test_best_approx_batch_validation():
         best_approx_error(CFG, [2, 3], 0.15, [2])
     with pytest.raises(DomainError, match="nonempty"):
         best_approx_error(CFG, [], 0.15, [])
-    # one bad row fails the whole batch
-    with pytest.raises(DomainError, match="quad_order"):
-        best_approx_error(CFG, [2, 8], 0.15, [2, 8], quad_order=5)
+    # a rule of at most p nodes is a run option out of range, and one bad row
+    # fails the whole batch
+    for n, p in ((8, 8), ([2, 8], [2, 8])):
+        with pytest.raises(ConfigError, match=r"degree 8 must be an integer in \[9, 256\]"):
+            best_approx_error(CFG, n, 0.15, p, quad_order=5)
 
 
 def test_best_approx_non_finite_error_raises():
