@@ -12,6 +12,7 @@ commands restate none of them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import sys
@@ -69,28 +70,51 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
+#: the four region flags as the end of a CSV line, indexed by
+#: in_cut_plane, in_R, in_ellipse, in_S (bools index as 0 and 1)
+_FLAG_TEXT = tuple(
+    tuple(tuple(tuple(f"{a},{b},{c},{d}\n" for d in (0, 1)) for c in (0, 1)) for b in (0, 1))
+    for a in (0, 1)
+)
+
+
+def _region_sink(output: str | None):
+    if output:
+        return open(output, "w", encoding="ascii", newline="\n")
+    return contextlib.nullcontext(sys.stdout)
+
+
+def _axis(lo: float, hi: float, n: int) -> list[float]:
+    return [lo + (hi - lo) * i / max(n - 1, 1) for i in range(n)]
+
+
 def _cmd_region(args: argparse.Namespace) -> int:
     if args.nx < 1 or args.ny < 1 or args.nx * args.ny > 4096 * 4096:
         raise ConfigError(f"resolution {args.nx}x{args.ny} outside [1, 4096^2]")
+    box = (args.re_min, args.re_max, args.im_min, args.im_max)
+    if not all(math.isfinite(x) for x in box):
+        raise ConfigError(f"bounding box {box} has a bound that is not finite")
     if not (args.re_max > args.re_min and args.im_max > args.im_min):
         raise ConfigError("empty bounding box")
+    res = _axis(args.re_min, args.re_max, args.nx)
+    ims = _axis(args.im_min, args.im_max, args.ny)
+    if not all(math.isfinite(x) for x in res + ims):
+        raise ConfigError(f"bounding box {box}: a span overflows the double range")
     geo = KnifeGeometry(R=args.R, beta=_rad(args.beta, args.degrees))
-    lines = ["re,im,in_cut,in_R,in_ellipse,in_S"]
-    for j in range(args.ny):
-        im = args.im_min + (args.im_max - args.im_min) * j / max(args.ny - 1, 1)
-        for i in range(args.nx):
-            re = args.re_min + (args.re_max - args.re_min) * i / max(args.nx - 1, 1)
-            lab = region_label(complex(re, im), geo)
-            lines.append(
-                f"{_fmt(re)},{_fmt(im)},{int(lab.in_cut_plane)},{int(lab.in_R)},"
-                f"{int(lab.in_ellipse)},{int(lab.in_S)}"
-            )
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # each coordinate is formatted once and region_label is called once per
+    # point; every input is checked above, so the rows can be written as
+    # they are labelled and only one row's text is held at a time
+    columns = [(re, _fmt(re)) for re in res]
+    with _region_sink(args.output) as out:
+        out.write("re,im,in_cut,in_R,in_ellipse,in_S\n")
+        for im in ims:
+            im_text = "," + _fmt(im) + ","
+            line = []
+            for re, re_text in columns:
+                lab = region_label(complex(re, im), geo)
+                flags = _FLAG_TEXT[lab.in_cut_plane][lab.in_R][lab.in_ellipse][lab.in_S]
+                line.append(re_text + im_text + flags)
+            out.write("".join(line))
     return 0
 
 

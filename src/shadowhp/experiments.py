@@ -28,7 +28,13 @@ import numpy as np
 
 from shadowhp.amplitudes import ShadowConfig
 from shadowhp.errors import ConfigError, DomainError, OracleError
-from shadowhp.hpspace import best_approx_error, check_degree, check_grading, check_quad_order
+from shadowhp.hpspace import (
+    MAX_LAYERS,
+    best_approx_error,
+    check_degree,
+    check_grading,
+    check_quad_order,
+)
 from shadowhp.kernel import load_wofz
 
 CSV_HEADER = "k,alpha,p,n_layers,dof,error_l2,relative_error,status"
@@ -86,7 +92,8 @@ class ExperimentGrid:
         if not all(math.isfinite(x) and x > 0.0 for x in (self.l_nc, self.l_nc_prime)):
             raise ConfigError("side lengths must be finite and positive")
         check_grading(self.sigma)
-        check_layer_constant(self.c)
+        # the deepest mesh of the grid, so that no row fails on the layer cap
+        layers_for_degree(max(self.p_values), self.c)
 
 
 @dataclass(frozen=True)
@@ -127,9 +134,18 @@ def check_layer_constant(c: float) -> None:
 
 
 def layers_for_degree(p: int, c: float) -> int:
-    """Mesh depth n = max(1, ceil(c p)) used throughout the sweeps."""
+    """Mesh depth n = max(1, ceil(c p)) used throughout the sweeps. Raise
+    ConfigError, naming c and p, when n would exceed MAX_LAYERS.
+    """
     check_layer_constant(c)
-    return max(1, math.ceil(c * p))
+    depth = c * p
+    # compared before ceil, which would raise on a c p that overflows to inf
+    if depth > MAX_LAYERS:
+        raise ConfigError(
+            f"layer constant c = {c} at degree {p} asks for more than "
+            f"MAX_LAYERS = {MAX_LAYERS} layers"
+        )
+    return max(1, math.ceil(depth))
 
 
 #: what a failed row records; any other exception is a bug and propagates

@@ -10,6 +10,8 @@ points as outside (the regions are open sets).
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -52,6 +54,22 @@ class KnifeGeometry:
         if not (0.0 < self.beta < math.pi):
             raise DomainError(f"beta must lie in (0, pi), got {self.beta}")
 
+    @functools.cached_property
+    def _region_constants(self) -> tuple[float, float, float, float, float, bool]:
+        # what region_label needs of the geometry, computed once per instance:
+        # cos(beta), R cos(beta) and R sin(beta) (where the cuts sit), the
+        # cut tolerance, R^2 cos(beta)^2 (the ellipse) and beta <= pi/2
+        R, beta = self.R, self.beta
+        cb = math.cos(beta)
+        return (
+            cb,
+            R * cb,
+            R * math.sin(beta),
+            CUT_RTOL * R,
+            R * R * cb * cb,
+            beta <= 0.5 * math.pi,
+        )
+
 
 @dataclass(frozen=True)
 class RegionLabel:
@@ -61,14 +79,25 @@ class RegionLabel:
     in_S: bool
 
 
-def cut_distance(s: complex, geo: KnifeGeometry) -> float:
-    """Euclidean distance from s to the two vertical branch cuts."""
-    s = complex(s)
-    dx = abs(s.real - geo.R * math.cos(geo.beta))
-    dy = geo.R * math.sin(geo.beta) - abs(s.imag)
+#: the 16 possible labels, indexed by in_cut_plane, in_R, in_ellipse, in_S
+_LABELS = tuple(RegionLabel(*flags) for flags in itertools.product((False, True), repeat=4))
+
+
+def _cut_distance(x: float, y: float, r_cos_beta: float, r_sin_beta: float) -> float:
+    # distance from x + iy to the cuts {R cos(beta) + i v : |v| >= R sin(beta)}
+    dx = abs(x - r_cos_beta)
+    dy = r_sin_beta - abs(y)
     if dy <= 0.0:
         return dx
     return math.hypot(dx, dy)
+
+
+def cut_distance(s: complex, geo: KnifeGeometry) -> float:
+    """Euclidean distance from s to the two vertical branch cuts."""
+    s = complex(s)
+    return _cut_distance(
+        s.real, s.imag, geo.R * math.cos(geo.beta), geo.R * math.sin(geo.beta)
+    )
 
 
 def _require_off_cut(s: np.ndarray, geo: KnifeGeometry) -> None:
@@ -140,37 +169,34 @@ def mu_of_s(s, geo: KnifeGeometry, k: float):
 def region_label(s: complex, geo: KnifeGeometry) -> RegionLabel:
     """Classify s against the cut plane, the analyticity region, the ellipse
     and the sector-strip. Total function; boundary points count as outside.
+
+    Labels one point per call; the per-geometry constants are computed once
+    per KnifeGeometry and the result is one of 16 shared, frozen labels.
     """
     s = complex(s)
-    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
+    x, y = s.real, s.imag
+    if not (math.isfinite(x) and math.isfinite(y)):
         raise DomainError(f"argument must have finite components, got {s!r}")
-    R, beta = geo.R, geo.beta
-    cb = math.cos(beta)
+    cb, r_cb, r_sb, cut_tol, r2_cb2, acute = geo._region_constants
 
-    in_cut_plane = cut_distance(s, geo) > CUT_RTOL * R
+    in_cut_plane = _cut_distance(x, y, r_cb, r_sb) > cut_tol
 
     # multiplied-out ellipse membership: degenerates to the empty set at
     # beta = pi/2 without a division by cos(beta)
-    dx = s.real - R * cb
-    in_ellipse = s.imag * s.imag * cb * cb + dx * dx < R * R * cb * cb
+    dx = x - r_cb
+    in_ellipse = y * y * cb * cb + dx * dx < r2_cb2
 
-    upper = s.imag > 0.0
-    right = s.real > R * cb
-    if beta <= 0.5 * math.pi:
+    upper = y > 0.0
+    right = x > r_cb
+    if acute:
         in_region = upper or right or in_ellipse
     else:
         in_region = upper or (right and not in_ellipse)
     in_region = in_region and in_cut_plane
 
-    in_S = (
-        s != 0.0
-        and abs(s.imag) < R * math.sin(beta)
-        and abs(cmath.phase(s)) < THETA_STAR
-    )
+    in_S = s != 0.0 and abs(y) < r_sb and abs(cmath.phase(s)) < THETA_STAR
 
-    return RegionLabel(
-        in_cut_plane=in_cut_plane, in_R=in_region, in_ellipse=in_ellipse, in_S=in_S
-    )
+    return _LABELS[8 * in_cut_plane + 4 * in_region + 2 * in_ellipse + in_S]
 
 
 def strip_S_delta(s: complex, geo: KnifeGeometry, delta: float) -> bool:

@@ -20,7 +20,17 @@ from shadowhp.errors import ConfigError, DomainError
 #: relative tolerance below which neighbouring mesh candidates are merged
 MERGE_RTOL = 1e-12
 
+#: Most layers a geometric mesh may have, checked before any point is
+#: built. A mesh of n layers has at most 2n + 1 elements of at most 256
+#: rule nodes, so the cap bounds the V nodes of one row: `project --p 120
+#: --n 1024 --sigma 0.999` peaks at 110 MB resident, where `--p 4
+#: --n 80000 --sigma 0.99999` reached 329 MB. The cap lies above the 400
+#: layers at which the default grading 0.15 underflows, so that depth
+#: still fails as a DomainError of its own sweep row.
+MAX_LAYERS = 1024
+
 __all__ = [
+    "MAX_LAYERS",
     "MERGE_RTOL",
     "Mesh",
     "PiecewisePolySpace",
@@ -29,6 +39,7 @@ __all__ = [
     "best_approx_error",
     "check_degree",
     "check_grading",
+    "check_layer_count",
     "check_quad_order",
     "gauss_legendre_rule",
     "geometric_mesh",
@@ -47,6 +58,16 @@ def check_grading(sigma: float) -> None:
     """Raise ConfigError, naming sigma, unless the grading lies in (0, 1)."""
     if not 0.0 < sigma < 1.0:
         raise ConfigError(f"grading must lie in (0, 1), got {sigma}")
+
+
+def check_layer_count(n: int) -> None:
+    """Raise ConfigError, naming n, unless the layer count is an integer in
+    [1, MAX_LAYERS].
+    """
+    if not (isinstance(n, int) and n >= 1):
+        raise ConfigError(f"layer count must be an integer >= 1, got {n}")
+    if n > MAX_LAYERS:
+        raise ConfigError(f"layer count {n} exceeds MAX_LAYERS = {MAX_LAYERS}")
 
 
 def check_quad_order(p: int, quad_order: int | None) -> int:
@@ -114,11 +135,14 @@ class ProjectionResult:
 def geometric_mesh(length: float, n: int, sigma: float) -> Mesh:
     """Geometric mesh on (0, length) graded toward 0:
     points 0 and sigma^{n-i} length for i = 1..n.
+
+    A layer count outside [1, MAX_LAYERS] raises ConfigError, and a finest
+    point that underflows to 0.0 raises DomainError, both before any point
+    is built.
     """
     if not (length > 0.0 and math.isfinite(length)):
         raise DomainError(f"length must be positive and finite, got {length}")
-    if not (isinstance(n, int) and n >= 1):
-        raise ConfigError(f"layer count must be an integer >= 1, got {n}")
+    check_layer_count(n)
     check_grading(sigma)
     if sigma ** (n - 1) * length == 0.0:
         raise DomainError(f"{n} layers at grading {sigma} put the finest point at 0.0")

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -18,7 +19,7 @@ from shadowhp.amplitudes import ShadowConfig, amplitude_v
 from shadowhp.cli import _CONFIG_SCHEMA, build_parser, main, parse_config
 from shadowhp.errors import ConfigError, DomainError
 from shadowhp.experiments import ExperimentGrid
-from shadowhp.hpspace import best_approx_error
+from shadowhp.hpspace import MAX_LAYERS, best_approx_error
 from shadowhp.specfun import MAX_SAMPLES, fresnel_fr
 
 PI = math.pi
@@ -204,6 +205,76 @@ def test_region_resolution_cap(tmp_path, capsys):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize(
+    "box",
+    [
+        ["--re-max", "inf"],
+        ["--im-min=-inf"],
+        ["--re-min", "nan"],
+        # finite bounds whose span overflows
+        ["--re-min=-1e308", "--re-max=1e308"],
+        ["--im-min=-1e308", "--im-max=1e308"],
+        # a finite span whose grid steps overflow: (re_max - re_min) * i
+        ["--re-min", "0", "--re-max", "1.7e308"],
+    ],
+)
+def test_region_box_must_be_finite(tmp_path, capsys, box):
+    out_file = tmp_path / "cloud.csv"
+    code, out, err = run_cli(
+        ["region", "--R", "1", "--beta", "1", *box, "--nx", "4", "--ny", "3",
+         "--output", str(out_file)],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: bounding box")
+    assert not out_file.exists()
+
+
+#: sha256 of the `region` CSV of small configs, as the seed formula wrote them
+_REGION_SHA256 = [
+    (["--R", "1", "--beta", "1", "--nx", "9", "--ny", "7"],
+     "b796d6205593f965d61ade0e6fe2e9d4584b7469fd051236af255f48e87fc8c7"),
+    # no grid point lies in the ellipse, and the cuts pass through grid points
+    (["--R", "1", "--beta", repr(0.5 * PI), "--nx", "9", "--ny", "9"],
+     "9f0822eb7bdb5f8c45e432519a4d8cd84c9e5a45fb4956c9d702cd7a47e1742b"),
+    (["--R", "1.3", "--beta", "2", "--re-min", "-2.5", "--re-max", "1.5",
+      "--im-min", "-1.5", "--im-max", "2.5", "--nx", "11", "--ny", "6"],
+     "a7d43763a2a158fa1d5dad8f1fe1768038df01984063d146f9a5ce725664394b"),
+    (["--R", "0.8", "--beta", "2.5", "--nx", "1", "--ny", "5"],
+     "22c8e924c23974cde370b277eb6a5b584a9a5976a5b3ad7ce3f374f6b2c0a705"),
+    (["--R", "2", "--beta", "0.7", "--re-min", "-1", "--re-max", "3", "--nx", "6", "--ny", "1"],
+     "09c02f554e204301d547820a88d4ada3fb564b3da0cec3059018995d4d8f01ec"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _REGION_SHA256)
+def test_region_csv_bytes_are_pinned(capsys, argv, digest):
+    code, out, err = run_cli(["region", *argv], capsys)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+def test_region_labels_each_point_with_one_call(monkeypatch, capsys):
+    # the benchmark traces region_label where the command looks it up, and
+    # counts one call per point
+    import shadowhp.cli
+
+    calls = []
+    label = shadowhp.cli.region_label
+
+    def counted(s, geo):
+        calls.append(s)
+        return label(s, geo)
+
+    monkeypatch.setattr(shadowhp.cli, "region_label", counted)
+    code, out, _ = run_cli(["region", "--R", "1", "--beta", "2", "--nx", "7", "--ny", "5"], capsys)
+    assert code == 0
+    assert len(calls) == 35
+    assert len(set(calls)) == 35
+    assert len(out.splitlines()) == 1 + 35
+
+
 def test_region_output_file(tmp_path, capsys):
     out_file = tmp_path / "cloud.csv"
     code, out, _ = run_cli(
@@ -246,6 +317,10 @@ def test_project_matches_library(capsys):
         ("--c", "0", 2, "layer constant c"),
         ("--c", "-3", 2, "layer constant c"),
         ("--n", "0", 2, "layer count must be an integer >= 1, got 0"),
+        ("--n", str(MAX_LAYERS + 1), 2, f"layer count {MAX_LAYERS + 1} exceeds MAX_LAYERS"),
+        ("--n", "80000", 2, "exceeds MAX_LAYERS"),
+        ("--c", str(MAX_LAYERS / 4 + 1), 2, "asks for more than MAX_LAYERS"),
+        ("--c", "1e308", 2, "asks for more than MAX_LAYERS"),
         ("--p", "-1", 2, "degree must be a nonnegative integer, got -1"),
         ("--sigma", "1.5", 2, "grading must lie in (0, 1), got 1.5"),
         ("--sigma", "0", 2, "grading must lie in (0, 1), got 0.0"),
@@ -324,6 +399,8 @@ def test_experiment_malformed_key(tmp_path, capsys):
         ("k_values", "16, 16"),
         ("alpha_values", "2.0, 2.0"),
         ("p_values", "2, 2"),
+        ("c", str(MAX_LAYERS / 2 + 1)),
+        ("c", "1e308"),
     ],
 )
 def test_experiment_rejects_bad_run_options_before_any_row(tmp_path, capsys, key, value):
@@ -354,7 +431,8 @@ _VALID = {
     "l_nc": st.floats(0.0, 10.0, exclude_min=True),
     "l_nc_prime": st.floats(0.0, 10.0, exclude_min=True),
     "sigma": st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-    "c": st.floats(0.0, 1e3, exclude_min=True),
+    # p_values = 2, so c p stays within the layer cap
+    "c": st.floats(0.0, MAX_LAYERS / 2, exclude_min=True),
     # p_values = 2, so an explicit rule size lies in [p + 1, 256]
     "quad_order": st.one_of(st.none(), st.integers(3, 256)),
     "parallelism": st.integers(1, 4),
@@ -367,7 +445,7 @@ _INVALID = {
     "l_nc": _NONPOSITIVE,
     "l_nc_prime": _NONPOSITIVE,
     "sigma": st.one_of(_NONPOSITIVE, st.floats(1.0, 1.5)),
-    "c": _NONPOSITIVE,
+    "c": st.one_of(_NONPOSITIVE, st.floats(MAX_LAYERS / 2, 1e308, exclude_min=True)),
     "quad_order": st.one_of(st.integers(-5, 2), st.integers(257, 300)),
     "parallelism": st.integers(-2, 0),
 }
@@ -376,8 +454,11 @@ _INVALID = {
 # Values at and just past the ends of each range, run on every test run
 # whatever hypothesis draws; None holds in-range ends.
 _EDGES = {
-    None: [("alpha_values", math.pi), ("quad_order", 3), ("quad_order", 256)],
-    **{key: [(key, v) for v in _SPECIALS] for key in ("k_values", "l_nc", "l_nc_prime", "c")},
+    None: [
+        ("alpha_values", math.pi), ("quad_order", 3), ("quad_order", 256), ("c", MAX_LAYERS / 2)
+    ],
+    **{key: [(key, v) for v in _SPECIALS] for key in ("k_values", "l_nc", "l_nc_prime")},
+    "c": [("c", v) for v in (*_SPECIALS, math.nextafter(MAX_LAYERS / 2, math.inf))],
     "alpha_values": [("alpha_values", v) for v in (*_SPECIALS, 0.5 * math.pi, 3.15)],
     "sigma": [("sigma", v) for v in (*_SPECIALS, 1.0)],
     "quad_order": [("quad_order", 2), ("quad_order", 257)],
@@ -396,7 +477,7 @@ def _in_documented_range(v):
         and 0.0 < v["l_nc"] < math.inf
         and 0.0 < v["l_nc_prime"] < math.inf
         and 0.0 < v["sigma"] < 1.0
-        and 0.0 < v["c"] < math.inf
+        and 0.0 < v["c"] <= MAX_LAYERS / 2
         and (v["quad_order"] is None or 3 <= v["quad_order"] <= 256)
         and v["parallelism"] >= 1
     )
@@ -522,6 +603,8 @@ _BAD_CONFIGS = {
 #: commands that never evaluate w(z), with their exit codes
 _KERNEL_FREE = [
     (["region", "--R", "1", "--beta", "2", "--nx", "4", "--ny", "3"], 0),
+    (["region", "--R", "1", "--beta", "2", "--re-min=-1e308", "--re-max=1e308"], 2),
+    (["project", "--k", "16", "--alpha", "2.4", "--p", "4", "--n", str(MAX_LAYERS + 1)], 2),
     (["project", "--k", "16", "--alpha", "2.4", "--p", "4", "--sigma", "1.5"], 2),
     (["project", "--k", "16", "--alpha", "2.4", "--p", "4", "--n", "0"], 2),
     (["project", "--k", "16", "--alpha", "2.4", "--p", "4", "--quad-order", "2"], 2),

@@ -19,6 +19,7 @@ from shadowhp.experiments import (
     run_grid,
     write_csv,
 )
+from shadowhp.hpspace import MAX_LAYERS
 
 SMALL = ExperimentGrid(k_values=(16.0,), alpha_values=(0.75 * math.pi,), p_values=(2, 3, 4))
 # 2 k x 16 alpha x 9 p = 288 rows: enough rows for a 2-worker pool, not for 3
@@ -35,6 +36,22 @@ def test_layers_for_degree():
     assert layers_for_degree(3, 0.5) == 2
     assert layers_for_degree(5, 0.34) == 2
     assert layers_for_degree(3, 2.0) == 6
+    assert layers_for_degree(4, MAX_LAYERS / 4) == MAX_LAYERS
+
+
+def test_layer_cap_applies_to_the_grid_before_any_row():
+    # the deepest row, not the first, decides: p = 2 fits at c = 300, p = 8 does not
+    for c, p_values in ((300.0, (2, 8)), (MAX_LAYERS / 2 + 1, (2,)), (1e308, (2,))):
+        with pytest.raises(ConfigError, match="asks for more than MAX_LAYERS"):
+            ExperimentGrid(k_values=(16.0,), alpha_values=(2.0,), p_values=p_values, c=c)
+        with pytest.raises(ConfigError, match="asks for more than MAX_LAYERS"):
+            layers_for_degree(max(p_values), c)
+    # at the cap itself the grid is admitted, and its rows run
+    grid = ExperimentGrid(
+        k_values=(16.0,), alpha_values=(2.0,), p_values=(2,), sigma=0.99, c=MAX_LAYERS / 2
+    )
+    (row,) = run_grid(grid)
+    assert row.n_layers == MAX_LAYERS and row.status == "ok"
 
 
 def test_grid_validation():

@@ -3,14 +3,19 @@
 import cmath
 import math
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import configuration, given, settings
+from hypothesis import strategies as st
 
 from shadowhp.errors import BranchCutError, DomainError
 from shadowhp.geometry import (
+    CUT_RTOL,
     THETA_STAR,
     KnifeGeometry,
+    RegionLabel,
     cut_distance,
     mu_of_s,
     r_of_s,
@@ -168,6 +173,112 @@ def test_strip_subset_of_region_below_perpendicular():
             lab = region_label(s, geo)
             if lab.in_S:
                 assert lab.in_R, f"geo={geo}, s={s}"
+
+
+def _seed_flags(s: complex, geo: KnifeGeometry) -> tuple[bool, bool, bool, bool]:
+    # region_label as first written: every constant recomputed per point
+    R, beta = geo.R, geo.beta
+    cb = math.cos(beta)
+    dx = abs(s.real - geo.R * math.cos(geo.beta))
+    dy = geo.R * math.sin(geo.beta) - abs(s.imag)
+    in_cut_plane = (dx if dy <= 0.0 else math.hypot(dx, dy)) > CUT_RTOL * R
+    dx = s.real - R * cb
+    in_ellipse = s.imag * s.imag * cb * cb + dx * dx < R * R * cb * cb
+    upper = s.imag > 0.0
+    right = s.real > R * cb
+    if beta <= 0.5 * math.pi:
+        in_region = upper or right or in_ellipse
+    else:
+        in_region = upper or (right and not in_ellipse)
+    in_region = in_region and in_cut_plane
+    in_S = (
+        s != 0.0
+        and abs(s.imag) < R * math.sin(beta)
+        and abs(cmath.phase(s)) < THETA_STAR
+    )
+    return in_cut_plane, in_region, in_ellipse, in_S
+
+
+_HALF_PI = 0.5 * math.pi
+_BETAS = st.one_of(
+    st.floats(0.05, _HALF_PI, exclude_max=True),
+    st.floats(_HALF_PI, math.pi - 0.05, exclude_min=True),
+    st.sampled_from(
+        [_HALF_PI, math.nextafter(_HALF_PI, 0.0), math.nextafter(_HALF_PI, 4.0)]
+    ),
+)
+
+
+@st.composite
+def _geometry_and_point(draw):
+    geo = KnifeGeometry(R=draw(st.floats(0.1, 10.0)), beta=draw(_BETAS))
+    R, cb, sb = geo.R, math.cos(geo.beta), math.sin(geo.beta)
+    t = draw(st.floats(-math.pi, math.pi))
+    u = draw(st.floats(-3.0, 3.0)) * R
+    boundary = [
+        0j,
+        # the ends of the two cuts, and points on them
+        complex(R * cb, R * sb),
+        complex(R * cb, -R * sb),
+        complex(R * cb, u),
+        # the ellipse |Im s|^2 cos^2 + (Re s - R cos)^2 = R^2 cos^2
+        complex(R * cb + R * cb * math.cos(t), R * math.sin(t)),
+        # both axes and the strip edges
+        complex(u, 0.0),
+        complex(0.0, u),
+        complex(u, R * sb),
+        complex(u, -R * sb),
+    ]
+    random = complex(draw(st.floats(-4.0, 4.0)) * R, draw(st.floats(-4.0, 4.0)) * R)
+    return geo, draw(st.sampled_from([random, *boundary]))
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(case=_geometry_and_point())
+def _check_region_label_matches_seed(case):
+    geo, s = case
+    lab = region_label(s, geo)
+    assert type(lab) is RegionLabel
+    got = (lab.in_cut_plane, lab.in_R, lab.in_ellipse, lab.in_S)
+    assert all(type(flag) is bool for flag in got)
+    assert got == _seed_flags(s, geo), f"s={s!r}, {geo}"
+
+
+def test_region_label_matches_the_seed_formula():
+    # hypothesis caches the constants of local modules under its home directory,
+    # ./.hypothesis unless told otherwise; keep that cache out of the working tree
+    with tempfile.TemporaryDirectory() as home:
+        configuration.set_hypothesis_home_dir(home)
+        try:
+            _check_region_label_matches_seed()
+        finally:
+            configuration.set_hypothesis_home_dir(None)
+
+
+def test_region_label_on_exact_boundary_points():
+    for beta in (1.0, 0.5 * math.pi, 2.0):
+        geo = KnifeGeometry(R=1.5, beta=beta)
+        r_cb, r_sb = geo.R * math.cos(beta), geo.R * math.sin(beta)
+        for s in (0j, complex(r_cb, r_sb), complex(r_cb, -r_sb), complex(2.0 * r_cb, 0.0)):
+            lab = region_label(s, geo)
+            assert (lab.in_cut_plane, lab.in_R, lab.in_ellipse, lab.in_S) == _seed_flags(s, geo)
+        # the cut ends lie on the cuts, and 0 is outside the strip-sector
+        assert not region_label(complex(r_cb, r_sb), geo).in_cut_plane
+        assert not region_label(0j, geo).in_S
+
+
+def test_region_label_returns_shared_labels():
+    geo = KnifeGeometry(R=1.0, beta=2.0)
+    labels = {id(region_label(s, geo)) for s in random_off_cut_points(geo, 500, seed=38)}
+    assert len(labels) <= 16
+    assert region_label(0.5 + 0.1j, geo) is region_label(0.5 + 0.1j, geo)
+
+
+def test_region_label_rejects_non_finite_points():
+    geo = KnifeGeometry(R=1.0, beta=2.0)
+    for s in (complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, 1.0)):
+        with pytest.raises(DomainError, match="finite components"):
+            region_label(s, geo)
 
 
 def test_strip_S_delta():

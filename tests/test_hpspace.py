@@ -8,6 +8,7 @@ import pytest
 from shadowhp.amplitudes import ShadowConfig, amplitude_v
 from shadowhp.errors import ConfigError, DomainError
 from shadowhp.hpspace import (
+    MAX_LAYERS,
     MERGE_RTOL,
     Mesh,
     PiecewisePolySpace,
@@ -44,9 +45,15 @@ def test_geometric_mesh_validation():
         geometric_mesh(1.0, 2, 1.0)
     with pytest.raises(DomainError):
         geometric_mesh(1.0, 2, 0.0)
-    # the finest point underflows to 0.0: rejected before a billion points are built
+    # the finest point underflows to 0.0: rejected before any point is built
     with pytest.raises(DomainError, match="finest point"):
-        geometric_mesh(1.5, 10**9, 0.15)
+        geometric_mesh(1.5, MAX_LAYERS, 0.15)
+    # past the layer cap: a run option out of range, rejected before the
+    # underflow check and before a billion points are built
+    for n, sigma in ((10**9, 0.15), (MAX_LAYERS + 1, 0.999), (80000, 0.99999)):
+        with pytest.raises(ConfigError, match="exceeds MAX_LAYERS"):
+            geometric_mesh(1.5, n, sigma)
+    assert len(geometric_mesh(1.5, MAX_LAYERS, 0.999).points) == MAX_LAYERS + 1
 
 
 def test_mesh_validation():
