@@ -28,9 +28,16 @@ from shadowhp.amplitudes import (
     psi_go,
 )
 from shadowhp.errors import CertificationError, ConfigError, DomainError
-from shadowhp.experiments import ExperimentGrid, _fmt, layers_for_degree, run_grid, write_csv
+from shadowhp.experiments import (
+    ExperimentGrid,
+    _fmt,
+    layers_for_degree,
+    open_output,
+    run_grid,
+    write_csv,
+)
 from shadowhp.geometry import KnifeGeometry, region_label
-from shadowhp.hpspace import best_approx_error
+from shadowhp.hpspace import best_approx_error, check_mesh_depth
 from shadowhp.specfun import MAX_SAMPLES, big_f, fresnel_fr, sector_bound_cert
 
 __all__ = ["main"]
@@ -80,7 +87,7 @@ _FLAG_TEXT = tuple(
 
 def _region_sink(output: str | None):
     if output:
-        return open(output, "w", encoding="ascii", newline="\n")
+        return open_output(output)
     return contextlib.nullcontext(sys.stdout)
 
 
@@ -123,6 +130,7 @@ def _cmd_project(args: argparse.Namespace) -> int:
         k=args.k, alpha=_rad(args.alpha, args.degrees), l_nc=args.lnc, l_nc_prime=args.lncp
     )
     n = args.n if args.n is not None else layers_for_degree(args.p, args.c)
+    check_mesh_depth(cfg.l_nc, n, args.sigma)
     res = best_approx_error(cfg, n, args.sigma, args.p, args.quad_order)
     print(f"{_fmt(res.error_l2)},{_fmt(res.relative_error)},{res.dof}")
     return 0

@@ -21,7 +21,6 @@ import functools
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,6 +55,7 @@ __all__ = [
     "fit_rate",
     "format_csv",
     "layers_for_degree",
+    "open_output",
     "run_grid",
     "write_csv",
 ]
@@ -218,8 +218,11 @@ def run_grid(
     if workers < 2:
         return [row for pair in pairs for row in task(pair)]
     chunksize = math.ceil(len(pairs) / (4 * workers))
-    # forked workers inherit scipy.special from here instead of each importing it
+    # forked workers inherit the kernel from here instead of each loading it
     load_wofz()
+    # the pool machinery (multiprocessing) is loaded only by a run that uses it
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return [row for rows in pool.map(task, pairs, chunksize=chunksize) for row in rows]
 
@@ -296,7 +299,19 @@ def format_csv(rows: list[GridRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def open_output(path: str):
+    """Open a run's output file for writing ASCII text. Raise ConfigError,
+    naming the path, when it cannot be opened: the path is a run option.
+    """
+    try:
+        return open(path, "w", encoding="ascii", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path!r}: {exc.strerror or exc}") from exc
+
+
 def write_csv(rows: list[GridRow], path: str) -> None:
-    """Emit the canonical CSV; bit-identical across reruns of the same grid."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    """Emit the canonical CSV; bit-identical across reruns of the same grid.
+    An output that cannot be opened raises ConfigError (see open_output).
+    """
+    with open_output(path) as fh:
         fh.write(format_csv(rows))

@@ -40,6 +40,7 @@ __all__ = [
     "check_degree",
     "check_grading",
     "check_layer_count",
+    "check_mesh_depth",
     "check_quad_order",
     "gauss_legendre_rule",
     "geometric_mesh",
@@ -68,6 +69,23 @@ def check_layer_count(n: int) -> None:
         raise ConfigError(f"layer count must be an integer >= 1, got {n}")
     if n > MAX_LAYERS:
         raise ConfigError(f"layer count {n} exceeds MAX_LAYERS = {MAX_LAYERS}")
+
+
+def check_mesh_depth(
+    length: float, n: int, sigma: float, error: type[DomainError] = ConfigError
+) -> None:
+    """Check n with check_layer_count and sigma with check_grading, then
+    raise `error`, naming both, when n layers at grading sigma put the
+    finest point sigma^(n-1) length of a side of that length at 0.0.
+
+    ConfigError is the default because n and sigma are the options of a
+    `project` run. geometric_mesh raises the underflow as a DomainError,
+    so that a sweep row at that depth fails on its own.
+    """
+    check_layer_count(n)
+    check_grading(sigma)
+    if sigma ** (n - 1) * length == 0.0:
+        raise error(f"{n} layers at grading {sigma} put the finest point at 0.0")
 
 
 def check_quad_order(p: int, quad_order: int | None) -> int:
@@ -142,10 +160,7 @@ def geometric_mesh(length: float, n: int, sigma: float) -> Mesh:
     """
     if not (length > 0.0 and math.isfinite(length)):
         raise DomainError(f"length must be positive and finite, got {length}")
-    check_layer_count(n)
-    check_grading(sigma)
-    if sigma ** (n - 1) * length == 0.0:
-        raise DomainError(f"{n} layers at grading {sigma} put the finest point at 0.0")
+    check_mesh_depth(length, n, sigma, DomainError)
     pts = [0.0] + [sigma ** (n - i) * length for i in range(1, n + 1)]
     return Mesh(points=tuple(pts), n_layers=n, sigma=sigma)
 

@@ -1,25 +1,38 @@
 """Faddeeva kernel w(z) = exp(-z^2) erfc(-iz).
 
-w is S. G. Johnson's Faddeeva Package as shipped in scipy.special.wofz,
+w is S. G. Johnson's Faddeeva Package as shipped in scipy's wofz ufunc,
 applied elementwise. BACKEND names it so that run records can say which
 kernel produced them.
 
-scipy.special is imported at the first evaluation of w, not with this
-module: it is about two thirds of the package's import time, and a
-process that never evaluates w (`shadowhp region`, `--help`, a command
-that exits 2 on a bad option) does not load it. Reading BACKEND loads
-nothing.
+The ufunc is loaded at the first evaluation of w, not with this module,
+and only from scipy's compiled module scipy.special._special_ufuncs: the
+scipy.special package itself is never imported. Its __init__ pulls in
+scipy's array-API layer (array_api_compat, numpy.f2py, unittest), about
+0.3 s and 16 MB, none of which w needs. The compiled module is registered
+in sys.modules under its own name, so a later `import scipy.special`
+reuses it and scipy.special.wofz is the same ufunc object. A scipy without
+that module, or whose module has no wofz, gets w from scipy.special
+instead. A process that never evaluates w (`shadowhp region`, `--help`, a
+command that exits 2 on a bad option) loads no scipy at all. Reading
+BACKEND loads nothing.
 """
 
 from __future__ import annotations
 
 import functools
+import os
+import sys
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 
 import numpy as np
 
 from shadowhp._arrays import first
 
 BACKEND = "scipy"
+
+#: scipy's compiled module that holds the wofz ufunc
+_UFUNC_MODULE = "scipy.special._special_ufuncs"
 
 #: largest Re(-z^2) for which the lower-half-plane term exp(-z^2) is kept
 _RE_MZ2_MAX = 708.0
@@ -29,9 +42,29 @@ __all__ = ["BACKEND", "faddeeva_w", "load_wofz"]
 
 @functools.cache
 def load_wofz():
-    """scipy.special.wofz, imported on the first call."""
-    from scipy.special import wofz
+    """scipy's wofz ufunc, loaded on the first call.
 
+    It comes from the compiled module _UFUNC_MODULE: from sys.modules if it
+    is there, else loaded from scipy's special directory and registered in
+    sys.modules under its own name. scipy.special supplies it only where
+    scipy has no such module or the module has no wofz. A module loaded
+    here before its package is not bound as an attribute of a later
+    scipy.special; scipy imports from it only by name, which resolves
+    through sys.modules.
+    """
+    import scipy
+
+    module = sys.modules.get(_UFUNC_MODULE)
+    if module is None:
+        dirs = [os.path.join(path, "special") for path in scipy.__path__]
+        spec = PathFinder.find_spec(_UFUNC_MODULE, dirs)
+        if spec is not None:
+            module = module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[_UFUNC_MODULE] = module
+    wofz = getattr(module, "wofz", None)
+    if wofz is None:
+        from scipy.special import wofz
     return wofz
 
 

@@ -288,6 +288,16 @@ def test_region_output_file(tmp_path, capsys):
     assert len(lines) == 1 + 12
 
 
+def test_region_unwritable_output_exits_2(tmp_path, capsys):
+    for target in (tmp_path / "missing-dir" / "x.csv", tmp_path):
+        argv = ["region", "--R", "1", "--beta", "2", "--nx", "2", "--ny", "2"]
+        code, out, err = run_cli([*argv, "--output", str(target)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: cannot write output {str(target)!r}: ")
+        assert err.count("\n") == 1
+
+
 def test_project_matches_library(capsys):
     alpha = 0.75 * PI
     code, out, _ = run_cli(
@@ -319,6 +329,8 @@ def test_project_matches_library(capsys):
         ("--n", "0", 2, "layer count must be an integer >= 1, got 0"),
         ("--n", str(MAX_LAYERS + 1), 2, f"layer count {MAX_LAYERS + 1} exceeds MAX_LAYERS"),
         ("--n", "80000", 2, "exceeds MAX_LAYERS"),
+        ("--n", "400", 2, "400 layers at grading 0.15 put the finest point at 0.0"),
+        ("--sigma", "1e-200", 2, "4 layers at grading 1e-200 put the finest point at 0.0"),
         ("--c", str(MAX_LAYERS / 4 + 1), 2, "asks for more than MAX_LAYERS"),
         ("--c", "1e308", 2, "asks for more than MAX_LAYERS"),
         ("--p", "-1", 2, "degree must be a nonnegative integer, got -1"),
@@ -374,6 +386,37 @@ def test_experiment_run_and_determinism(tmp_path, capsys):
     code, _, _ = run_cli(["experiment", str(cfg_a), "--output", str(out_b)], capsys)
     assert code == 0
     assert out_b.read_bytes() == out_a.read_bytes()
+
+
+def test_experiment_unwritable_output_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing-dir" / "x.csv"
+    cfg = tmp_path / "a.conf"
+    cfg.write_text(CONFIG_OK.format(out=missing), encoding="ascii")
+    for override, target in (([], missing), (["--output", str(tmp_path)], tmp_path)):
+        code, out, err = run_cli(["experiment", str(cfg), *override], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: cannot write output {str(target)!r}: ")
+        assert err.count("\n") == 1
+
+
+def test_experiment_records_a_mesh_underflow_as_a_failed_row(tmp_path, capsys):
+    # project rejects 400 layers at grading 0.15 up front (exit 2); in a
+    # sweep the same depth fails its own row and the run goes on
+    out_file = tmp_path / "deep.csv"
+    cfg = tmp_path / "deep.conf"
+    cfg.write_text(
+        f"k_values = 16\nalpha_values = 2.4\np_values = 2, 8\nc = 50\noutput = {out_file}\n",
+        encoding="ascii",
+    )
+    code, out, _ = run_cli(["experiment", str(cfg)], capsys)
+    assert code == 0
+    assert out == f"wrote 2 rows to {out_file} (1 failed)\n"
+    rows = out_file.read_text(encoding="ascii").splitlines()[1:]
+    assert rows[0].endswith(",ok")
+    assert rows[1].endswith(
+        ",failed: DomainError: 400 layers at grading 0.15 put the finest point at 0.0"
+    )
 
 
 def test_experiment_malformed_key(tmp_path, capsys):
@@ -576,8 +619,17 @@ import shadowhp
 from shadowhp.cli import main
 
 
+MODULES = (
+    "scipy.integrate",
+    "scipy.special",
+    "scipy._lib._array_api",
+    "scipy.special._special_ufuncs",
+    "concurrent.futures.process",
+)
+
+
 def loaded():
-    return [m for m in ("scipy.integrate", "scipy.special") if m in sys.modules]
+    return [m for m in MODULES if m in sys.modules]
 
 
 kernel_free, commands = json.loads(sys.argv[1])
@@ -607,6 +659,7 @@ _KERNEL_FREE = [
     (["project", "--k", "16", "--alpha", "2.4", "--p", "4", "--n", str(MAX_LAYERS + 1)], 2),
     (["project", "--k", "16", "--alpha", "2.4", "--p", "4", "--sigma", "1.5"], 2),
     (["project", "--k", "16", "--alpha", "2.4", "--p", "4", "--n", "0"], 2),
+    (["project", "--k", "16", "--alpha", "2.4", "--p", "4", "--n", "400"], 2),
     (["project", "--k", "16", "--alpha", "2.4", "--p", "4", "--quad-order", "2"], 2),
     (["project", "--k", "16", "--alpha", "2.4", "--p", "121"], 2),
     (["cert", "--n-samples", "999"], 2),
@@ -663,33 +716,47 @@ def test_cli_commands_do_not_load_scipy_integrate(startup_report):
     assert "scipy.integrate" in startup_report["after_oracle"]
 
 
-def test_scipy_special_loads_at_the_first_w_evaluation(startup_report):
-    # scipy.special is most of the package's import time: importing the
-    # package, reading its backend and running a command that never
-    # evaluates w leave it unloaded
+def test_commands_load_the_wofz_module_and_never_scipy_special(startup_report):
+    # importing the package, reading its backend and running a command that
+    # never evaluates w load no scipy module; the commands that evaluate w
+    # load scipy's compiled ufunc module, never the scipy.special package
+    # (whose __init__ pulls in scipy's array-API layer) nor the process pool
     assert startup_report["backend"] == "scipy"
     assert startup_report["on_import"] == []
     assert startup_report["after_kernel_free"] == []
-    assert "scipy.special" in startup_report["after_commands"]
+    assert startup_report["after_commands"] == ["scipy.special._special_ufuncs"]
+
+
+def test_cli_commands_do_not_load_the_process_pool(startup_report):
+    # the probe's sweep is too small to repay a pool, and only a pool needs
+    # concurrent.futures.process and the multiprocessing it pulls in
+    assert "concurrent.futures.process" not in startup_report["after_commands"]
 
 
 _POOL_PROBE = """
-import json, sys
+import concurrent.futures, json, sys
 from shadowhp import experiments
+
+KERNEL = ("scipy.special._special_ufuncs", "scipy.special")
+
+
+def loaded():
+    return [m in sys.modules for m in KERNEL]
+
 
 at_pool = []
 
 
-class RecordingPool(experiments.ProcessPoolExecutor):
+class RecordingPool(concurrent.futures.ProcessPoolExecutor):
     def __init__(self, *args, **kwargs):
-        at_pool.append("scipy.special" in sys.modules)
+        at_pool.append(loaded())
         super().__init__(*args, **kwargs)
 
 
-experiments.ProcessPoolExecutor = RecordingPool
+concurrent.futures.ProcessPoolExecutor = RecordingPool
 experiments._usable_cores = lambda: 2
 experiments._MIN_ROWS_PER_WORKER = 1
-before = "scipy.special" in sys.modules
+before = loaded()
 grid = experiments.ExperimentGrid(k_values=(4.0, 16.0), alpha_values=(2.4,), p_values=(2,))
 rows = experiments.run_grid(grid, parallelism=2)
 print(json.dumps([before, at_pool, [r.status for r in rows]]))
@@ -698,14 +765,14 @@ print(json.dumps([before, at_pool, [r.status for r in rows]]))
 
 def test_pooled_grid_loads_the_kernel_before_forking():
     # forked workers inherit the parent's modules; without the preload each
-    # worker would import scipy.special on its first row
+    # worker would load the kernel module on its first row
     proc = subprocess.run(
         [sys.executable, "-c", _POOL_PROBE], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     before, at_pool, statuses = json.loads(proc.stdout)
-    assert not before
-    assert at_pool == [True]
+    assert before == [False, False]
+    assert at_pool == [[True, False]]
     assert statuses == ["ok", "ok"]
 
 

@@ -1,5 +1,6 @@
 """Convergence-sweep harness: grids, rate fits, dip location, CSV."""
 
+import concurrent.futures
 import itertools
 import math
 from dataclasses import replace
@@ -199,12 +200,13 @@ def pool_sizes(monkeypatch):
     """Worker count of every pool run_grid builds."""
     sizes = []
 
-    class RecordingPool(experiments.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
             sizes.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    # run_grid imports the pool class from concurrent.futures when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return sizes
 
 

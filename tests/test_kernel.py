@@ -1,13 +1,16 @@
 """Kernel-level checks: accuracy, scalar/array parity, crossovers, reflections."""
 
 import cmath
+import json
 import math
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 
-from shadowhp.kernel import faddeeva_w
+from shadowhp.kernel import faddeeva_w, load_wofz
 
 
 def w_reference(z: complex) -> complex:
@@ -113,3 +116,85 @@ def test_far_out_points():
     # in the upper half-plane the same size is fine: w(z) ~ i / (sqrt(pi) z)
     w = faddeeva_w(complex(1e200, 1e200))
     assert w == pytest.approx(1j / (math.sqrt(math.pi) * complex(1e200, 1e200)), rel=1e-15)
+
+
+def _two_half_plane_points() -> np.ndarray:
+    # |Im z| <= 20 keeps exp(-z^2) finite in the lower half-plane
+    rng = np.random.default_rng(14)
+    return rng.uniform(-20.0, 20.0, 20000) + 1j * rng.uniform(-20.0, 20.0, 20000)
+
+
+def test_kernel_values_are_scipy_special_wofz_bitwise():
+    import scipy.special
+
+    pts = _two_half_plane_points()
+    assert (pts.imag < 0).sum() > 5000 and (pts.imag > 0).sum() > 5000
+    assert np.array_equal(faddeeva_w(pts), scipy.special.wofz(pts))
+    assert load_wofz() is scipy.special.wofz
+    # a load after scipy.special is imported takes the module it imported
+    assert load_wofz.__wrapped__() is scipy.special.wofz
+
+
+def _run(code: str):
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+_LOAD_PROBE = """
+import json, sys
+from shadowhp.kernel import load_wofz
+
+MODULES = ("scipy.special._special_ufuncs", "scipy.special", "scipy._lib._array_api")
+
+
+def loaded():
+    return [m for m in MODULES if m in sys.modules]
+
+
+report = {"on_import": loaded()}
+wofz = load_wofz()
+report["after_load"] = loaded()
+import scipy.special
+report["same_ufunc"] = wofz is scipy.special.wofz
+import scipy.integrate
+report["integrate"] = scipy.integrate.quad(lambda x: x, 0.0, 1.0)[0]
+print(json.dumps(report))
+"""
+
+
+def test_load_wofz_loads_only_the_compiled_module():
+    # scipy.special, imported later, reuses the module the kernel registered
+    report = _run(_LOAD_PROBE)
+    assert report["on_import"] == []
+    assert report["after_load"] == ["scipy.special._special_ufuncs"]
+    assert report["same_ufunc"]
+    assert report["integrate"] == 0.5
+
+
+_FALLBACK_PROBE = """
+import json, sys
+from shadowhp import kernel
+
+
+class NoModule:
+    @staticmethod
+    def find_spec(name, path=None):
+        return None
+
+
+kernel.PathFinder = NoModule
+wofz = kernel.load_wofz.__wrapped__()
+loaded = "scipy.special" in sys.modules
+import scipy.special
+print(json.dumps([loaded, wofz is scipy.special.wofz, float(wofz(1j).real)]))
+"""
+
+
+def test_load_wofz_falls_back_to_scipy_special():
+    # a scipy without the compiled module: the loader imports the package
+    loaded, same, value = _run(_FALLBACK_PROBE)
+    assert loaded and same
+    assert value == pytest.approx(0.42758357615580705, rel=1e-15)
