@@ -31,6 +31,7 @@ from shadowhp.errors import CertificationError, ConfigError, DomainError
 from shadowhp.experiments import (
     ExperimentGrid,
     _fmt,
+    check_output,
     layers_for_degree,
     open_output,
     run_grid,
@@ -191,8 +192,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     output = values.pop("output")
     quad_order = values.pop("quad_order", None)
     parallelism = values.pop("parallelism", 1)
-    rows = run_grid(ExperimentGrid(**values), quad_order=quad_order, parallelism=parallelism)
+    grid = ExperimentGrid(**values)
     out = args.output if args.output is not None else output
+    # the CSV is written only after the last row, so check its path first
+    check_output(out)
+    rows = run_grid(grid, quad_order=quad_order, parallelism=parallelism)
     write_csv(rows, out)
     n_failed = sum(1 for r in rows if r.status != "ok")
     print(f"wrote {len(rows)} rows to {out}" + (f" ({n_failed} failed)" if n_failed else ""))

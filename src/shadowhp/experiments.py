@@ -17,6 +17,7 @@ degree.
 
 from __future__ import annotations
 
+import errno
 import functools
 import itertools
 import math
@@ -51,6 +52,7 @@ __all__ = [
     "GridRow",
     "RateFit",
     "check_layer_constant",
+    "check_output",
     "dip_scan",
     "fit_rate",
     "format_csv",
@@ -299,6 +301,31 @@ def format_csv(rows: list[GridRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _output_error(path: str, exc: OSError) -> ConfigError:
+    return ConfigError(f"cannot write output {path!r}: {exc.strerror or exc}")
+
+
+def check_output(path: str) -> None:
+    """Raise ConfigError, as open_output would, when path cannot be opened
+    for writing; create, truncate and write nothing.
+
+    A run that writes its output only at the end checks it first, so that an
+    unwritable path exits before any work. An existing path is opened for
+    appending and closed again; a new one needs a writable parent directory.
+    """
+    try:
+        if os.path.exists(path):
+            open(path, "ab").close()
+            return
+        parent = os.path.dirname(path) or "."
+        if not path or not os.path.isdir(parent):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        if not os.access(parent, os.W_OK | os.X_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+    except OSError as exc:
+        raise _output_error(path, exc) from exc
+
+
 def open_output(path: str):
     """Open a run's output file for writing ASCII text. Raise ConfigError,
     naming the path, when it cannot be opened: the path is a run option.
@@ -306,7 +333,7 @@ def open_output(path: str):
     try:
         return open(path, "w", encoding="ascii", newline="\n")
     except OSError as exc:
-        raise ConfigError(f"cannot write output {path!r}: {exc.strerror or exc}") from exc
+        raise _output_error(path, exc) from exc
 
 
 def write_csv(rows: list[GridRow], path: str) -> None:

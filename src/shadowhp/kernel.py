@@ -2,7 +2,11 @@
 
 w is S. G. Johnson's Faddeeva Package as shipped in scipy's wofz ufunc,
 applied elementwise. BACKEND names it so that run records can say which
-kernel produced them.
+kernel produced them. For Im z < 0 that code applies the reflection
+w(z) = 2 exp(-z^2) - w(-z) itself, so callers such as specfun.big_f pass
+any point straight in. faddeeva_w is the one place that checks the
+exponential of that reflection stays inside the double range: it raises
+OverflowError where it would not, rather than return inf or NaN.
 
 The ufunc is loaded at the first evaluation of w, not with this module,
 and only from scipy's compiled module scipy.special._special_ufuncs: the
@@ -72,19 +76,26 @@ def faddeeva_w(z):
     """Evaluate w(z) for a scalar or an array; raises OverflowError deep in
     the lower half-plane.
 
-    For Im z < 0, w(z) = 2 exp(-z^2) - w(-z), and exp(-z^2) overflows once
-    Im(z)^2 - Re(z)^2 exceeds the double-precision exponent range, or is
-    itself not representable (inf - inf far out). The error names the first
+    For Im z < 0 the Faddeeva Package itself reflects, w(z) = 2 exp(-z^2) -
+    w(-z), and exp(-z^2) overflows once Im(z)^2 - Re(z)^2 exceeds
+    _RE_MZ2_MAX, or is itself not representable (inf - inf far out). This is
+    the one overflow check on the w path, and it costs one comparison per
+    point when no point lies below the real axis. The error names the first
     such point. Scalar input returns a Python complex.
     """
     arr = np.asarray(z, dtype=complex)
-    # an overflow here only matters in the lower half-plane, checked below
-    with np.errstate(over="ignore", invalid="ignore"):
-        re_mz2 = arr.imag * arr.imag - arr.real * arr.real
-    over = (arr.imag < 0.0) & ~(re_mz2 <= _RE_MZ2_MAX)
-    if over.any():
-        raise OverflowError(
-            f"w(z) overflows at z = {first(arr, over)!r}: exp({first(re_mz2, over):.1f})"
-        )
+    im = arr.imag
+    lower = im < 0.0
+    if lower.any():
+        # over the whole array, not gathered: a boolean gather costs more
+        # than the arithmetic it saves
+        re = arr.real
+        with np.errstate(over="ignore", invalid="ignore"):
+            re_mz2 = im * im - re * re
+        over = lower & ~(re_mz2 <= _RE_MZ2_MAX)
+        if over.any():
+            raise OverflowError(
+                f"w(z) overflows at z = {first(arr, over)!r}: exp({first(re_mz2, over):.1f})"
+            )
     w = load_wofz()(arr)
     return complex(w) if arr.ndim == 0 else w

@@ -3,7 +3,8 @@
 Fr(z) = (1/2) erfc(e^{-i pi/4} z) is entire; F(z) = e^{-i z^2} Fr(z) equals
 half the Faddeeva function at the rotated argument, (1/2) w(e^{i pi/4} z),
 so it stays bounded for arg z in [-pi/2, pi] and grows like
-exp(|z|^2 sin(2 arg z)) in the remaining sector.
+exp(|z|^2 sin(2 arg z)) in the remaining sector. big_f is one kernel call;
+scipy's Faddeeva code reflects and faddeeva_w alone checks for overflow.
 
 Two independent evaluation routes are kept deliberately separate:
 fresnel_fr / big_f run on the Faddeeva kernel w, while
@@ -69,25 +70,16 @@ def fresnel_fr(z):
 
 
 def big_f(z):
-    """F(z) = e^{-i z^2} Fr(z) = (1/2) w(e^{i pi/4} z), evaluated without
-    forming the product of two overflowing factors.
+    """F(z) = e^{-i z^2} Fr(z) = (1/2) w(e^{i pi/4} z): one Faddeeva call.
 
     Takes a scalar or an array. Bounded on arg z in [-pi/2, pi]; in the
-    growth sector arg z in (-pi, -pi/2) it equals e^{-i z^2} - F(-z) and
-    raises OverflowError, naming the first such point, once the
-    exponential factor leaves the double range.
+    growth sector arg z in (-pi, -pi/2) it equals e^{-i z^2} - F(-z), a
+    reflection that scipy's Faddeeva code applies. faddeeva_w raises
+    OverflowError, naming the first rotated point e^{i pi/4} z, once
+    Re(-i z^2) exceeds its bound of 708.
     """
     z, scalar = as_points(z)
-    zeta = _EIPI4 * z
-    growth = zeta.imag < 0.0
-    zg = z[growth]
-    m_iz2 = -1j * zg * zg
-    over = m_iz2.real > _EXP_MAX
-    if over.any():
-        raise OverflowError(f"exp(-i z^2) overflows at z = {first(zg, over)!r}")
-    out = 0.5 * faddeeva_w(np.where(growth, -zeta, zeta))
-    out[growth] = np.exp(m_iz2) - out[growth]
-    return unwrap(out, scalar)
+    return unwrap(0.5 * faddeeva_w(_EIPI4 * z), scalar)
 
 
 def fresnel_oracle(z: complex, tol: float = 1e-13) -> complex:
@@ -188,6 +180,20 @@ def _sector_sample(n_samples: int) -> np.ndarray:
     return points
 
 
+@functools.cache
+def _growth_sample() -> tuple[np.ndarray, np.ndarray]:
+    """Growth-sector points z (21 angles, open at both ends, x 20 radii) and
+    envelopes e^X, X = |z|^2 sin(2 arg z) <= 693; cached, so read-only."""
+    thetas = np.linspace(-math.pi + 0.02, -0.5 * math.pi - 0.02, 21)
+    growth = np.sin(2.0 * thetas)
+    r_cap = np.minimum(40.0, np.sqrt(693.0 / np.maximum(growth, 1e-6)))
+    radii = np.geomspace(0.05, r_cap, 20, axis=1)
+    zp = radii * np.exp(1j * thetas)[:, None]
+    envelope = np.exp(radii * radii * growth[:, None])
+    zp.flags.writeable = envelope.flags.writeable = False
+    return zp, envelope
+
+
 def sector_bound_cert(n_samples: int) -> SectorBoundCert:
     """Sample |F| over the bounded sector and certify its bounds.
 
@@ -198,8 +204,7 @@ def sector_bound_cert(n_samples: int) -> SectorBoundCert:
 
         e^X - 1/2 <= |F(z)| <= e^X + 1/2,   X = |z|^2 sin(2 arg z),
 
-    on a grid in the growth sector arg z in (-pi, -pi/2), restricted to
-    radii where e^X is representable. Any violation raises
+    on the growth-sector grid of _growth_sample. Any violation raises
     CertificationError naming the point. n_samples must lie in
     [1000, MAX_SAMPLES]: the sample holds at least the 1000 points of its
     grid, and the cap bounds its memory.
@@ -215,17 +220,10 @@ def sector_bound_cert(n_samples: int) -> SectorBoundCert:
             f"|F({complex(points[i_max])!r})| = {max_observed} exceeds the sector bound {_C_UPPER}"
         )
 
-    # growth sector: both angle endpoints are excluded (open sector) and the
-    # per-angle radius is capped to keep e^X inside the double range; the
-    # +-1/2 corridor is widened by a relative slack because once e^X exceeds
-    # ~1e16 the corridor is narrower than one ulp of either side
-    thetas = np.linspace(-math.pi + 0.02, -0.5 * math.pi - 0.02, 21)
-    growth = np.sin(2.0 * thetas)
-    r_cap = np.minimum(40.0, np.sqrt(693.0 / np.maximum(growth, 1e-6)))
-    radii = np.geomspace(0.05, r_cap, 20, axis=1)
-    zp = radii * np.exp(1j * thetas)[:, None]
+    # the +-1/2 corridor is widened by a relative slack because once e^X
+    # exceeds ~1e16 the corridor is narrower than one ulp of either side
+    zp, envelope = _growth_sample()
     mag = np.abs(big_f(zp))
-    envelope = np.exp(radii * radii * growth[:, None])
     violated = np.abs(mag - envelope) > 0.5 + 1e-10 * envelope
     if violated.any():
         raise CertificationError(

@@ -400,6 +400,46 @@ def test_experiment_unwritable_output_exits_2(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+def test_experiment_checks_its_output_before_any_row(tmp_path, capsys, monkeypatch):
+    import shadowhp.experiments
+
+    calls = []
+    monkeypatch.setattr(
+        shadowhp.experiments, "best_approx_error", lambda *a, **kw: calls.append(a)
+    )
+    cfg = tmp_path / "a.conf"
+    cfg.write_text(CONFIG_OK.format(out="missing-dir/x.csv"), encoding="ascii")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["experiment", str(cfg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error: cannot write output 'missing-dir/x.csv': ")
+    assert calls == []
+
+
+def test_experiment_output_is_written_only_after_the_sweep(tmp_path, capsys, monkeypatch):
+    # the early check neither creates a new output nor truncates an old one
+    import shadowhp.cli
+
+    seen = []
+    run_grid = shadowhp.cli.run_grid
+
+    def spy(*args, **kwargs):
+        seen.append(target.read_bytes() if target.exists() else None)
+        return run_grid(*args, **kwargs)
+
+    monkeypatch.setattr(shadowhp.cli, "run_grid", spy)
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_bytes(b"previous run\n")
+    cfg = tmp_path / "a.conf"
+    for target in (new, old):
+        cfg.write_text(CONFIG_OK.format(out=target), encoding="ascii")
+        code, _, err = run_cli(["experiment", str(cfg)], capsys)
+        assert code == 0, err
+    assert seen == [None, b"previous run\n"]
+    assert old.read_bytes() == new.read_bytes()
+
+
 def test_experiment_records_a_mesh_underflow_as_a_failed_row(tmp_path, capsys):
     # project rejects 400 layers at grading 0.15 up front (exit 2); in a
     # sweep the same depth fails its own row and the run goes on

@@ -1,6 +1,7 @@
 """Convergence-sweep harness: grids, rate fits, dip location, CSV."""
 
 import concurrent.futures
+import hashlib
 import itertools
 import math
 from dataclasses import replace
@@ -13,6 +14,7 @@ from shadowhp.errors import ConfigError, DomainError
 from shadowhp.experiments import (
     CSV_HEADER,
     ExperimentGrid,
+    check_output,
     dip_scan,
     fit_rate,
     format_csv,
@@ -319,3 +321,36 @@ def test_csv_round_trip(tmp_path):
         assert float(fields[5]) == row.error_l2
         assert float(fields[6]) == row.relative_error
         assert fields[7] == "ok"
+
+
+#: the README's 84-row sweep; its format_csv sha256 as the code wrote it
+#: before big_f became a single Faddeeva call
+README_GRID = ExperimentGrid(
+    k_values=(4.0, 16.0, 64.0, 256.0),
+    alpha_values=(2.0, 2.35619449019234, 2.7),
+    p_values=(2, 3, 4, 5, 6, 7, 8),
+    sigma=0.15,
+    c=1.0,
+)
+README_GRID_SHA256 = "873c1e369159a6d4604f9b4598b53698baf15b02f13a26dfb9fc4fa911fba9a9"
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_sweep_csv_bytes_are_pinned(parallelism):
+    rows = run_grid(README_GRID, parallelism=parallelism)
+    assert len(rows) == 84
+    text = format_csv(rows)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == README_GRID_SHA256
+
+
+def test_check_output_touches_nothing(tmp_path):
+    new = tmp_path / "new.csv"
+    check_output(str(new))
+    assert not new.exists()
+    old = tmp_path / "old.csv"
+    old.write_bytes(b"kept\n")
+    check_output(str(old))
+    assert old.read_bytes() == b"kept\n"
+    for bad in (tmp_path / "missing-dir" / "x.csv", old / "x.csv", tmp_path, ""):
+        with pytest.raises(ConfigError, match="cannot write output"):
+            check_output(str(bad))

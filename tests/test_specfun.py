@@ -2,12 +2,14 @@
 
 import cmath
 import math
+import re
 
+import mpmath
 import numpy as np
 import pytest
 
 from shadowhp.errors import CertificationError, DomainError
-from shadowhp.specfun import big_f, fresnel_fr, fresnel_oracle, sector_bound_cert
+from shadowhp.specfun import _EIPI4, big_f, fresnel_fr, fresnel_oracle, sector_bound_cert
 
 
 def test_fr_at_zero():
@@ -182,6 +184,18 @@ def test_sector_sample_is_shared_and_read_only():
     np.testing.assert_array_equal(points, _sector_sample.__wrapped__(2000))
 
 
+def test_growth_sample_is_shared_and_read_only():
+    from shadowhp.specfun import _growth_sample
+
+    zp, envelope = _growth_sample()
+    assert _growth_sample()[0] is zp and zp.shape == envelope.shape == (21, 20)
+    for arr in (zp, envelope):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
+    for cached, fresh in zip(_growth_sample(), _growth_sample.__wrapped__()):
+        np.testing.assert_array_equal(cached, fresh)
+
+
 def test_sector_cert_growth_check_names_the_violating_point(monkeypatch):
     import shadowhp.specfun as specfun
 
@@ -190,3 +204,70 @@ def test_sector_cert_growth_check_names_the_violating_point(monkeypatch):
     monkeypatch.setattr(specfun, "big_f", lambda z: np.zeros(np.shape(z), dtype=complex))
     with pytest.raises(CertificationError, match=r"growth bound violated at z = \("):
         sector_bound_cert(1000)
+
+
+def big_f_reference(z: complex) -> complex:
+    # F(z) = e^{-i z^2} erfc(e^{-i pi/4} z) / 2 at 40 digits, kernel-free
+    with mpmath.workdps(40):
+        zm = mpmath.mpc(z.real, z.imag)
+        return complex(mpmath.exp(-1j * zm * zm) * mpmath.erfc(mpmath.exp(-0.25j * mpmath.pi) * zm) / 2)
+
+
+def _seeded_points(seed: int, n: int, lo: float, hi: float) -> np.ndarray:
+    # arg z uniform on (lo, hi], |z| log-uniform on [1e-3, 40], capped so
+    # that X = |z|^2 sin(2 arg z) <= 600 keeps e^X inside the double range
+    rng = np.random.default_rng(seed)
+    theta = hi - (hi - lo) * rng.random(n)
+    radius = np.exp(rng.uniform(math.log(1e-3), math.log(40.0), n))
+    radius = np.minimum(radius, np.sqrt(600.0 / np.maximum(np.sin(2.0 * theta), 1e-300)))
+    return radius * np.exp(1j * theta)
+
+
+@pytest.mark.parametrize(
+    "seed, lo, hi",
+    [
+        (31, -math.pi, math.pi),  # the whole plane
+        (32, -0.5 * math.pi, -0.25 * math.pi),  # bounded, once reflected in Python
+        (33, 0.75 * math.pi, math.pi),  # bounded, once reflected in Python
+        (34, -math.pi, -0.5 * math.pi),  # the growth sector
+    ],
+)
+def test_big_f_matches_mpmath(seed, lo, hi):
+    pts = _seeded_points(seed, 150, lo, hi)
+    got = big_f(pts)
+    for z, value in zip(pts, got):
+        want = big_f_reference(complex(z))
+        assert abs(value - want) <= 1e-12 * abs(want), f"z={complex(z)!r}"
+
+
+def test_big_f_is_one_kernel_call(monkeypatch):
+    import shadowhp.specfun as specfun
+
+    # the kernel sees every rotated point as it is, none reflected first
+    calls = []
+    kernel = specfun.faddeeva_w
+
+    def counted(zeta):
+        calls.append(zeta)
+        return kernel(zeta)
+
+    monkeypatch.setattr(specfun, "faddeeva_w", counted)
+    pts = _seeded_points(35, 2000, -math.pi, math.pi)
+    big_f(pts)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], _EIPI4 * pts)
+
+
+def test_big_f_overflow_edge_is_the_kernel_bound():
+    # on the arg z = -3pi/4 ray, Re(-zeta^2) = Re(-i z^2) = |z|^2
+    ray = cmath.exp(-0.75j * math.pi)
+    above = math.sqrt(708.0) * (1.0 + 1e-12) * ray
+    zeta = complex((_EIPI4 * np.array([above]))[0])
+    with pytest.raises(OverflowError, match=re.escape(f"at z = {zeta!r}: exp(708.0)")):
+        big_f(above)
+    with pytest.raises(OverflowError, match=re.escape(repr(zeta))):
+        big_f(np.array([0.5, above, 2.0 * above]))
+    below = math.sqrt(708.0) * (1.0 - 1e-12) * ray
+    value = big_f(below)
+    assert math.isfinite(value.real) and math.isfinite(value.imag)
+    assert abs(value) == pytest.approx(math.exp(708.0), rel=1e-6)
