@@ -126,12 +126,24 @@ class ShadowConfig:
         return KnifeGeometry(self.r_alpha, self.beta_minus)
 
 
+def _finite_phase(z: complex, **inputs: float) -> complex:
+    """z, a phase i k x of a wave or the Fresnel argument built from k x.
+    Raise OverflowError, naming the inputs, when it is not finite: then k r
+    or k s has left the double range and the field has no value.
+    """
+    if not cmath.isfinite(z):
+        named = ", ".join(f"{name} = {value!r}" for name, value in inputs.items())
+        raise OverflowError(f"the phase of the wave is not finite at {named}")
+    return z
+
+
 def e_field(p: FieldPoint, k: float) -> complex:
     """Total knife-edge field E(r, psi) = e^{-i k r cos psi} Fr(-sqrt(2kr) cos(psi/2))."""
     if not k > 0.0:
         raise DomainError(f"wavenumber must be positive, got {k}")
-    mu = -math.sqrt(2.0 * k * p.r) * math.cos(0.5 * p.psi)
-    return cmath.exp(-1j * k * p.r * math.cos(p.psi)) * fresnel_fr(mu)
+    mu = _finite_phase(-math.sqrt(2.0 * k * p.r) * math.cos(0.5 * p.psi), k=k, r=p.r, psi=p.psi)
+    phase = _finite_phase(-1j * k * p.r * math.cos(p.psi), k=k, r=p.r, psi=p.psi)
+    return cmath.exp(phase) * fresnel_fr(mu)
 
 
 def e_go(p: FieldPoint, k: float) -> complex:
@@ -143,7 +155,7 @@ def e_go(p: FieldPoint, k: float) -> complex:
     h = _heaviside(math.pi - p.psi)
     if h == 0.0:
         return 0j
-    return h * cmath.exp(-1j * k * p.r * math.cos(p.psi))
+    return h * cmath.exp(_finite_phase(-1j * k * p.r * math.cos(p.psi), k=k, r=p.r, psi=p.psi))
 
 
 def e_remainder_check(p: FieldPoint, k: float) -> float:
@@ -157,8 +169,8 @@ def e_remainder_check(p: FieldPoint, k: float) -> float:
     sgn = _sign(math.pi - p.psi)
     rhs = e_go(p, k)
     if sgn != 0.0:
-        mu = math.sqrt(2.0 * k * p.r) * abs(math.cos(0.5 * p.psi))
-        rhs -= sgn * big_f(mu) * cmath.exp(1j * k * p.r)
+        mu = _finite_phase(math.sqrt(2.0 * k * p.r) * abs(math.cos(0.5 * p.psi)), k=k, r=p.r)
+        rhs -= sgn * big_f(mu) * cmath.exp(_finite_phase(1j * k * p.r, k=k, r=p.r))
     return abs(e_field(p, k) - rhs)
 
 
@@ -175,16 +187,22 @@ def gtd_far_field(p: FieldPoint, k: float, include_plane_wave: bool = True) -> c
             f"psi = {p.psi} is too close to a critical angle (odd multiple of pi)"
         )
     d = -cmath.exp(0.25j * math.pi) / (2.0 * math.sqrt(2.0 * math.pi) * c_half)
-    out = d * cmath.exp(1j * k * p.r) / math.sqrt(k * p.r)
+    out = d * cmath.exp(_finite_phase(1j * k * p.r, k=k, r=p.r)) / math.sqrt(k * p.r)
     if include_plane_wave:
-        out += cmath.exp(-1j * k * p.r * math.cos(p.psi))
+        out += cmath.exp(_finite_phase(-1j * k * p.r * math.cos(p.psi), k=k, r=p.r, psi=p.psi))
     return out
 
 
 def _h_mu(s, r, R: float, cb, sb, k: float):
-    # h in the rationalized form of h_of_s, and mu, sharing one square root
+    # h in the rationalized form of h_of_s, and mu, sharing one square root;
+    # past about s = 9.5e153 the denominator overflows and h would read 0
     mu, root = mu_with_root(s, r, R, cb, sb, k)
-    return math.sqrt(k) * (s - 2.0 * R * cb) * root / (2.0 * r * (r + R)), mu
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = 2.0 * r * (r + R)
+    bad = ~np.isfinite(denom)
+    if bad.any():
+        raise OverflowError(f"h(s) overflows at s = {first(s, bad)!r}: 2 r (r + R) is not finite")
+    return math.sqrt(k) * (s - 2.0 * R * cb) * root / denom, mu
 
 
 def h_of_s(s, geo: KnifeGeometry, k: float):
@@ -196,6 +214,8 @@ def h_of_s(s, geo: KnifeGeometry, k: float):
     sqrt(k) (s - 2 R cos beta) sqrt(R - s cos beta + r) / (2 r (r + R)),
     equal by (r - R)(r + R) = s (s - 2 R cos beta); this removes the
     0/0 at s = 0, where the value is the limit -cos(beta) sqrt(k / (2R)).
+    Raises OverflowError, naming the first such s, where 2 r (r + R)
+    overflows (from about |s| = 9.5e153 on).
     """
     if not k > 0.0:
         raise DomainError(f"wavenumber must be positive, got {k}")
@@ -302,9 +322,11 @@ def psi_go(s: float, cfg: ShadowConfig) -> complex:
     out = 0j
     h_inc = _heaviside(s - s_sb_i)
     if h_inc != 0.0:
-        out += h_inc * 1j * k * ca * cmath.exp(1j * k * (s * sa - cfg.l_nc_prime * ca))
+        phase = _finite_phase(1j * k * (s * sa - cfg.l_nc_prime * ca), s=s, k=k)
+        out += h_inc * 1j * k * ca * cmath.exp(phase)
     h_ref = _heaviside(-s_sb_i - s)
     if h_ref != 0.0:
-        out -= h_ref * 1j * k * ca * cmath.exp(-1j * k * (s * sa + cfg.l_nc_prime * ca))
+        phase = _finite_phase(-1j * k * (s * sa + cfg.l_nc_prime * ca), s=s, k=k)
+        out -= h_ref * 1j * k * ca * cmath.exp(phase)
     return out
 

@@ -4,15 +4,15 @@ deterministic CSV emission.
 
 Rows are pure functions of their parameters. The unit of work is a
 (k, alpha) pair: one batched best_approx_error call evaluates V once for
-all of the pair's degrees, and a pair whose batch fails reruns its rows
-one at a time, so each row keeps its own status. Pairs may fan out to
-worker processes. `parallelism` is an upper bound on the worker count,
-not an exact count: the pool never has more workers than the process may
-run on cores or than there are pairs, and a grid too small to repay a
-pool's start-up (fewer than 2 * _MIN_ROWS_PER_WORKER rows) runs
-in-process. Results are always merged back in canonical (k, alpha, p)
-order and the output is bit-identical regardless of the parallelism
-degree.
+all of the pair's degrees, and a pair whose batch fails reruns each
+degree as a one-row batch, so each row keeps its own status. Pairs may
+fan out to worker processes. `parallelism` is an upper bound on the
+worker count, not an exact count: the pool never has more workers than
+the process may run on cores or than there are pairs, and a grid too
+small to repay a pool's start-up (fewer than 2 * _MIN_ROWS_PER_WORKER
+rows) runs in-process. Results are always merged back in canonical
+(k, alpha, p) order and the output is bit-identical regardless of the
+parallelism degree.
 """
 
 from __future__ import annotations
@@ -154,31 +154,25 @@ def layers_for_degree(p: int, c: float) -> int:
 _ROW_ERRORS = (DomainError, OverflowError, OracleError)
 
 
-def _row_task(grid: ExperimentGrid, quad_order: int | None, key: tuple) -> GridRow:
-    k, alpha, p = key
-    n = layers_for_degree(p, grid.c)
-    try:
-        cfg = ShadowConfig(k=k, alpha=alpha, l_nc=grid.l_nc, l_nc_prime=grid.l_nc_prime)
-        res = best_approx_error(cfg, n, grid.sigma, p, quad_order)
-    except _ROW_ERRORS as exc:
-        reason = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
-        return GridRow(k, alpha, p, n, 0, math.nan, math.nan, f"failed: {reason}")
-    return GridRow(k, alpha, p, n, res.dof, res.error_l2, res.relative_error, "ok")
-
-
-def _pair_task(grid: ExperimentGrid, quad_order: int | None, pair: tuple) -> list[GridRow]:
-    """The rows of one (k, alpha) pair, in ascending p, from one batched
-    best_approx_error call. If the batch fails, each row is rerun on its
-    own, so that every row records its own status.
+def _pair_task(
+    grid: ExperimentGrid, quad_order: int | None, pair: tuple, ps: list[int] | None = None
+) -> list[GridRow]:
+    """The rows of one (k, alpha) pair at the degrees ps (default: all of
+    the grid's, ascending), from one batched best_approx_error call. If a
+    batch of several rows fails, each degree is rerun on its own, so that
+    every row records its own status.
     """
     k, alpha = pair
-    ps = sorted(grid.p_values)
+    ps = sorted(grid.p_values) if ps is None else ps
     ns = [layers_for_degree(p, grid.c) for p in ps]
     try:
         cfg = ShadowConfig(k=k, alpha=alpha, l_nc=grid.l_nc, l_nc_prime=grid.l_nc_prime)
         results = best_approx_error(cfg, ns, grid.sigma, ps, quad_order)
-    except _ROW_ERRORS:
-        return [_row_task(grid, quad_order, (k, alpha, p)) for p in ps]
+    except _ROW_ERRORS as exc:
+        if len(ps) > 1:
+            return [row for p in ps for row in _pair_task(grid, quad_order, pair, [p])]
+        reason = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
+        return [GridRow(k, alpha, ps[0], ns[0], 0, math.nan, math.nan, f"failed: {reason}")]
     return [
         GridRow(k, alpha, p, n, res.dof, res.error_l2, res.relative_error, "ok")
         for p, n, res in zip(ps, ns, results)

@@ -223,8 +223,8 @@ def _orthonormal_vandermonde(m: int, p: int) -> np.ndarray:
 
 
 def _quadrature(space: PiecewisePolySpace, quad_order: int | None):
-    """Per-element Gauss nodes (n_elements, m), element half-lengths, and
-    the rule size m; quad_order defaults to 2p + 16.
+    """Gauss nodes (n_elements, m) of every element, the element
+    half-lengths, and the rule size m (default 2p + 16).
     """
     quad_order = check_quad_order(space.degree, quad_order)
     x, _ = gauss_legendre_rule(quad_order)
@@ -268,22 +268,34 @@ def _project_values(
 
 
 def l2_project(
-    target: Callable[[float], complex],
-    space: PiecewisePolySpace,
+    target: Callable[[np.ndarray], np.ndarray | complex],
+    space_or_spaces: PiecewisePolySpace | Sequence[PiecewisePolySpace],
     quad_order: int | None = None,
-) -> ProjectionResult:
-    """L2-orthogonal projection of target onto the space, element by element.
+) -> ProjectionResult | list[ProjectionResult]:
+    """L2-orthogonal projection of target onto a space, or onto each space
+    of a sequence, which returns a list of results in order.
 
-    target is called once per quadrature node with a float. quad_order is
-    the per-element Gauss-Legendre size; the default 2p + 16 resolves
-    (polynomial) x (smooth amplitude) integrands, which the doubling
-    self-test in the suite confirms. Raises on quad_order <= p (the
-    coefficients would alias) and on a zero-norm target (the relative
-    error would be undefined).
+    target is called once, on a 1-d array of the Gauss nodes of every
+    element of every space, and returns the values there (a constant is
+    broadcast). quad_order is the per-element Gauss-Legendre size; the
+    default 2p + 16 resolves (polynomial) x (smooth amplitude) integrands,
+    which the doubling self-test in the suite confirms. Raises on
+    quad_order <= p (the coefficients would alias) and on a zero-norm
+    target (the relative error would be undefined).
     """
-    nodes, half, m = _quadrature(space, quad_order)
-    f = np.fromiter((target(float(t)) for t in nodes.flat), dtype=complex, count=nodes.size)
-    return _project_values(f.reshape(nodes.shape), half, m, space)
+    scalar = isinstance(space_or_spaces, PiecewisePolySpace)
+    spaces = [space_or_spaces] if scalar else list(space_or_spaces)
+    if not spaces:
+        raise DomainError("l2_project needs at least one space")
+    quads = [_quadrature(space, quad_order) for space in spaces]
+    nodes = np.concatenate([q.ravel() for q, _, _ in quads])
+    values = np.broadcast_to(np.asarray(target(nodes), dtype=complex), nodes.shape)
+    cuts = np.cumsum([q.size for q, _, _ in quads])[:-1]
+    results = [
+        _project_values(f.reshape(q.shape), half, m, space)
+        for space, (q, half, m), f in zip(spaces, quads, np.split(values, cuts))
+    ]
+    return results[0] if scalar else results
 
 
 def best_approx_error(
@@ -294,13 +306,11 @@ def best_approx_error(
     quad_order: int | None = None,
 ) -> ProjectionResult | list[ProjectionResult]:
     """Best-approximation error of the shadow-boundary amplitude V on the
-    graded mesh: build shadow_mesh(cfg, n, sigma) and project s -> V(s)
-    onto the piecewise polynomials of degree p.
+    graded mesh: V projected by one l2_project call onto the piecewise
+    polynomials of degree p on shadow_mesh(cfg, n, sigma).
 
     n and p are integers, or equal-length sequences of them for a batch of
     rows on one configuration, which returns a list of results in order.
-    Every mesh and quadrature is built first; V is then evaluated in one
-    call on all their nodes, and each row is projected from its own slice.
     A scalar call is a one-row batch, so both give the same bits.
     """
     scalar = np.ndim(n) == 0 and np.ndim(p) == 0
@@ -313,13 +323,7 @@ def best_approx_error(
         PiecewisePolySpace(mesh=shadow_mesh(cfg, layers, sigma), degree=degree)
         for layers, degree in zip(ns, ps)
     ]
-    quads = [_quadrature(space, quad_order) for space in spaces]
-    values = amplitude_v(np.concatenate([nodes.ravel() for nodes, _, _ in quads]), cfg)
-    results, start = [], 0
-    for space, (nodes, half, m) in zip(spaces, quads):
-        f = values[start:start + nodes.size].reshape(nodes.shape)
-        start += nodes.size
-        results.append(_project_values(f, half, m, space))
+    results = l2_project(lambda s: amplitude_v(s, cfg), spaces, quad_order)
     return results[0] if scalar else results
 
 

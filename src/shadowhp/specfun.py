@@ -54,15 +54,19 @@ def fresnel_fr(z):
 
     Takes a scalar or an array. Raises OverflowError, naming the first such
     point, when the factor e^{i z^2} exceeds the double range (only
-    possible in the half-plane handled by the symmetry reflection).
+    possible in the half-plane handled by the symmetry reflection) or
+    i z^2 itself does (|z| beyond about 1.3e154), except where Re(i z^2)
+    is -inf and the factor is 0.
     """
     z, scalar = as_points(z)
     # Fr(z) = 1 - Fr(-z) carries the half-plane Im(e^{i pi/4} z) < 0 into
     # the one where e^{i z^2} w(e^{i pi/4} z) is computed directly
     flip = (_EIPI4 * z).imag < 0.0
     zz = np.where(flip, -z, z)
-    iz2 = 1j * zz * zz
-    over = iz2.real > _EXP_MAX
+    # an overflow here is reported by the check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        iz2 = 1j * zz * zz
+    over = (iz2.real != -np.inf) & ~((iz2.real <= _EXP_MAX) & np.isfinite(iz2.imag))
     if over.any():
         raise OverflowError(f"exp(i z^2) overflows at z = {first(z, over)!r}")
     fr = 0.5 * np.exp(iz2) * faddeeva_w(_EIPI4 * zz)

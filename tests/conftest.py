@@ -1,5 +1,6 @@
 """Suite-wide set-up: Python processes the tests start import the same
-shadowhp as the suite itself, also from a checkout without an install."""
+shadowhp as the suite itself, also from a checkout without an install, and
+fail on a numpy RuntimeWarning as the suite itself does."""
 
 import os
 
@@ -14,4 +15,5 @@ def _children_import_this_shadowhp():
     path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PYTHONPATH", os.pathsep.join(path))
+        mp.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
         yield

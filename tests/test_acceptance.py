@@ -318,7 +318,9 @@ def test_criterion_9_projection_algebra(capsys):
         raise AssertionError
 
     res = l2_project(lambda s: amplitude_v(s, BASE), space)
-    again = l2_project(lambda s: reconstruct(res.coefficients, s), space)
+    again = l2_project(
+        np.vectorize(lambda s: reconstruct(res.coefficients, s), otypes=[complex]), space
+    )
     idem = again.error_l2
 
     norm2 = (res.error_l2 / res.relative_error) ** 2

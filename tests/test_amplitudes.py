@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -112,6 +113,47 @@ def test_h_matches_displayed_formula_off_origin():
         r = r_of_s(s, geo)
         displayed = k * math.sin(geo.beta) * (r - geo.R) / (2.0 * r * mu)
         assert abs(h_of_s(s, geo, k) - displayed) <= 1e-10 * max(abs(displayed), 1.0)
+
+
+@pytest.mark.parametrize("f", [h_of_s, g_of_s])
+def test_h_and_g_raise_where_the_denominator_overflows(f):
+    # 2 r (r + R) overflows from about s = 9.5e153 on; h read 0 there
+    geo = KnifeGeometry(1.0, 2.0)
+    assert h_of_s(9e153, geo, 5.0).real == pytest.approx(1.4024516413464941e-77, rel=1e-12)
+    with pytest.raises(OverflowError, match=re.escape(f"at s = {complex(1.2e154)!r}")):
+        f(1.2e154, geo, 5.0)
+    with pytest.raises(OverflowError, match=re.escape(f"at s = {complex(1.2e154)!r}")):
+        f(np.array([0.5, 9e153, 1.2e154, 1.3e154]), geo, 5.0)
+
+
+BIG = 1e300
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda: e_go(FieldPoint(BIG, 1.0), BIG), "k = 1e+300, r = 1e+300, psi = 1.0"),
+        (lambda: e_field(FieldPoint(BIG, 1.0), BIG), "k = 1e+300, r = 1e+300, psi = 1.0"),
+        # k r is finite here, but 2 k r is not
+        (lambda: e_field(FieldPoint(1e308, 1.0), 1.5), "k = 1.5, r = 1e+308, psi = 1.0"),
+        (lambda: gtd_far_field(FieldPoint(BIG, 1.0), BIG), "k = 1e+300, r = 1e+300"),
+        (lambda: e_remainder_check(FieldPoint(BIG, 4.0), BIG), "k = 1e+300, r = 1e+300"),
+        (
+            lambda: psi_go(BIG, ShadowConfig(k=BIG, alpha=3.0, l_nc=1.5, l_nc_prime=1.0)),
+            "s = 1e+300, k = 1e+300",
+        ),
+    ],
+    ids=["e_go", "e_field", "e_field-2kr", "gtd_far_field", "e_remainder_check", "psi_go"],
+)
+def test_field_functions_raise_where_the_phase_overflows(call, named):
+    with pytest.raises(OverflowError, match=re.escape(f"not finite at {named}")):
+        call()
+
+
+def test_field_functions_keep_values_where_no_phase_is_formed():
+    # past the shadow boundary the GO part is 0 without a phase
+    assert e_go(FieldPoint(BIG, 4.0), BIG) == 0j
+    assert e_go(FieldPoint(1e150, 1.0), 1e150) == cmath.exp(-1j * 1e150 * 1e150 * math.cos(1.0))
 
 
 def test_h_strip_bound_regression():

@@ -145,6 +145,30 @@ def test_eval_s_takes_at_most_two_values(capsys, fn):
     assert out_1 == out_2
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["eval", "fr", "1e200", "0"], "z = (1e+200+0j)"),
+        (["eval", "h", "--s", "1.2e154", "--R", "1", "--beta", "2", "--k", "5"],
+         "s = (1.2e+154+0j)"),
+        (["eval", "g", "--s", "1.2e154", "--R", "1", "--beta", "2", "--k", "5"],
+         "s = (1.2e+154+0j)"),
+        (["eval", "psi_go", "--s", "1e300", "--k", "1e300", "--alpha", "3", "--lnc", "1.5",
+          "--lncp", "1"], "s = 1e+300, k = 1e+300"),
+        (["eval", "E", "--r", "1e300", "--psi", "1", "--k", "1e300"],
+         "k = 1e+300, r = 1e+300, psi = 1.0"),
+    ],
+    ids=["fr", "h", "g", "psi_go", "E"],
+)
+def test_eval_overflow_is_a_domain_error(capsys, argv, named):
+    # these printed nan or 0, or died with a traceback
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("domain error:") and named in err
+    assert "Traceback" not in err
+
+
 def test_eval_v_negative_s_exit_code(capsys):
     code, out, err = run_cli(
         ["eval", "V", "--s", "-0.5", "--k", "16", "--alpha", "2.4",

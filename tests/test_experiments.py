@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import shadowhp.experiments as experiments
+import shadowhp.hpspace as hpspace
 from shadowhp.errors import ConfigError, DomainError
 from shadowhp.experiments import (
     CSV_HEADER,
@@ -161,7 +162,8 @@ def test_run_grid_rows_equal_row_by_row_rows():
     keys = itertools.product(grid.k_values, grid.alpha_values, grid.p_values)
     rows = run_grid(grid)
     assert [r.status.split(":")[0] for r in rows] == ["ok", "ok", "failed"] * 6
-    assert rows == [experiments._row_task(grid, None, key) for key in keys]
+    one_row = [replace(grid, k_values=(k,), alpha_values=(a,), p_values=(p,)) for k, a, p in keys]
+    assert rows == [row for g in one_row for row in run_grid(g)]
 
 
 @pytest.mark.parametrize(
@@ -176,6 +178,28 @@ def test_run_grid_non_finite_errors_fail_the_row(grid):
     (row,) = run_grid(grid)
     assert row.status.startswith("failed: OverflowError")
     assert math.isnan(row.error_l2) and row.dof == 0
+
+
+def test_run_grid_row_fails_where_h_overflows():
+    # the side reaches past s = 9.5e153, where 2 r (r + R) overflows and h read 0
+    grid = ExperimentGrid(k_values=(16.0,), alpha_values=(2.4,), p_values=(2,), l_nc=1.2e154)
+    (row,) = run_grid(grid)
+    assert row.status.startswith("failed: OverflowError: h(s) overflows at s = ")
+    assert math.isnan(row.error_l2) and row.dof == 0
+
+
+def test_run_grid_projects_once_per_pair(monkeypatch):
+    # every row of a pair goes through one l2_project call
+    calls = []
+    project = hpspace.l2_project
+    monkeypatch.setattr(
+        hpspace, "l2_project", lambda *args: calls.append(args[1]) or project(*args)
+    )
+    grid = replace(SMALL, k_values=(4.0, 16.0), alpha_values=(2.0, 2.5, math.pi))
+    rows = run_grid(grid)
+    assert len(rows) == 2 * 3 * 3
+    assert len(calls) == 6
+    assert all(len(spaces) == 3 for spaces in calls)
 
 
 def test_run_grid_subnormal_row_names_k_and_s():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import shadowhp.hpspace as hpspace
 from shadowhp.amplitudes import ShadowConfig, amplitude_v
 from shadowhp.errors import ConfigError, DomainError
 from shadowhp.hpspace import (
@@ -201,7 +202,9 @@ def test_projection_reproduces_polynomials():
 def test_projection_idempotent():
     space = _space((0.0, 0.5, 1.5), 4)
     res = l2_project(lambda s: amplitude_v(s, CFG), space)
-    again = l2_project(lambda s: _evaluate(space, res.coefficients, s), space)
+    again = l2_project(
+        np.vectorize(lambda s: _evaluate(space, res.coefficients, s), otypes=[complex]), space
+    )
     assert again.error_l2 <= 1e-13
     for c0, c1 in zip(res.coefficients, again.coefficients):
         assert np.max(np.abs(c0 - c1)) <= 1e-13 * max(1.0, float(np.max(np.abs(c0))))
@@ -227,6 +230,48 @@ def test_projection_validation():
         l2_project(lambda s: s, space, quad_order=3)
     with pytest.raises(DomainError):
         l2_project(lambda s: 0.0, space)
+
+
+def test_l2_project_calls_the_target_once_on_every_node():
+    spaces = [_space((0.0, 0.4, 1.5), 3), _space((0.0, 1.5), 5), _space((0.0, 0.5, 1.0, 1.5), 2)]
+    seen = []
+
+    def target(s):
+        seen.append(s)
+        return amplitude_v(s, CFG)
+
+    batch = l2_project(target, spaces)
+    assert len(seen) == 1 and seen[0].ndim == 1
+    # the default rule is 2p + 16 nodes per element
+    assert seen[0].size == 2 * 22 + 26 + 3 * 20
+    assert isinstance(batch, list) and len(batch) == 3
+    for space, got in zip(spaces, batch):
+        want = l2_project(lambda s: amplitude_v(s, CFG), space)
+        assert (got.error_l2, got.relative_error, got.dof) == (
+            want.error_l2, want.relative_error, want.dof
+        )
+        assert all(np.array_equal(a, b) for a, b in zip(got.coefficients, want.coefficients))
+
+
+def test_l2_project_broadcasts_a_constant_target():
+    space = _space((0.0, 0.4, 1.5), 2)
+    res = l2_project(lambda s: 2.0 - 1.0j, space)
+    assert res.relative_error <= 1e-13
+    for s in (0.1, 0.9):
+        assert _evaluate(space, res.coefficients, s) == pytest.approx(2.0 - 1.0j, rel=1e-13)
+    with pytest.raises(DomainError, match="at least one space"):
+        l2_project(lambda s: 1.0, [])
+
+
+def test_best_approx_error_projects_once(monkeypatch):
+    calls = []
+    project = hpspace.l2_project
+    monkeypatch.setattr(
+        hpspace, "l2_project", lambda *args: calls.append(args) or project(*args)
+    )
+    best_approx_error(CFG, 4, 0.15, 4)
+    best_approx_error(CFG, [2, 4, 6], 0.15, [2, 4, 6])
+    assert [len(spaces) for _, spaces, _ in calls] == [1, 3]
 
 
 def test_single_element_pole_witness():
@@ -273,12 +318,15 @@ def test_best_approx_decreases_with_layered_refinement():
 
 
 def test_best_approx_matches_pointwise_projection():
-    # best_approx_error evaluates V on all nodes at once; l2_project calls
-    # the target one node at a time; both feed the same projection
+    # best_approx_error evaluates V on all nodes at once; the reference
+    # target evaluates the scalar V one node at a time
+    def pointwise_v(nodes: np.ndarray) -> np.ndarray:
+        return np.array([amplitude_v(float(s), CFG) for s in nodes], dtype=complex)
+
     for n, p in ((1, 0), (4, 3), (8, 8)):
         space = PiecewisePolySpace(mesh=shadow_mesh(CFG, n, 0.15), degree=p)
         batch = best_approx_error(CFG, n, 0.15, p)
-        pointwise = l2_project(lambda s: amplitude_v(s, CFG), space)
+        pointwise = l2_project(pointwise_v, space)
         assert batch.dof == pointwise.dof
         assert batch.error_l2 == pytest.approx(pointwise.error_l2, rel=1e-12)
         for c0, c1 in zip(batch.coefficients, pointwise.coefficients):

@@ -77,6 +77,19 @@ def test_fr_overflow_raises():
         fresnel_fr(complex(-21.0, 21.0))
 
 
+def test_fr_raises_where_i_z2_overflows():
+    # past |z| of about 1.3e154, i z^2 is not finite; it read nan + nan i
+    for z in (1e200, 1e200j, -1e200j):
+        with pytest.raises(OverflowError, match=re.escape(f"at z = {complex(z)!r}")):
+            fresnel_fr(z)
+    with pytest.raises(OverflowError, match=re.escape(repr(1e200j))):
+        fresnel_fr(np.array([0.5, 2.0 + 1.0j, 1e200j, 1e200]))
+    # where Re(i z^2) is -inf the factor e^{i z^2} is 0 and Fr stays finite
+    assert fresnel_fr(complex(1e154, 1e154)) == 0.0
+    assert fresnel_fr(complex(-1e154, -1e154)) == 1.0
+    assert fresnel_fr(complex(1e300, 1e300)) == 0.0
+
+
 def test_big_f_growth_sector_overflow_raises():
     with pytest.raises(OverflowError):
         big_f(40.0 * cmath.exp(-0.75j * math.pi))
