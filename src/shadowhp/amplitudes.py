@@ -193,16 +193,16 @@ def gtd_far_field(p: FieldPoint, k: float, include_plane_wave: bool = True) -> c
     return out
 
 
-def _h_mu(s, r, R: float, cb, sb, k: float):
+def _h_mu(s, r, geo: KnifeGeometry, k: float):
     # h in the rationalized form of h_of_s, and mu, sharing one square root;
     # past about s = 9.5e153 the denominator overflows and h would read 0
-    mu, root = mu_with_root(s, r, R, cb, sb, k)
+    mu, root = mu_with_root(s, r, geo, k)
     with np.errstate(over="ignore", invalid="ignore"):
-        denom = 2.0 * r * (r + R)
+        denom = 2.0 * r * (r + geo.R)
     bad = ~np.isfinite(denom)
     if bad.any():
         raise OverflowError(f"h(s) overflows at s = {first(s, bad)!r}: 2 r (r + R) is not finite")
-    return math.sqrt(k) * (s - 2.0 * R * cb) * root / denom, mu
+    return math.sqrt(k) * (s - 2.0 * geo.R * math.cos(geo.beta)) * root / denom, mu
 
 
 def h_of_s(s, geo: KnifeGeometry, k: float):
@@ -220,8 +220,7 @@ def h_of_s(s, geo: KnifeGeometry, k: float):
     if not k > 0.0:
         raise DomainError(f"wavenumber must be positive, got {k}")
     s, scalar = as_points(s)
-    r = r_of_s(s, geo)
-    h, _ = _h_mu(s, r, geo.R, math.cos(geo.beta), math.sin(geo.beta), k)
+    h, _ = _h_mu(s, r_of_s(s, geo), geo, k)
     return unwrap(h, scalar)
 
 
@@ -231,19 +230,21 @@ def g_of_s(s, geo: KnifeGeometry, k: float):
 
     On the negative real axis the boundary trace satisfies the mirror rule
     g(-s; R, beta) = g(s; R, pi - beta), which is taken as the definition
-    there; complex arguments use the analytic continuation of the formula.
+    there: those points are evaluated as -s on KnifeGeometry(R, pi - beta),
+    by a call of this function. Every other point, complex ones included,
+    uses the analytic continuation of the formula.
     """
     if not k > 0.0:
         raise DomainError(f"wavenumber must be positive, got {k}")
     s, scalar = as_points(s)
-    # r(s) is the same for the mirrored point, so one evaluation serves both
-    r = r_of_s(s, geo)
     mirror = (s.imag == 0.0) & (s.real < 0.0)
-    s = np.where(mirror, -s.real, s)
-    cb = np.where(mirror, math.cos(math.pi - geo.beta), math.cos(geo.beta))
-    sb = np.where(mirror, math.sin(math.pi - geo.beta), math.sin(geo.beta))
-    h, mu = _h_mu(s, r, geo.R, cb, sb, k)
-    return unwrap(_E3IPI4 / _SQRTPI * h - 1j * k * sb * big_f(mu), scalar)
+    if mirror.any():
+        out = np.empty(s.shape, dtype=complex)
+        out[~mirror] = g_of_s(s[~mirror], geo, k)
+        out[mirror] = g_of_s(-s.real[mirror], KnifeGeometry(geo.R, math.pi - geo.beta), k)
+        return unwrap(out, scalar)
+    h, mu = _h_mu(s, r_of_s(s, geo), geo, k)
+    return unwrap(_E3IPI4 / _SQRTPI * h - 1j * k * math.sin(geo.beta) * big_f(mu), scalar)
 
 
 def de_dn_check(s: float, geo: KnifeGeometry, k: float, step: float = 1e-6) -> float:
@@ -283,23 +284,23 @@ def amplitude_v(s, cfg: ShadowConfig):
     with g+-(t) = g(t; r_alpha, beta+-) and H(0) = 1/2, for a scalar or an
     array of arc lengths.
 
+    beta+ = pi - beta-, so by the mirror rule of g_of_s one call on the
+    points s_sb - s and s + s_sb of the minus geometry gives every term; only
+    a point at s_sb also evaluates g+(0), for H(0) = 1/2.
+
     Defined for all real s >= 0 so the smoothness checks can follow the
     shadow boundary wherever alpha puts it.
     """
     s, scalar = as_points(s, dtype=float)
     if (s < 0.0).any():
         raise DomainError(f"arc length must be finite and >= 0, got {first(s, s < 0.0)}")
-    t = s - cfg.s_sb
-    ahead = t >= 0.0
-    behind = t <= 0.0
-    # both g- terms in one evaluation: the behind points, then every s + s_sb
-    g_minus = g_of_s(np.concatenate((-t[behind], (s + cfg.s_sb).ravel())), cfg.geo_minus, cfg.k)
-    n_behind = int(behind.sum())
-    out = np.zeros(s.shape, dtype=complex)
-    if ahead.any():
-        out[ahead] -= np.where(t[ahead] > 0.0, 1.0, 0.5) * g_of_s(t[ahead], cfg.geo_plus, cfg.k)
-    out[behind] += np.where(t[behind] < 0.0, 1.0, 0.5) * g_minus[:n_behind]
-    out -= g_minus[n_behind:].reshape(s.shape)
+    g = g_of_s(np.concatenate((cfg.s_sb - s, s + cfg.s_sb), axis=None), cfg.geo_minus, cfg.k)
+    jump = g[: s.size].reshape(s.shape)
+    out = np.where(s > cfg.s_sb, 0.0 - jump, jump)
+    at = s == cfg.s_sb
+    if at.any():
+        out[at] = (0.0 - 0.5 * g_of_s(0.0, cfg.geo_plus, cfg.k)) + 0.5 * jump[at]
+    out -= g[s.size :].reshape(s.shape)
     return unwrap(out, scalar)
 
 

@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import functools
 import math
+import re
 import sys
 from collections.abc import Sequence
 
@@ -52,6 +53,12 @@ def _rad(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
 
 
+def _shadow_config(args: argparse.Namespace) -> ShadowConfig:
+    return ShadowConfig(
+        k=args.k, alpha=_rad(args.alpha, args.degrees), l_nc=args.lnc, l_nc_prime=args.lncp
+    )
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     fn = args.function
     if fn in ("fr", "F"):
@@ -70,11 +77,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         f = g_of_s if fn == "g" else h_of_s
         _print_complex(f(s, geo, args.k))
     else:
-        cfg = ShadowConfig(
-            k=args.k, alpha=_rad(args.alpha, deg), l_nc=args.lnc, l_nc_prime=args.lncp
-        )
         f = amplitude_v if fn == "V" else psi_go
-        _print_complex(f(args.s, cfg))
+        _print_complex(f(args.s, _shadow_config(args)))
     return 0
 
 
@@ -84,12 +88,6 @@ _FLAG_TEXT = tuple(
     tuple(tuple(tuple(f"{a},{b},{c},{d}\n" for d in (0, 1)) for c in (0, 1)) for b in (0, 1))
     for a in (0, 1)
 )
-
-
-def _region_sink(output: str | None):
-    if output:
-        return open_output(output)
-    return contextlib.nullcontext(sys.stdout)
 
 
 def _axis(lo: float, hi: float, n: int) -> list[float]:
@@ -113,7 +111,8 @@ def _cmd_region(args: argparse.Namespace) -> int:
     # point; every input is checked above, so the rows can be written as
     # they are labelled and only one row's text is held at a time
     columns = [(re, _fmt(re)) for re in res]
-    with _region_sink(args.output) as out:
+    sink = open_output(args.output) if args.output else contextlib.nullcontext(sys.stdout)
+    with sink as out:
         out.write("re,im,in_cut,in_R,in_ellipse,in_S\n")
         for im in ims:
             im_text = "," + _fmt(im) + ","
@@ -127,9 +126,7 @@ def _cmd_region(args: argparse.Namespace) -> int:
 
 
 def _cmd_project(args: argparse.Namespace) -> int:
-    cfg = ShadowConfig(
-        k=args.k, alpha=_rad(args.alpha, args.degrees), l_nc=args.lnc, l_nc_prime=args.lncp
-    )
+    cfg = _shadow_config(args)
     n = args.n if args.n is not None else layers_for_degree(args.p, args.c)
     check_mesh_depth(cfg.l_nc, n, args.sigma)
     res = best_approx_error(cfg, n, args.sigma, args.p, args.quad_order)
@@ -186,7 +183,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    # ValueError: a NUL byte in the path or (UnicodeDecodeError) a non-UTF-8 file
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     values = parse_config(text)
     output = values.pop("output")
@@ -295,6 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ct.set_defaults(func=_cmd_cert)
 
+    # argparse (before Python 3.13) reads -1 and -1.5 as values but -1e-3 as
+    # an option; every parser here reads any negative float literal as a value
+    negative_number = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+    for p in (parser, *sub.choices.values(), *ev_sub.choices.values()):
+        p._negative_number_matcher = negative_number
     return parser
 
 

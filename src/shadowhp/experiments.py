@@ -51,7 +51,6 @@ __all__ = [
     "ExperimentGrid",
     "GridRow",
     "RateFit",
-    "check_layer_constant",
     "check_output",
     "dip_scan",
     "fit_rate",
@@ -127,19 +126,13 @@ class DipScanResult:
     within_pi_32: bool
 
 
-def check_layer_constant(c: float) -> None:
-    """Raise ConfigError, naming c, unless the layer constant is finite
-    and positive.
+def layers_for_degree(p: int, c: float) -> int:
+    """Mesh depth n = max(1, ceil(c p)) used throughout the sweeps. Raise
+    ConfigError, naming c, unless the layer constant c is finite and
+    positive, and naming c and p when n would exceed MAX_LAYERS.
     """
     if not (math.isfinite(c) and c > 0.0):
         raise ConfigError(f"layer constant c must be finite and positive, got {c}")
-
-
-def layers_for_degree(p: int, c: float) -> int:
-    """Mesh depth n = max(1, ceil(c p)) used throughout the sweeps. Raise
-    ConfigError, naming c and p, when n would exceed MAX_LAYERS.
-    """
-    check_layer_constant(c)
     depth = c * p
     # compared before ceil, which would raise on a c p that overflows to inf
     if depth > MAX_LAYERS:
@@ -295,8 +288,8 @@ def format_csv(rows: list[GridRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _output_error(path: str, exc: OSError) -> ConfigError:
-    return ConfigError(f"cannot write output {path!r}: {exc.strerror or exc}")
+def _output_error(path: str, exc: Exception) -> ConfigError:
+    return ConfigError(f"cannot write output {path!r}: {getattr(exc, 'strerror', None) or exc}")
 
 
 def check_output(path: str) -> None:
@@ -306,8 +299,11 @@ def check_output(path: str) -> None:
     A run that writes its output only at the end checks it first, so that an
     unwritable path exits before any work. An existing path is opened for
     appending and closed again; a new one needs a writable parent directory.
+    A path with a NUL byte, which no file can have, is refused too.
     """
     try:
+        if "\0" in path:
+            raise ValueError("embedded null byte")
         if os.path.exists(path):
             open(path, "ab").close()
             return
@@ -316,7 +312,7 @@ def check_output(path: str) -> None:
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
         if not os.access(parent, os.W_OK | os.X_OK):
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise _output_error(path, exc) from exc
 
 
@@ -326,7 +322,7 @@ def open_output(path: str):
     """
     try:
         return open(path, "w", encoding="ascii", newline="\n")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise _output_error(path, exc) from exc
 
 

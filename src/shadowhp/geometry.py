@@ -56,9 +56,9 @@ class KnifeGeometry:
 
     @functools.cached_property
     def _region_constants(self) -> tuple[float, float, float, float, float, bool]:
-        # what region_label needs of the geometry, computed once per instance:
-        # cos(beta), R cos(beta) and R sin(beta) (where the cuts sit), the
-        # cut tolerance, R^2 cos(beta)^2 (the ellipse) and beta <= pi/2
+        # what region_label and the cut checks need, once per instance:
+        # cos(beta), R cos(beta) and R sin(beta) (where the cuts sit), the cut
+        # tolerance, R^2 cos(beta)^2 (the ellipse) and beta <= pi/2
         R, beta = self.R, self.beta
         cb = math.cos(beta)
         return (
@@ -95,17 +95,17 @@ def _cut_distance(x: float, y: float, r_cos_beta: float, r_sin_beta: float) -> f
 def cut_distance(s: complex, geo: KnifeGeometry) -> float:
     """Euclidean distance from s to the two vertical branch cuts."""
     s = complex(s)
-    return _cut_distance(
-        s.real, s.imag, geo.R * math.cos(geo.beta), geo.R * math.sin(geo.beta)
-    )
+    _, r_cb, r_sb, *_ = geo._region_constants
+    return _cut_distance(s.real, s.imag, r_cb, r_sb)
 
 
 def _require_off_cut(s: np.ndarray, geo: KnifeGeometry) -> None:
     # cut_distance over a whole array; cut_distance itself stays scalar for
     # region_label, which labels one point at a time
-    dx = np.abs(s.real - geo.R * math.cos(geo.beta))
-    dy = geo.R * math.sin(geo.beta) - np.abs(s.imag)
-    on_cut = np.where(dy <= 0.0, dx, np.hypot(dx, dy)) <= CUT_RTOL * geo.R
+    _, r_cb, r_sb, cut_tol, *_ = geo._region_constants
+    dx = np.abs(s.real - r_cb)
+    dy = r_sb - np.abs(s.imag)
+    on_cut = np.where(dy <= 0.0, dx, np.hypot(dx, dy)) <= cut_tol
     if on_cut.any():
         raise BranchCutError(f"s = {first(s, on_cut)!r} lies on a branch cut of r(s) for {geo}")
 
@@ -131,17 +131,17 @@ def r_of_s(s, geo: KnifeGeometry):
     return unwrap(np.sqrt(radicand), scalar)
 
 
-def mu_with_root(s, r, R: float, cb, sb, k: float):
-    """(mu, sqrt(R - s cb + r)) at points s with r = r(s) already known;
-    cb and sb are cos(beta) and sin(beta), scalars or arrays like s.
+def mu_with_root(s, r, geo: KnifeGeometry, k: float):
+    """(mu, sqrt(R - s cos(beta) + r)) at an array of points s on the line of
+    geo whose r = r(s) is already known.
 
     Raises DomainError, naming k and the first such s, where mu is not a
     finite double: at subnormal k and R the root can underflow to 0.
     """
-    root = np.sqrt(R - s * cb + r)
+    root = np.sqrt(geo.R - s * math.cos(geo.beta) + r)
     # a division by zero or an overflow is reported by the check below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        mu = math.sqrt(k) * s * sb / root
+        mu = math.sqrt(k) * s * math.sin(geo.beta) / root
     bad = ~np.isfinite(mu)
     if bad.any():
         raise DomainError(
@@ -161,8 +161,7 @@ def mu_of_s(s, geo: KnifeGeometry, k: float):
     if not k > 0.0:
         raise DomainError(f"wavenumber must be positive, got {k}")
     s, scalar = as_points(s)
-    r = r_of_s(s, geo)
-    mu, _ = mu_with_root(s, r, geo.R, math.cos(geo.beta), math.sin(geo.beta), k)
+    mu, _ = mu_with_root(s, r_of_s(s, geo), geo, k)
     return unwrap(mu, scalar)
 
 

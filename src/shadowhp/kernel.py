@@ -32,6 +32,7 @@ from importlib.util import module_from_spec
 import numpy as np
 
 from shadowhp._arrays import first
+from shadowhp.errors import DomainError
 
 BACKEND = "scipy"
 
@@ -74,7 +75,9 @@ def load_wofz():
 
 def faddeeva_w(z):
     """Evaluate w(z) for a scalar or an array; raises OverflowError deep in
-    the lower half-plane.
+    the lower half-plane and DomainError at the first point with a NaN
+    component, where the Faddeeva Package would return NaN. Infinite
+    components keep their limits (w(inf + 1j) is 0).
 
     For Im z < 0 the Faddeeva Package itself reflects, w(z) = 2 exp(-z^2) -
     w(-z), and exp(-z^2) overflows once Im(z)^2 - Re(z)^2 exceeds
@@ -84,6 +87,9 @@ def faddeeva_w(z):
     such point. Scalar input returns a Python complex.
     """
     arr = np.asarray(z, dtype=complex)
+    nan = np.isnan(arr)
+    if nan.any():
+        raise DomainError(f"w(z) is undefined at z = {first(arr, nan)!r}")
     im = arr.imag
     lower = im < 0.0
     if lower.any():

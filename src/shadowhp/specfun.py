@@ -42,13 +42,6 @@ __all__ = [
 ]
 
 
-def _finite_complex(z: complex) -> complex:
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError(f"argument must have finite components, got {z!r}")
-    return z
-
-
 def fresnel_fr(z):
     """Fresnel integral Fr(z) = (1/2) erfc(e^{-i pi/4} z), entire in z.
 
@@ -104,7 +97,7 @@ def fresnel_oracle(z: complex, tol: float = 1e-13) -> complex:
     # ~0.25 s and ~26 MB of start-up, and only this oracle uses it
     from scipy.integrate import quad
 
-    z = _finite_complex(z)
+    z = as_points(z)[0].item()
     if tol < 1e-14:
         raise DomainError(f"oracle tolerance must be >= 1e-14, got {tol}")
     b = 2j * _EIPI4 * z
@@ -164,7 +157,9 @@ MAX_SAMPLES = 1_000_000
 @functools.lru_cache(maxsize=4, typed=True)
 def _sector_sample(n_samples: int) -> np.ndarray:
     """The points of the bounded-sector check: the 25 x 40 polar grid
-    (angle-major), then seeded uniform (angle, radius) draws up to n_samples.
+    (angle-major), then seeded (angle, radius) draws up to n_samples from one
+    Generator.uniform call on [-pi/2, pi) x [1e-3, 40), angle first in each
+    row: the values of as many per-draw uniform calls.
 
     Cached per n_samples like gauss_legendre_rule, so the array is shared
     between callers and therefore read-only.
@@ -172,13 +167,8 @@ def _sector_sample(n_samples: int) -> np.ndarray:
     thetas = np.linspace(-0.5 * math.pi, math.pi, 25)
     radii = np.geomspace(0.05, 40.0, 40)
     grid = (radii * np.exp(1j * thetas)[:, None]).ravel()
-    # one uniform variate pair per draw, angle first, mapped as
-    # Generator.uniform maps them, so the sample is the per-draw one
-    u = np.random.default_rng(0).random(2 * max(n_samples - grid.size, 0))
-    th_lo, th_hi = -0.5 * math.pi, math.pi
-    r_lo, r_hi = 1e-3, 40.0
-    th = th_lo + (th_hi - th_lo) * u[0::2]
-    rad = r_lo + (r_hi - r_lo) * u[1::2]
+    m = max(n_samples - grid.size, 0)
+    th, rad = np.random.default_rng(0).uniform((-0.5 * math.pi, 1e-3), (math.pi, 40.0), (m, 2)).T
     points = np.concatenate((grid, rad * np.exp(1j * th)))[:n_samples]
     points.flags.writeable = False
     return points

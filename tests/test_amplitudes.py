@@ -181,11 +181,20 @@ def test_g_at_zero():
 
 
 def test_g_mirror_symmetry():
+    # the negative real points are the mirrored geometry's points, bit for bit
     geo = KnifeGeometry(R=1.0, beta=math.pi / 3)
-    mirror = KnifeGeometry(R=1.0, beta=math.pi - math.pi / 3)
-    lhs = g_of_s(-0.3, geo, 5.0)
-    rhs = g_of_s(0.3, mirror, 5.0)
-    assert abs(lhs - rhs) <= 1e-13
+    mirrored = KnifeGeometry(R=1.0, beta=math.pi - math.pi / 3)
+    assert g_of_s(-0.3, geo, 5.0) == g_of_s(0.3, mirrored, 5.0)
+    rng = np.random.default_rng(46)
+    for _ in range(100):
+        geo = KnifeGeometry(R=rng.uniform(0.1, 3.0), beta=rng.uniform(0.05, 3.09))
+        mirrored = KnifeGeometry(R=geo.R, beta=math.pi - geo.beta)
+        s, k = rng.uniform(0.0, 3.0, 40), rng.uniform(1.0, 100.0)
+        expected = g_of_s(s, mirrored, k).view(np.uint64)
+        np.testing.assert_array_equal(g_of_s(-s, geo, k).view(np.uint64), expected)
+        both = g_of_s(np.concatenate((s, -s)), geo, k).view(np.uint64)
+        np.testing.assert_array_equal(both[80:], expected)
+        np.testing.assert_array_equal(both[:80], g_of_s(s, geo, k).view(np.uint64))
 
 
 def test_g_strip_sector_bound_regression():
@@ -352,6 +361,45 @@ def test_amplitude_v_scalar_array_parity_on_reference_nodes():
     # the shadow point itself, where H(0) = 1/2 takes both one-sided terms
     nodes = np.append(nodes, [0.0, cfg.s_sb]).reshape(-1, 2)
     _assert_scalar_array_parity(lambda s: amplitude_v(s, cfg), nodes)
+
+
+def test_amplitude_v_reads_the_plus_geometry_only_at_the_shadow_point(monkeypatch):
+    import shadowhp.amplitudes as amplitudes
+    from shadowhp.hpspace import gauss_legendre_rule, shadow_mesh
+
+    cfg = ShadowConfig(k=16.0, alpha=0.75 * math.pi, l_nc=1.5, l_nc_prime=1.0)
+    pts = np.array(shadow_mesh(cfg, 8, 0.15).points)
+    x, _ = gauss_legendre_rule(8)
+    nodes = (pts[:-1, None] + 0.5 * (pts[1:] - pts[:-1])[:, None] * (x + 1.0)).ravel()
+    assert (nodes < cfg.s_sb).any() and (nodes > cfg.s_sb).any()
+    expected = amplitude_v(nodes, cfg)
+    at_sb = amplitude_v(cfg.s_sb, cfg)
+
+    reads, calls = [], []
+    plus = ShadowConfig.geo_plus
+    monkeypatch.setattr(
+        ShadowConfig, "geo_plus", property(lambda c: reads.append(c) or plus.fget(c))
+    )
+    g = amplitudes.g_of_s
+
+    def counted_g(s, geo, k):
+        calls.append((s, geo))
+        return g(s, geo, k)
+
+    monkeypatch.setattr(amplitudes, "g_of_s", counted_g)
+    np.testing.assert_array_equal(amplitude_v(nodes, cfg), expected)
+    assert reads == []
+    # one call from V on every point of the minus geometry; the rest are the
+    # mirror rule's own calls, which split those points between them
+    (outer, geo), inner = calls[0], calls[1:]
+    assert outer.size == 2 * nodes.size and geo == cfg.geo_minus
+    assert sum(np.size(s) for s, _ in inner) == outer.size
+
+    # at s_sb, H(0) = 1/2 takes half of each one-sided term
+    assert amplitude_v(cfg.s_sb, cfg) == at_sb
+    assert len(reads) == 1
+    half = 0.5 * (g(0.0, cfg.geo_minus, cfg.k) - g(0.0, cfg.geo_plus, cfg.k))
+    assert abs(at_sb - (half - g(2.0 * cfg.s_sb, cfg.geo_minus, cfg.k))) <= 1e-13 * abs(at_sb)
 
 
 def test_amplitude_v_array_rejects_one_bad_point():

@@ -179,6 +179,40 @@ def test_eval_v_negative_s_exit_code(capsys):
     assert "domain error" in err
 
 
+_G_TAIL = ["--R", "1", "--beta", "2", "--k", "5"]
+_V_TAIL = ["--k", "16", "--alpha", "2.4", "--lnc", "1.5", "--lncp", "1"]
+
+
+@pytest.mark.parametrize("number", ["-1e-3", "-1E+2", "-3e-1", "-.5e1"])
+@pytest.mark.parametrize(
+    "command, tail", [(["eval", "g"], _G_TAIL), (["eval", "h"], _G_TAIL), (["eval", "V"], _V_TAIL)]
+)
+def test_negative_numbers_with_an_exponent_are_values(capsys, command, tail, number):
+    # argparse took -1e-3 for an option and exited 2 with a usage error
+    spaced = run_cli([*command, "--s", number, *tail], capsys)
+    joined = run_cli([*command, f"--s={number}", *tail], capsys)
+    assert spaced == joined
+    # V is defined for s >= 0 only
+    assert spaced[0] == (1 if command[1] == "V" else 0)
+    if command[1] != "V":
+        decimal = repr(float(number))
+        complex_s = run_cli([*command, "--s", number, "-2e-1", *tail], capsys)
+        assert complex_s == run_cli([*command, "--s", decimal, "-0.2", *tail], capsys)
+        assert complex_s[0] == 0
+
+
+def test_eval_fr_and_region_take_a_negative_number_with_an_exponent(capsys):
+    code, out, err = run_cli(["eval", "fr", "-1e-3", "0"], capsys)
+    assert (code, err) == (0, "")
+    real, imag = (float(x) for x in out.strip().split(","))
+    want = fresnel_fr(-1e-3)
+    assert (real, imag) == (want.real, want.imag)
+    argv = ["region", "--R", "1", "--beta", "2", "--nx", "2", "--ny", "1"]
+    code, out, err = run_cli([*argv, "--re-min", "-1e-1"], capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].startswith("-0.10000000000000001,")
+
+
 def _region_rows(argv, capsys):
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
@@ -441,6 +475,31 @@ def test_experiment_checks_its_output_before_any_row(tmp_path, capsys, monkeypat
     assert calls == []
 
 
+def test_experiment_output_with_a_nul_byte_exits_2_before_any_row(tmp_path, capsys, monkeypatch):
+    import shadowhp.experiments
+
+    calls = []
+    monkeypatch.setattr(
+        shadowhp.experiments, "best_approx_error", lambda *a, **kw: calls.append(a)
+    )
+    cfg = tmp_path / "a.conf"
+    cfg.write_text(CONFIG_OK.format(out="a\0b.csv"), encoding="ascii")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["experiment", str(cfg)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "config error: cannot write output 'a\\x00b.csv': embedded null byte\n"
+    assert calls == []
+
+
+def test_experiment_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "a.conf"
+    cfg.write_bytes(b"k_values=16\xff\n")
+    code, out, err = run_cli(["experiment", str(cfg)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: cannot read config {str(cfg)!r}: 'utf-8' codec")
+    assert err.count("\n") == 1
+
+
 def test_experiment_output_is_written_only_after_the_sweep(tmp_path, capsys, monkeypatch):
     # the early check neither creates a new output nor truncates an old one
     import shadowhp.cli
@@ -662,6 +721,16 @@ def test_cert_reports_bound(capsys):
     assert float(fields["c_upper"]) == 1.59
     assert 0.0 < float(fields["max_observed"]) <= 1.59
     assert int(fields["n_samples"]) == 10000
+
+
+def test_cert_failure_exits_3(capsys, monkeypatch):
+    import shadowhp.specfun
+
+    monkeypatch.setattr(shadowhp.specfun, "_C_UPPER", 1.0)
+    code, out, err = run_cli(["cert", "--n-samples", "1000"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("certification failure: |F(")
+    assert err.endswith("exceeds the sector bound 1.0\n")
 
 
 @pytest.mark.parametrize(

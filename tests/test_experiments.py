@@ -20,6 +20,7 @@ from shadowhp.experiments import (
     fit_rate,
     format_csv,
     layers_for_degree,
+    open_output,
     run_grid,
     write_csv,
 )
@@ -317,6 +318,28 @@ def test_dip_scan_keeps_the_grid_parameters():
     assert all(a.relative_error != b.relative_error for a, b in zip(rows, defaults))
 
 
+@pytest.mark.parametrize(
+    "errors, expected",
+    [((5.0, 4.0, 3.0, 2.0), 3), ((1.0, 2.0, 3.0, 4.0), 0), ((3.0, 2.0, 2.0, 4.0), 1)],
+    ids=["falling", "rising", "flat-bottom"],
+)
+def test_dip_scan_falls_back_to_the_global_minimum(monkeypatch, errors, expected):
+    # no strict interior local minimum in the sampled landscape
+    alphas = (1.7, 2.0, 2.3, 2.6)
+
+    def fake_run_grid(grid, quad_order, parallelism):
+        assert grid.alpha_values == alphas and grid.p_values == (8,)
+        return [
+            experiments.GridRow(16.0, a, 8, 8, 72, e, e, "ok") for a, e in zip(alphas, errors)
+        ]
+
+    monkeypatch.setattr(experiments, "run_grid", fake_run_grid)
+    grid = ExperimentGrid(k_values=(16.0,), alpha_values=alphas, p_values=(8,))
+    result = dip_scan(grid, p=8)
+    assert result.alpha_min == alphas[expected]
+    assert result.points == tuple(zip(alphas, errors))
+
+
 def test_dip_scan_validation():
     grid = ExperimentGrid(k_values=(16.0,), alpha_values=(1.8, 2.0, 2.2), p_values=(8,))
     with pytest.raises(DomainError):
@@ -378,3 +401,9 @@ def test_check_output_touches_nothing(tmp_path):
     for bad in (tmp_path / "missing-dir" / "x.csv", old / "x.csv", tmp_path, ""):
         with pytest.raises(ConfigError, match="cannot write output"):
             check_output(str(bad))
+    # os.path.exists reads a path with a NUL byte as absent, not as invalid
+    for path in (str(tmp_path / "a\0b.csv"), "\0"):
+        with pytest.raises(ConfigError, match="embedded null byte"):
+            check_output(path)
+        with pytest.raises(ConfigError, match="embedded null byte"):
+            open_output(path)

@@ -10,6 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from shadowhp.errors import DomainError
 from shadowhp.kernel import faddeeva_w, load_wofz
 
 
@@ -77,6 +78,25 @@ def test_lower_half_plane_reflection():
 
 
 def test_overflow_raises():
+    with pytest.raises(OverflowError):
+        faddeeva_w(complex(0.0, -30.0))
+
+
+def test_nan_raises_naming_the_point():
+    # the Faddeeva Package returns nan+nanj at a NaN
+    with pytest.raises(DomainError, match=r"z = \(nan\+0j\)"):
+        faddeeva_w(math.nan)
+    with pytest.raises(DomainError, match=r"z = \(nan\+1j\)"):
+        faddeeva_w(complex(math.nan, 1.0))
+    pts = np.array([1.0 + 1.0j, complex(2.0, math.nan), complex(math.nan, 0.0)])
+    with pytest.raises(DomainError, match=r"z = \(2\+nanj\)"):
+        faddeeva_w(pts)
+    # a NaN is named before an overflow elsewhere in the array
+    with pytest.raises(DomainError):
+        faddeeva_w(np.array([0.0 - 30.0j, complex(math.nan, 0.0)]).reshape(2, 1))
+    # infinite components keep their limits
+    assert faddeeva_w(complex(math.inf, 1.0)) == 0j
+    assert faddeeva_w(np.array([complex(math.inf, 1.0)]))[0] == 0j
     with pytest.raises(OverflowError):
         faddeeva_w(complex(0.0, -30.0))
 
