@@ -25,7 +25,7 @@ import numpy as np
 from shadowhp._arrays import as_points, first, unwrap
 from shadowhp.errors import DomainError
 from shadowhp.geometry import mu_of_s  # noqa: F401  (perfbench/tracer.py wraps it here)
-from shadowhp.geometry import KnifeGeometry, mu_with_root, r_of_s
+from shadowhp.geometry import KnifeGeometry, check_wavenumber, mu_with_root, r_of_s
 from shadowhp.specfun import big_f, fresnel_fr
 
 _E3IPI4 = cmath.exp(0.75j * math.pi)
@@ -91,8 +91,7 @@ class ShadowConfig:
     l_nc_prime: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.k) and self.k > 0.0):
-            raise DomainError(f"wavenumber k must be finite and positive, got {self.k}")
+        check_wavenumber(self.k)
         if not 0.5 * math.pi < self.alpha < 1.5 * math.pi:
             raise DomainError(
                 f"alpha must lie strictly inside (pi/2, 3pi/2), got {self.alpha}"
@@ -139,8 +138,7 @@ def _finite_phase(z: complex, **inputs: float) -> complex:
 
 def e_field(p: FieldPoint, k: float) -> complex:
     """Total knife-edge field E(r, psi) = e^{-i k r cos psi} Fr(-sqrt(2kr) cos(psi/2))."""
-    if not k > 0.0:
-        raise DomainError(f"wavenumber must be positive, got {k}")
+    check_wavenumber(k)
     mu = _finite_phase(-math.sqrt(2.0 * k * p.r) * math.cos(0.5 * p.psi), k=k, r=p.r, psi=p.psi)
     phase = _finite_phase(-1j * k * p.r * math.cos(p.psi), k=k, r=p.r, psi=p.psi)
     return cmath.exp(phase) * fresnel_fr(mu)
@@ -148,8 +146,7 @@ def e_field(p: FieldPoint, k: float) -> complex:
 
 def e_go(p: FieldPoint, k: float) -> complex:
     """Geometrical-optics part H(pi - psi) e^{-i k r cos psi}, H(0) = 1/2."""
-    if not k > 0.0:
-        raise DomainError(f"wavenumber must be positive, got {k}")
+    check_wavenumber(k)
     if not 0.0 < p.psi < 2.0 * math.pi:
         raise DomainError(f"the GO splitting needs psi in (0, 2pi), got {p.psi}")
     h = _heaviside(math.pi - p.psi)
@@ -179,8 +176,9 @@ def gtd_far_field(p: FieldPoint, k: float, include_plane_wave: bool = True) -> c
     d(psi) = -e^{i pi/4} / (2 sqrt(2 pi) cos(psi/2)); invalid near odd
     multiples of pi where the coefficient blows up.
     """
-    if not (k > 0.0 and p.r > 0.0):
-        raise DomainError("far-field evaluation needs k > 0 and r > 0")
+    check_wavenumber(k)
+    if not p.r > 0.0:
+        raise DomainError(f"far-field evaluation needs r > 0, got {p.r}")
     c_half = math.cos(0.5 * p.psi)
     if abs(c_half) < 1e-8:
         raise DomainError(
@@ -217,8 +215,7 @@ def h_of_s(s, geo: KnifeGeometry, k: float):
     Raises OverflowError, naming the first such s, where 2 r (r + R)
     overflows (from about |s| = 9.5e153 on).
     """
-    if not k > 0.0:
-        raise DomainError(f"wavenumber must be positive, got {k}")
+    check_wavenumber(k)
     s, scalar = as_points(s)
     h, _ = _h_mu(s, r_of_s(s, geo), geo, k)
     return unwrap(h, scalar)
@@ -234,13 +231,17 @@ def g_of_s(s, geo: KnifeGeometry, k: float):
     by a call of this function. Every other point, complex ones included,
     uses the analytic continuation of the formula.
     """
-    if not k > 0.0:
-        raise DomainError(f"wavenumber must be positive, got {k}")
+    check_wavenumber(k)
     s, scalar = as_points(s)
     mirror = (s.imag == 0.0) & (s.real < 0.0)
     if mirror.any():
         out = np.empty(s.shape, dtype=complex)
         out[~mirror] = g_of_s(s[~mirror], geo, k)
+        if math.pi - geo.beta == math.pi:
+            raise DomainError(
+                f"g at the negative real s = {first(s, mirror)!r} follows the mirror rule, "
+                f"which needs pi - beta to stay below pi; beta = {geo.beta!r} rounds it to pi"
+            )
         out[mirror] = g_of_s(-s.real[mirror], KnifeGeometry(geo.R, math.pi - geo.beta), k)
         return unwrap(out, scalar)
     h, mu = _h_mu(s, r_of_s(s, geo), geo, k)
@@ -257,8 +258,7 @@ def de_dn_check(s: float, geo: KnifeGeometry, k: float, step: float = 1e-6) -> f
     """
     if not s > 0.0:
         raise DomainError(f"arc length must be positive, got {s}")
-    if not k > 0.0:
-        raise DomainError(f"wavenumber must be positive, got {k}")
+    check_wavenumber(k)
     sb, cb = math.sin(geo.beta), math.cos(geo.beta)
     x1 = -geo.R + s * cb
     x2 = s * sb

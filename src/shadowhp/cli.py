@@ -188,13 +188,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     values = parse_config(text)
     output = values.pop("output")
-    quad_order = values.pop("quad_order", None)
     parallelism = values.pop("parallelism", 1)
     grid = ExperimentGrid(**values)
     out = args.output if args.output is not None else output
     # the CSV is written only after the last row, so check its path first
     check_output(out)
-    rows = run_grid(grid, quad_order=quad_order, parallelism=parallelism)
+    rows = run_grid(grid, parallelism=parallelism)
     write_csv(rows, out)
     n_failed = sum(1 for r in rows if r.status != "ok")
     print(f"wrote {len(rows)} rows to {out}" + (f" ({n_failed} failed)" if n_failed else ""))

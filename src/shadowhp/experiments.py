@@ -64,7 +64,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExperimentGrid:
-    """Parameter grid of the convergence study. Angles are radians; by the
+    """Parameter grid of the convergence study, and every value a sweep's
+    numbers depend on: quad_order is the per-element rule size (None: the
+    default 2p + 16 of check_quad_order). Angles are radians; by the
     symmetry of the setup only alpha in (pi/2, pi] is admitted. The grid is
     read from a config file, so every bad value raises ConfigError.
     """
@@ -76,6 +78,7 @@ class ExperimentGrid:
     l_nc_prime: float = 1.0
     sigma: float = 0.15
     c: float = 1.0
+    quad_order: int | None = None
 
     def __post_init__(self) -> None:
         if not (self.k_values and self.alpha_values and self.p_values):
@@ -93,8 +96,10 @@ class ExperimentGrid:
         if not all(math.isfinite(x) and x > 0.0 for x in (self.l_nc, self.l_nc_prime)):
             raise ConfigError("side lengths must be finite and positive")
         check_grading(self.sigma)
-        # the deepest mesh of the grid, so that no row fails on the layer cap
+        # the deepest mesh and the highest degree of the grid, so that no row
+        # fails on the layer cap or the rule size
         layers_for_degree(max(self.p_values), self.c)
+        check_quad_order(max(self.p_values), self.quad_order)
 
 
 @dataclass(frozen=True)
@@ -147,9 +152,7 @@ def layers_for_degree(p: int, c: float) -> int:
 _ROW_ERRORS = (DomainError, OverflowError, OracleError)
 
 
-def _pair_task(
-    grid: ExperimentGrid, quad_order: int | None, pair: tuple, ps: list[int] | None = None
-) -> list[GridRow]:
+def _pair_task(grid: ExperimentGrid, pair: tuple, ps: list[int] | None = None) -> list[GridRow]:
     """The rows of one (k, alpha) pair at the degrees ps (default: all of
     the grid's, ascending), from one batched best_approx_error call. If a
     batch of several rows fails, each degree is rerun on its own, so that
@@ -160,10 +163,10 @@ def _pair_task(
     ns = [layers_for_degree(p, grid.c) for p in ps]
     try:
         cfg = ShadowConfig(k=k, alpha=alpha, l_nc=grid.l_nc, l_nc_prime=grid.l_nc_prime)
-        results = best_approx_error(cfg, ns, grid.sigma, ps, quad_order)
+        results = best_approx_error(cfg, ns, grid.sigma, ps, grid.quad_order)
     except _ROW_ERRORS as exc:
         if len(ps) > 1:
-            return [row for p in ps for row in _pair_task(grid, quad_order, pair, [p])]
+            return [row for p in ps for row in _pair_task(grid, pair, [p])]
         reason = f"{type(exc).__name__}: {exc}".replace(",", ";").replace("\n", " ")
         return [GridRow(k, alpha, ps[0], ns[0], 0, math.nan, math.nan, f"failed: {reason}")]
     return [
@@ -180,15 +183,11 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def run_grid(
-    grid: ExperimentGrid,
-    quad_order: int | None = None,
-    parallelism: int = 1,
-) -> list[GridRow]:
+def run_grid(grid: ExperimentGrid, parallelism: int = 1) -> list[GridRow]:
     """One row per (k, alpha, p), in canonical sorted order. A row that
     fails with a domain, overflow or oracle error records its reason in the
     status column and the sweep continues; any other exception propagates.
-    A bad `quad_order` or `parallelism` raises ConfigError before any row.
+    A bad `parallelism` raises ConfigError before any row.
 
     The unit of work is a (k, alpha) pair: V is evaluated once for all of
     its degrees (see _pair_task), and the pairs' rows are concatenated in
@@ -199,10 +198,9 @@ def run_grid(
     """
     if parallelism < 1:
         raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
-    check_quad_order(max(grid.p_values), quad_order)
     pairs = list(itertools.product(sorted(grid.k_values), sorted(grid.alpha_values)))
     n_rows = len(pairs) * len(grid.p_values)
-    task = functools.partial(_pair_task, grid, quad_order)
+    task = functools.partial(_pair_task, grid)
     workers = min(parallelism, _usable_cores(), len(pairs), n_rows // _MIN_ROWS_PER_WORKER)
     if workers < 2:
         return [row for pair in pairs for row in task(pair)]
@@ -237,25 +235,24 @@ def fit_rate(pairs: list[tuple[float, float]]) -> RateFit:
     return RateFit(tau=float(-slope), intercept=float(intercept), r_squared=r_squared)
 
 
-def dip_scan(
-    grid: ExperimentGrid,
-    p: int = 8,
-    quad_order: int | None = None,
-    parallelism: int = 1,
-) -> DipScanResult:
+def dip_scan(grid: ExperimentGrid, p: int = 8, parallelism: int = 1) -> DipScanResult:
     """Sweep the relative error over the grid's alpha values at fixed degree
-    (k is the grid's first wavenumber; the reference setup runs at k = 16)
+    (k is the grid's smallest wavenumber; the reference setup runs at k = 16)
     and locate the error dip: the first strict interior local minimum over
     ascending alpha, falling back to the global minimum when the sampled
     landscape has no interior one. Reports whether the dip lies within
-    pi/32 of the predicted pi/2 + arctan(4/9).
+    pi/32 of the predicted pi/2 + arctan(4/9). Raises DomainError, naming
+    its alpha and status, when a row of the scan failed.
     """
     if p < 6:
         raise DomainError(f"the dip is resolved only for p >= 6, got {p}")
     if len(grid.alpha_values) < 3:
         raise DomainError("dip_scan needs at least 3 alpha values")
     scan = replace(grid, k_values=(min(grid.k_values),), p_values=(p,))
-    rows = run_grid(scan, quad_order, parallelism)
+    rows = run_grid(scan, parallelism)
+    failed = next((row for row in rows if row.status != "ok"), None)
+    if failed is not None:
+        raise DomainError(f"the dip scan's row at alpha = {failed.alpha!r} {failed.status}")
     points = tuple((row.alpha, row.relative_error) for row in rows)
     errs = [e for _, e in points]
     alpha_min = None

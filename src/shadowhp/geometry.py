@@ -31,12 +31,27 @@ __all__ = [
     "THETA_STAR",
     "KnifeGeometry",
     "RegionLabel",
+    "check_wavenumber",
     "cut_distance",
     "mu_of_s",
     "r_of_s",
     "region_label",
     "strip_S_delta",
 ]
+
+
+def check_wavenumber(k: float) -> None:
+    """Raise DomainError, naming k, unless the wavenumber is finite and positive."""
+    if not (math.isfinite(k) and k > 0.0):
+        raise DomainError(f"wavenumber k must be finite and positive, got {k}")
+
+
+def _finite_point(s: complex) -> complex:
+    # region_label makes this check inline: it labels one point per call
+    s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError(f"argument must have finite components, got {s!r}")
+    return s
 
 
 @dataclass(frozen=True)
@@ -93,8 +108,10 @@ def _cut_distance(x: float, y: float, r_cos_beta: float, r_sin_beta: float) -> f
 
 
 def cut_distance(s: complex, geo: KnifeGeometry) -> float:
-    """Euclidean distance from s to the two vertical branch cuts."""
-    s = complex(s)
+    """Euclidean distance from s to the two vertical branch cuts. Raises
+    DomainError for a non-finite s.
+    """
+    s = _finite_point(s)
     _, r_cb, r_sb, *_ = geo._region_constants
     return _cut_distance(s.real, s.imag, r_cb, r_sb)
 
@@ -158,8 +175,7 @@ def mu_of_s(s, geo: KnifeGeometry, k: float):
     Satisfies mu(s)^2 = k (-R + s cos(beta) + r(s)); nonnegative for real
     s >= 0.
     """
-    if not k > 0.0:
-        raise DomainError(f"wavenumber must be positive, got {k}")
+    check_wavenumber(k)
     s, scalar = as_points(s)
     mu, _ = mu_with_root(s, r_of_s(s, geo), geo, k)
     return unwrap(mu, scalar)
@@ -200,11 +216,11 @@ def region_label(s: complex, geo: KnifeGeometry) -> RegionLabel:
 
 def strip_S_delta(s: complex, geo: KnifeGeometry, delta: float) -> bool:
     """Membership in the delta-contracted strip-sector: |Im s| < (1-delta) R sin(beta)
-    and |arg s| < theta*.
+    and |arg s| < theta*. Raises DomainError for a non-finite s.
     """
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    s = complex(s)
+    s = _finite_point(s)
     if s == 0.0:
         return False
     return (

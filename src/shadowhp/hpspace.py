@@ -103,13 +103,9 @@ def check_quad_order(p: int, quad_order: int | None) -> int:
 
 @dataclass(frozen=True)
 class Mesh:
-    """Sorted breakpoints of a one-dimensional mesh plus the grading
-    parameters that produced it.
-    """
+    """Sorted breakpoints of a one-dimensional mesh."""
 
     points: tuple[float, ...]
-    n_layers: int
-    sigma: float
 
     def __post_init__(self) -> None:
         if len(self.points) < 2:
@@ -162,7 +158,7 @@ def geometric_mesh(length: float, n: int, sigma: float) -> Mesh:
         raise DomainError(f"length must be positive and finite, got {length}")
     check_mesh_depth(length, n, sigma, DomainError)
     pts = [0.0] + [sigma ** (n - i) * length for i in range(1, n + 1)]
-    return Mesh(points=tuple(pts), n_layers=n, sigma=sigma)
+    return Mesh(points=tuple(pts))
 
 
 def shadow_mesh(cfg: ShadowConfig, n: int, sigma: float) -> Mesh:
@@ -189,7 +185,7 @@ def shadow_mesh(cfg: ShadowConfig, n: int, sigma: float) -> Mesh:
         if interior and c - interior[-1] <= tol:
             continue
         interior.append(c)
-    return Mesh(points=tuple([0.0, *interior, length]), n_layers=n, sigma=sigma)
+    return Mesh(points=tuple([0.0, *interior, length]))
 
 
 @functools.lru_cache(maxsize=None, typed=True)

@@ -290,7 +290,7 @@ def test_criterion_8_pole_decay_rate(capsys):
         eps = 1.0 / (abs(c - 0.0) + abs(c - 1.0))
         rho = bernstein_rho(eps)
         space = lambda p: PiecewisePolySpace(
-            mesh=Mesh(points=(0.0, 1.0), n_layers=1, sigma=0.5), degree=p
+            mesh=Mesh(points=(0.0, 1.0)), degree=p
         )
         ps = np.arange(2, 15)
         errs = np.array(
@@ -305,7 +305,7 @@ def test_criterion_8_pole_decay_rate(capsys):
 
 
 def test_criterion_9_projection_algebra(capsys):
-    mesh = Mesh(points=(0.0, 0.5, 1.5), n_layers=1, sigma=0.5)
+    mesh = Mesh(points=(0.0, 0.5, 1.5))
     space = PiecewisePolySpace(mesh=mesh, degree=4)
 
     def reconstruct(coeffs, s: float) -> complex:

@@ -21,7 +21,7 @@ from shadowhp.amplitudes import (
     psi_go,
 )
 from shadowhp.errors import DomainError
-from shadowhp.geometry import KnifeGeometry, r_of_s, strip_S_delta
+from shadowhp.geometry import KnifeGeometry, mu_of_s, r_of_s, strip_S_delta
 
 E3IPI4 = cmath.exp(0.75j * math.pi)
 SQRTPI = math.sqrt(math.pi)
@@ -148,6 +148,28 @@ BIG = 1e300
 def test_field_functions_raise_where_the_phase_overflows(call, named):
     with pytest.raises(OverflowError, match=re.escape(f"not finite at {named}")):
         call()
+
+
+_GEO = KnifeGeometry(1.0, 2.0)
+
+
+@pytest.mark.parametrize("k", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k: mu_of_s(0.5, _GEO, k),
+        lambda k: e_field(FieldPoint(1.0, 4.0), k),
+        lambda k: e_go(FieldPoint(1.0, 4.0), k),
+        lambda k: gtd_far_field(FieldPoint(1.0, 1.0), k),
+        lambda k: h_of_s(0.5, _GEO, k),
+        lambda k: g_of_s(0.5, _GEO, k),
+        lambda k: de_dn_check(1.0, _GEO, k),
+    ],
+    ids=["mu_of_s", "e_field", "e_go", "gtd_far_field", "h_of_s", "g_of_s", "de_dn_check"],
+)
+def test_functions_of_k_reject_a_wavenumber_that_is_not_finite_and_positive(call, k):
+    with pytest.raises(DomainError, match=rf"wavenumber k must be finite and positive, got {k}"):
+        call(k)
 
 
 def test_field_functions_keep_values_where_no_phase_is_formed():
@@ -411,3 +433,6 @@ def test_amplitude_v_array_rejects_one_bad_point():
     geo = KnifeGeometry(R=1.0, beta=math.pi / 3)
     with pytest.raises(DomainError):
         g_of_s(np.array([0.2, complex(0.0, math.inf)]), geo, 5.0)
+    # pi - 1e-17 rounds to pi, so the mirrored geometry does not exist
+    with pytest.raises(DomainError, match=r"needs pi - beta to stay below pi; beta = 1e-17"):
+        g_of_s(-1.0, KnifeGeometry(1.0, 1e-17), 5.0)

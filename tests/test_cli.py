@@ -583,7 +583,7 @@ def test_experiment_rejects_bad_run_options_before_any_row(tmp_path, capsys, key
 
 
 def test_config_schema_is_the_grid_plus_run_options():
-    run_options = {"quad_order", "parallelism", "output"}
+    run_options = {"parallelism", "output"}
     grid_fields = {f.name for f in dataclasses.fields(ExperimentGrid)}
     assert set(_CONFIG_SCHEMA) - run_options == grid_fields
 

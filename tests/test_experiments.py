@@ -273,21 +273,22 @@ def test_run_grid_rejects_bad_parallelism():
 
 
 @pytest.mark.parametrize(
-    "grid, quad_order",
+    "p_values, quad_order",
     [
-        pytest.param(SMALL, 0, id="0"),
-        pytest.param(SMALL, 257, id="257"),
+        pytest.param(SMALL.p_values, 0, id="0"),
+        pytest.param(SMALL.p_values, 257, id="257"),
         # below p + 1 for the grid's largest degree, 4
-        pytest.param(SMALL, 4, id="4"),
+        pytest.param(SMALL.p_values, 4, id="4"),
         # p = 121 needs the default rule 2p + 16 = 258
-        pytest.param(replace(SMALL, p_values=(2, 121)), None, id="default-p121"),
+        pytest.param((2, 121), None, id="default-p121"),
     ],
 )
-def test_run_grid_rejects_bad_quad_order_before_any_row(monkeypatch, grid, quad_order):
+def test_run_grid_rejects_bad_quad_order_before_any_row(monkeypatch, p_values, quad_order):
+    # the grid holds the rule size, so building it raises, before any row
     calls = []
     monkeypatch.setattr(experiments, "best_approx_error", lambda *args: calls.append(args))
     with pytest.raises(ConfigError, match="quad_order"):
-        run_grid(grid, quad_order=quad_order)
+        run_grid(replace(SMALL, p_values=p_values, quad_order=quad_order))
     assert calls == []
 
 
@@ -305,7 +306,7 @@ def test_dip_scan_locates_the_dip():
 
 def test_dip_scan_keeps_the_grid_parameters():
     alphas = (1.7, 2.0, 2.3, 2.6)
-    params = {"l_nc": 2.0, "l_nc_prime": 0.7, "sigma": 0.2, "c": 1.7}
+    params = {"l_nc": 2.0, "l_nc_prime": 0.7, "sigma": 0.2, "c": 1.7, "quad_order": 14}
     grid = ExperimentGrid(
         k_values=(32.0, 8.0), alpha_values=alphas[::-1], p_values=(3,), **params
     )
@@ -327,7 +328,7 @@ def test_dip_scan_falls_back_to_the_global_minimum(monkeypatch, errors, expected
     # no strict interior local minimum in the sampled landscape
     alphas = (1.7, 2.0, 2.3, 2.6)
 
-    def fake_run_grid(grid, quad_order, parallelism):
+    def fake_run_grid(grid, parallelism):
         assert grid.alpha_values == alphas and grid.p_values == (8,)
         return [
             experiments.GridRow(16.0, a, 8, 8, 72, e, e, "ok") for a, e in zip(alphas, errors)
@@ -338,6 +339,15 @@ def test_dip_scan_falls_back_to_the_global_minimum(monkeypatch, errors, expected
     result = dip_scan(grid, p=8)
     assert result.alpha_min == alphas[expected]
     assert result.points == tuple(zip(alphas, errors))
+
+
+def test_dip_scan_raises_on_a_failed_row():
+    # 480 layers underflow at grading 0.15, so every row of the scan fails
+    grid = ExperimentGrid(
+        k_values=(16.0,), alpha_values=(2.0, 2.2, 2.4, 2.6), p_values=(8,), c=60.0
+    )
+    with pytest.raises(DomainError, match=r"row at alpha = 2\.0 failed: DomainError: 480 layers"):
+        dip_scan(grid, p=8)
 
 
 def test_dip_scan_validation():

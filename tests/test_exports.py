@@ -3,6 +3,8 @@ not at a user's `from shadowhp.x import *`.
 """
 
 import importlib
+import importlib.util
+import pathlib
 import pkgutil
 
 import pytest
@@ -38,3 +40,17 @@ def test_every_name_in_all_resolves(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+def test_every_benchmark_trace_target_resolves():
+    # the benchmark wraps these attributes; a renamed or removed one breaks it
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [
+        (module, attr)
+        for module, attr, _ in tracer.TARGETS
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert missing == []

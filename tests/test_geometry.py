@@ -279,6 +279,10 @@ def test_region_label_rejects_non_finite_points():
     for s in (complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, 1.0)):
         with pytest.raises(DomainError, match="finite components"):
             region_label(s, geo)
+        with pytest.raises(DomainError, match="finite components"):
+            cut_distance(s, geo)
+        with pytest.raises(DomainError, match="finite components"):
+            strip_S_delta(s, geo, 0.5)
 
 
 def test_strip_S_delta():

@@ -59,11 +59,11 @@ def test_geometric_mesh_validation():
 
 def test_mesh_validation():
     with pytest.raises(DomainError):
-        Mesh(points=(0.0,), n_layers=1, sigma=0.5)
+        Mesh(points=(0.0,))
     with pytest.raises(DomainError):
-        Mesh(points=(0.0, 1.0, 1.0), n_layers=1, sigma=0.5)
+        Mesh(points=(0.0, 1.0, 1.0))
     with pytest.raises(DomainError):
-        PiecewisePolySpace(mesh=Mesh(points=(0.0, 1.0), n_layers=1, sigma=0.5), degree=-1)
+        PiecewisePolySpace(mesh=Mesh(points=(0.0, 1.0)), degree=-1)
 
 
 def test_shadow_mesh_centered_at_origin():
@@ -172,7 +172,7 @@ def test_gauss_rule_validation():
 
 
 def _space(points: tuple[float, ...], p: int) -> PiecewisePolySpace:
-    return PiecewisePolySpace(mesh=Mesh(points=points, n_layers=1, sigma=0.5), degree=p)
+    return PiecewisePolySpace(mesh=Mesh(points=points), degree=p)
 
 
 def _evaluate(space: PiecewisePolySpace, coeffs, s: float) -> complex:
