@@ -30,6 +30,8 @@ from shadowhp.specfun import big_f, fresnel_fr
 
 _E3IPI4 = cmath.exp(0.75j * math.pi)
 _SQRTPI = math.sqrt(math.pi)
+#: step of de_dn_check's central finite difference
+_FD_STEP = 1e-6
 
 __all__ = [
     "FieldPoint",
@@ -248,16 +250,17 @@ def g_of_s(s, geo: KnifeGeometry, k: float):
     return unwrap(_E3IPI4 / _SQRTPI * h - 1j * k * math.sin(geo.beta) * big_f(mu), scalar)
 
 
-def de_dn_check(s: float, geo: KnifeGeometry, k: float, step: float = 1e-6) -> float:
+def de_dn_check(s: float, geo: KnifeGeometry, k: float) -> float:
     """Residual between the decomposition
     dE/dn = dE_GO/dn - sign(pi - psi) g(s) e^{i k r}   at x(s)
     and a central finite difference of E along n = (sin beta, -cos beta).
 
-    The point must be off the shadow boundary psi = pi (and implicitly off
-    the screen, which real s > 0 guarantees).
+    The arc length s must be finite and positive and the point off the
+    shadow boundary psi = pi (and implicitly off the screen, which real
+    s > 0 guarantees).
     """
-    if not s > 0.0:
-        raise DomainError(f"arc length must be positive, got {s}")
+    if not (math.isfinite(s) and s > 0.0):
+        raise DomainError(f"arc length must be finite and positive, got {s}")
     check_wavenumber(k)
     sb, cb = math.sin(geo.beta), math.cos(geo.beta)
     x1 = -geo.R + s * cb
@@ -271,7 +274,7 @@ def de_dn_check(s: float, geo: KnifeGeometry, k: float, step: float = 1e-6) -> f
         y2 = x2 - t * cb
         return e_field(FieldPoint(math.hypot(y1, y2), math.atan2(y2, y1)), k)
 
-    fd = (field_at(step) - field_at(-step)) / (2.0 * step)
+    fd = (field_at(_FD_STEP) - field_at(-_FD_STEP)) / (2.0 * _FD_STEP)
     r = math.hypot(x1, x2)
     go = -1j * k * sb * _heaviside(math.pi - psi) * cmath.exp(-1j * k * x1)
     analytic = go - _sign(math.pi - psi) * g_of_s(s, geo, k) * cmath.exp(1j * k * r)

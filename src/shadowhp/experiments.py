@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from shadowhp.amplitudes import ShadowConfig
-from shadowhp.errors import ConfigError, DomainError, OracleError
+from shadowhp.errors import ConfigError, DomainError
 from shadowhp.hpspace import (
     MAX_LAYERS,
     best_approx_error,
@@ -83,18 +83,21 @@ class ExperimentGrid:
     def __post_init__(self) -> None:
         if not (self.k_values and self.alpha_values and self.p_values):
             raise ConfigError("k_values, alpha_values and p_values must be nonempty")
-        if any(not (math.isfinite(k) and k > 0.0) for k in self.k_values):
-            raise ConfigError("wavenumbers must be finite and positive")
-        if any(not 0.5 * math.pi < a <= math.pi for a in self.alpha_values):
-            raise ConfigError("alpha values must lie in (pi/2, pi]")
+        for a in self.alpha_values:
+            if not 0.5 * math.pi < a <= math.pi:
+                raise ConfigError(f"alpha values must lie in (pi/2, pi], got {a}")
+        # the model's own wavenumber and side-length rules, as config errors
+        try:
+            for k in self.k_values:
+                ShadowConfig(k, self.alpha_values[0], self.l_nc, self.l_nc_prime)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
         for p in self.p_values:
             check_degree(p)
         for name in ("k_values", "alpha_values", "p_values"):
             values = getattr(self, name)
             if len(set(values)) < len(values):
                 raise ConfigError(f"{name} repeats a value: {values}")
-        if not all(math.isfinite(x) and x > 0.0 for x in (self.l_nc, self.l_nc_prime)):
-            raise ConfigError("side lengths must be finite and positive")
         check_grading(self.sigma)
         # the deepest mesh and the highest degree of the grid, so that no row
         # fails on the layer cap or the rule size
@@ -149,7 +152,7 @@ def layers_for_degree(p: int, c: float) -> int:
 
 
 #: what a failed row records; any other exception is a bug and propagates
-_ROW_ERRORS = (DomainError, OverflowError, OracleError)
+_ROW_ERRORS = (DomainError, OverflowError)
 
 
 def _pair_task(grid: ExperimentGrid, pair: tuple, ps: list[int] | None = None) -> list[GridRow]:
@@ -185,7 +188,7 @@ def _usable_cores() -> int:
 
 def run_grid(grid: ExperimentGrid, parallelism: int = 1) -> list[GridRow]:
     """One row per (k, alpha, p), in canonical sorted order. A row that
-    fails with a domain, overflow or oracle error records its reason in the
+    fails with a domain or overflow error records its reason in the
     status column and the sweep continues; any other exception propagates.
     A bad `parallelism` raises ConfigError before any row.
 

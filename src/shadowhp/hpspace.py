@@ -39,7 +39,6 @@ __all__ = [
     "best_approx_error",
     "check_degree",
     "check_grading",
-    "check_layer_count",
     "check_mesh_depth",
     "check_quad_order",
     "gauss_legendre_rule",
@@ -61,28 +60,22 @@ def check_grading(sigma: float) -> None:
         raise ConfigError(f"grading must lie in (0, 1), got {sigma}")
 
 
-def check_layer_count(n: int) -> None:
-    """Raise ConfigError, naming n, unless the layer count is an integer in
-    [1, MAX_LAYERS].
-    """
-    if not (isinstance(n, int) and n >= 1):
-        raise ConfigError(f"layer count must be an integer >= 1, got {n}")
-    if n > MAX_LAYERS:
-        raise ConfigError(f"layer count {n} exceeds MAX_LAYERS = {MAX_LAYERS}")
-
-
 def check_mesh_depth(
     length: float, n: int, sigma: float, error: type[DomainError] = ConfigError
 ) -> None:
-    """Check n with check_layer_count and sigma with check_grading, then
-    raise `error`, naming both, when n layers at grading sigma put the
-    finest point sigma^(n-1) length of a side of that length at 0.0.
+    """Raise ConfigError, naming n, unless the layer count is an integer in
+    [1, MAX_LAYERS], and check sigma with check_grading; then raise
+    `error`, naming both, when n layers at grading sigma put the finest
+    point sigma^(n-1) length of a side of that length at 0.0.
 
     ConfigError is the default because n and sigma are the options of a
     `project` run. geometric_mesh raises the underflow as a DomainError,
     so that a sweep row at that depth fails on its own.
     """
-    check_layer_count(n)
+    if not (isinstance(n, int) and n >= 1):
+        raise ConfigError(f"layer count must be an integer >= 1, got {n}")
+    if n > MAX_LAYERS:
+        raise ConfigError(f"layer count {n} exceeds MAX_LAYERS = {MAX_LAYERS}")
     check_grading(sigma)
     if sigma ** (n - 1) * length == 0.0:
         raise error(f"{n} layers at grading {sigma} put the finest point at 0.0")

@@ -133,18 +133,21 @@ class SectorBoundCert:
     """Certificate for the boundedness of F on arg z in [-pi/2, pi].
 
     c_upper is the proved constant; max_observed is the sampled maximum of
-    |F| (the sharp value is about 1.17). Construction fails rather than
-    recording a violated bound.
+    |F| (the sharp value is about 1.17), reached at the sample point z_max.
+    Construction fails, naming z_max, rather than recording a violated
+    bound.
     """
 
     c_upper: float
     n_samples: int
     max_observed: float
+    z_max: complex
 
     def __post_init__(self) -> None:
         if self.max_observed > self.c_upper:
             raise CertificationError(
-                f"observed |F| = {self.max_observed} exceeds the bound {self.c_upper}"
+                f"|F({self.z_max!r})| = {self.max_observed} "
+                f"exceeds the sector bound {self.c_upper}"
             )
 
 
@@ -208,11 +211,8 @@ def sector_bound_cert(n_samples: int) -> SectorBoundCert:
     points = _sector_sample(n_samples)
     mags = np.abs(big_f(points))
     i_max = int(np.argmax(mags))
-    max_observed = float(mags[i_max])
-    if max_observed > _C_UPPER:
-        raise CertificationError(
-            f"|F({complex(points[i_max])!r})| = {max_observed} exceeds the sector bound {_C_UPPER}"
-        )
+    # the record's own check is the bound check
+    cert = SectorBoundCert(_C_UPPER, len(points), float(mags[i_max]), complex(points[i_max]))
 
     # the +-1/2 corridor is widened by a relative slack because once e^X
     # exceeds ~1e16 the corridor is narrower than one ulp of either side
@@ -225,4 +225,4 @@ def sector_bound_cert(n_samples: int) -> SectorBoundCert:
             f"|F| = {first(mag, violated)}, envelope = {first(envelope, violated)}"
         )
 
-    return SectorBoundCert(c_upper=_C_UPPER, n_samples=len(points), max_observed=max_observed)
+    return cert

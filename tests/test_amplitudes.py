@@ -257,6 +257,12 @@ def test_de_dn_examples():
     assert de_dn_check(0.2, KnifeGeometry(R=1.0, beta=math.pi / 3), 20.0) <= 1e-6
 
 
+@pytest.mark.parametrize("s", [math.inf, math.nan, 0.0, -1.0])
+def test_de_dn_check_rejects_an_arc_length_that_is_not_finite_and_positive(s):
+    with pytest.raises(DomainError, match=rf"^arc length must be finite and positive, got {s}$"):
+        de_dn_check(s, _GEO, 5.0)
+
+
 def test_shadow_config_validation_and_derived():
     with pytest.raises(DomainError):
         ShadowConfig(k=16.0, alpha=0.5 * math.pi, l_nc=1.5, l_nc_prime=1.0)

@@ -582,6 +582,25 @@ def test_experiment_rejects_bad_run_options_before_any_row(tmp_path, capsys, key
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("k_values", "16, inf", "wavenumber k must be finite and positive, got inf"),
+        ("alpha_values", "2.0, 3.5", "alpha values must lie in (pi/2, pi], got 3.5"),
+        ("l_nc", "nan", "side length l_nc must be finite and positive, got nan"),
+        ("l_nc_prime", "-1", "side length l_nc_prime must be finite and positive, got -1.0"),
+    ],
+)
+def test_experiment_names_a_bad_grid_value(tmp_path, capsys, key, value, message):
+    values = {"k_values": "16", "alpha_values": "2.0", "p_values": "2"}
+    values[key] = value
+    cfg = tmp_path / "bad.conf"
+    lines = "".join(f"{k} = {v}\n" for k, v in values.items())
+    cfg.write_text(lines + f"output = {tmp_path / 'never.csv'}\n", encoding="ascii")
+    code, out, err = run_cli(["experiment", str(cfg)], capsys)
+    assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+
 def test_config_schema_is_the_grid_plus_run_options():
     run_options = {"parallelism", "output"}
     grid_fields = {f.name for f in dataclasses.fields(ExperimentGrid)}

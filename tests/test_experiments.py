@@ -11,7 +11,7 @@ import pytest
 
 import shadowhp.experiments as experiments
 import shadowhp.hpspace as hpspace
-from shadowhp.errors import ConfigError, DomainError
+from shadowhp.errors import ConfigError, DomainError, OracleError
 from shadowhp.experiments import (
     CSV_HEADER,
     ExperimentGrid,
@@ -63,20 +63,25 @@ def test_grid_validation():
     with pytest.raises(DomainError):
         ExperimentGrid(k_values=(), alpha_values=(2.0,), p_values=(2,))
     with pytest.raises(DomainError):
-        ExperimentGrid(k_values=(16.0,), alpha_values=(0.5 * math.pi,), p_values=(2,))
-    with pytest.raises(DomainError):
         ExperimentGrid(k_values=(16.0,), alpha_values=(2.0,), p_values=(-1,))
     with pytest.raises(DomainError):
         ExperimentGrid(k_values=(16.0,), alpha_values=(2.0,), p_values=(2,), sigma=1.5)
     for bad in (math.nan, math.inf):
         with pytest.raises(DomainError):
-            ExperimentGrid(k_values=(bad,), alpha_values=(2.0,), p_values=(2,))
-        with pytest.raises(DomainError):
-            ExperimentGrid(k_values=(16.0,), alpha_values=(2.0,), p_values=(2,), l_nc=bad)
-        with pytest.raises(DomainError):
-            ExperimentGrid(k_values=(16.0,), alpha_values=(2.0,), p_values=(2,), l_nc_prime=bad)
-        with pytest.raises(DomainError):
             ExperimentGrid(k_values=(16.0,), alpha_values=(2.0,), p_values=(2,), c=bad)
+    # each bad wavenumber, angle and side length raises ConfigError naming it,
+    # also behind a good value of the same field
+    for bad in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ConfigError, match=rf"wavenumber k must be .*, got {bad}$"):
+            ExperimentGrid(k_values=(16.0, bad), alpha_values=(2.0,), p_values=(2,))
+        for name in ("l_nc", "l_nc_prime"):
+            with pytest.raises(ConfigError, match=rf"side length {name} must .*, got {bad}$"):
+                ExperimentGrid(
+                    k_values=(16.0,), alpha_values=(2.0,), p_values=(2,), **{name: bad}
+                )
+    for bad in (math.nan, math.inf, 0.0, 0.5 * math.pi, math.nextafter(math.pi, 4.0), 4.0):
+        with pytest.raises(ConfigError, match=rf"alpha values must lie in .*, got {bad}$"):
+            ExperimentGrid(k_values=(16.0,), alpha_values=(2.0, bad), p_values=(2,))
     # a repeated value would write the same row twice
     for field in ("k_values", "alpha_values", "p_values"):
         values = {"k_values": (16.0,), "alpha_values": (2.0,), "p_values": (2,)}
@@ -213,12 +218,14 @@ def test_run_grid_subnormal_row_names_k_and_s():
     assert "for k = 5e-324" in row.status
 
 
-def test_run_grid_propagates_bugs(monkeypatch):
+# no sweep row reaches the quadrature oracle, so an OracleError in a row is a bug
+@pytest.mark.parametrize("error", [TypeError, OracleError])
+def test_run_grid_propagates_bugs(monkeypatch, error):
     def broken(*args, **kwargs):
-        raise TypeError("bug")
+        raise error("bug")
 
     monkeypatch.setattr(experiments, "best_approx_error", broken)
-    with pytest.raises(TypeError, match="bug"):
+    with pytest.raises(error, match="bug"):
         run_grid(SMALL)
 
 

@@ -134,13 +134,19 @@ def test_sector_cert_passes_and_sees_the_true_maximum():
     assert cert.n_samples == 10000
     assert cert.max_observed <= cert.c_upper == 1.59
     assert 1.10 <= cert.max_observed <= 1.25
+    # the maximum sits on the arg z = -pi/2 ray of the sample's grid
+    assert abs(big_f(cert.z_max)) == pytest.approx(cert.max_observed, rel=1e-15)
+    assert cert.z_max.real == pytest.approx(0.0, abs=1e-14) and cert.z_max.imag < 0.0
 
 
 def test_sector_cert_dataclass_enforces_invariant():
     from shadowhp.specfun import SectorBoundCert
 
-    with pytest.raises(CertificationError):
-        SectorBoundCert(c_upper=1.59, n_samples=1000, max_observed=1.60)
+    with pytest.raises(
+        CertificationError, match=re.escape("|F((0.5-2j))| = 1.6 exceeds the sector bound 1.59")
+    ):
+        SectorBoundCert(c_upper=1.59, n_samples=1000, max_observed=1.60, z_max=0.5 - 2j)
+    assert SectorBoundCert(1.59, 1000, 1.59, 0.5 - 2j).z_max == 0.5 - 2j
 
 
 def _plane_points(n: int, seed: int) -> np.ndarray:
