@@ -195,14 +195,20 @@ def gtd_far_field(p: FieldPoint, k: float, include_plane_wave: bool = True) -> c
 
 def _h_mu(s, r, geo: KnifeGeometry, k: float):
     # h in the rationalized form of h_of_s, and mu, sharing one square root;
-    # past about s = 9.5e153 the denominator overflows and h would read 0
+    # past about s = 9.5e153 the denominator overflows and h would read 0,
+    # and where r(s) rounds to 0 (beta near 0 or pi, s near R cos(beta)) h
+    # would read inf
     mu, root = mu_with_root(s, r, geo, k)
     with np.errstate(over="ignore", invalid="ignore"):
         denom = 2.0 * r * (r + geo.R)
-    bad = ~np.isfinite(denom)
+    bad = ~np.isfinite(denom) | (denom == 0.0)
     if bad.any():
-        raise OverflowError(f"h(s) overflows at s = {first(s, bad)!r}: 2 r (r + R) is not finite")
-    return math.sqrt(k) * (s - 2.0 * geo.R * math.cos(geo.beta)) * root / denom, mu
+        point = complex(first(s, bad))
+        raise OverflowError(
+            f"h(s) overflows at s = {point!r}: 2 r (r + R) = {complex(first(denom, bad))!r}"
+        )
+    # x * (1.0 / y) for x / y: see the geometry module docstring
+    return math.sqrt(k) * (s - 2.0 * geo.R * math.cos(geo.beta)) * root * (1.0 / denom), mu
 
 
 def h_of_s(s, geo: KnifeGeometry, k: float):
@@ -215,10 +221,11 @@ def h_of_s(s, geo: KnifeGeometry, k: float):
     equal by (r - R)(r + R) = s (s - 2 R cos beta); this removes the
     0/0 at s = 0, where the value is the limit -cos(beta) sqrt(k / (2R)).
     Raises OverflowError, naming the first such s, where 2 r (r + R)
-    overflows (from about |s| = 9.5e153 on).
+    overflows (from about |s| = 9.5e153 on) or is 0 (where r(s) rounds to
+    0, near s = R cos(beta) for beta within about 1e-8 of 0 or pi).
     """
     check_wavenumber(k)
-    s, scalar = as_points(s)
+    s, scalar = as_points(s, dtype=None)
     h, _ = _h_mu(s, r_of_s(s, geo), geo, k)
     return unwrap(h, scalar)
 
@@ -234,14 +241,15 @@ def g_of_s(s, geo: KnifeGeometry, k: float):
     uses the analytic continuation of the formula.
     """
     check_wavenumber(k)
-    s, scalar = as_points(s)
+    s, scalar = as_points(s, dtype=None)
     mirror = (s.imag == 0.0) & (s.real < 0.0)
     if mirror.any():
         out = np.empty(s.shape, dtype=complex)
         out[~mirror] = g_of_s(s[~mirror], geo, k)
         if math.pi - geo.beta == math.pi:
+            point = complex(first(s, mirror))
             raise DomainError(
-                f"g at the negative real s = {first(s, mirror)!r} follows the mirror rule, "
+                f"g at the negative real s = {point!r} follows the mirror rule, "
                 f"which needs pi - beta to stay below pi; beta = {geo.beta!r} rounds it to pi"
             )
         out[mirror] = g_of_s(-s.real[mirror], KnifeGeometry(geo.R, math.pi - geo.beta), k)

@@ -221,13 +221,16 @@ def fit_rate(pairs: list[tuple[float, float]]) -> RateFit:
     """Fit log(error) = intercept - tau * p over (p, error) pairs.
 
     Pairs with error <= 1e-14 are dropped (converged-to-roundoff tail);
-    at least 4 must survive.
+    at least 4 must survive, at 2 or more distinct p.
     """
     kept = [(float(p), float(e)) for p, e in pairs if e > 1e-14]
     if len(kept) < 4:
         raise DomainError(
             f"rate fit needs >= 4 points above roundoff, got {len(kept)}"
         )
+    distinct = sorted({p for p, _ in kept})
+    if len(distinct) < 2:
+        raise DomainError(f"rate fit needs >= 2 distinct p above roundoff, got p = {distinct}")
     ps = np.array([p for p, _ in kept])
     logs = np.log(np.array([e for _, e in kept]))
     slope, intercept = np.polyfit(ps, logs, 1)

@@ -5,6 +5,17 @@ points at s = R e^{+-i beta}; the continuation is taken in the plane cut
 along the two vertical rays {R cos(beta) + i v : |v| >= R sin(beta)}, where
 the radicand is real and nonpositive. All predicates classify boundary
 points as outside (the regions are open sets).
+
+On the real line r, mu and h are real, and a real array of points is
+evaluated in float64. The values are bit for bit those of the same points
+given as complex numbers. The operations on x + 0j in complex128 carry
+exact zeros in the imaginary parts, so their real parts are the float64
+operations. The one exception is division: numpy divides by c + 0j with
+Smith's algorithm (CACM Algorithm 116, 1962), which computes x * (1 / c)
+rather than x / c. So the divisions of mu (here) and h (in amplitudes) are
+written x * (1.0 / y), which is the same in both arithmetics. A square
+root of a real value that rounding left negative is taken in complex
+(`_principal_sqrt`), as the complex path takes it.
 """
 
 from __future__ import annotations
@@ -116,15 +127,28 @@ def cut_distance(s: complex, geo: KnifeGeometry) -> float:
     return _cut_distance(s.real, s.imag, r_cb, r_sb)
 
 
+def _principal_sqrt(x: np.ndarray) -> np.ndarray:
+    """np.sqrt(x), taken in complex when a real x holds a negative value: the
+    root that the same values as complex numbers with +0 imaginary parts get.
+    """
+    if x.dtype.kind == "f" and (x < 0.0).any():
+        x = x.astype(complex)
+    return np.sqrt(x)
+
+
 def _require_off_cut(s: np.ndarray, geo: KnifeGeometry) -> None:
     # cut_distance over a whole array; cut_distance itself stays scalar for
     # region_label, which labels one point at a time
     _, r_cb, r_sb, cut_tol, *_ = geo._region_constants
+    if r_sb > cut_tol and s.dtype.kind == "f":
+        # a real point lies at least R sin(beta) from the cuts
+        return
     dx = np.abs(s.real - r_cb)
     dy = r_sb - np.abs(s.imag)
     on_cut = np.where(dy <= 0.0, dx, np.hypot(dx, dy)) <= cut_tol
     if on_cut.any():
-        raise BranchCutError(f"s = {first(s, on_cut)!r} lies on a branch cut of r(s) for {geo}")
+        point = complex(first(s, on_cut))
+        raise BranchCutError(f"s = {point!r} lies on a branch cut of r(s) for {geo}")
 
 
 def r_of_s(s, geo: KnifeGeometry):
@@ -137,15 +161,15 @@ def r_of_s(s, geo: KnifeGeometry):
     BranchCutError for an s on a cut and OverflowError for an s whose
     radicand leaves the double range, naming the first such point.
     """
-    s, scalar = as_points(s)
+    s, scalar = as_points(s, dtype=None)
     _require_off_cut(s, geo)
     # an overflow here is reported by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
         radicand = geo.R * geo.R + s * s - 2.0 * s * geo.R * math.cos(geo.beta)
     big = ~np.isfinite(radicand)
     if big.any():
-        raise OverflowError(f"r(s)^2 overflows at s = {first(s, big)!r} for {geo}")
-    return unwrap(np.sqrt(radicand), scalar)
+        raise OverflowError(f"r(s)^2 overflows at s = {complex(first(s, big))!r} for {geo}")
+    return unwrap(_principal_sqrt(radicand), scalar)
 
 
 def mu_with_root(s, r, geo: KnifeGeometry, k: float):
@@ -155,15 +179,16 @@ def mu_with_root(s, r, geo: KnifeGeometry, k: float):
     Raises DomainError, naming k and the first such s, where mu is not a
     finite double: at subnormal k and R the root can underflow to 0.
     """
-    root = np.sqrt(geo.R - s * math.cos(geo.beta) + r)
-    # a division by zero or an overflow is reported by the check below
+    root = _principal_sqrt(geo.R - s * math.cos(geo.beta) + r)
+    # a division by zero or an overflow is reported by the check below;
+    # x * (1.0 / y) for x / y: see the module docstring
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        mu = math.sqrt(k) * s * math.sin(geo.beta) / root
+        mu = math.sqrt(k) * s * math.sin(geo.beta) * (1.0 / root)
     bad = ~np.isfinite(mu)
     if bad.any():
         raise DomainError(
-            f"mu(s) is not finite at s = {first(s, bad)!r} for k = {k!r}: "
-            f"sqrt(R - s cos(beta) + r(s)) = {first(root, bad)!r}"
+            f"mu(s) is not finite at s = {complex(first(s, bad))!r} for k = {k!r}: "
+            f"sqrt(R - s cos(beta) + r(s)) = {complex(first(root, bad))!r}"
         )
     return mu, root
 
@@ -176,7 +201,7 @@ def mu_of_s(s, geo: KnifeGeometry, k: float):
     s >= 0.
     """
     check_wavenumber(k)
-    s, scalar = as_points(s)
+    s, scalar = as_points(s, dtype=None)
     mu, _ = mu_with_root(s, r_of_s(s, geo), geo, k)
     return unwrap(mu, scalar)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -103,7 +104,7 @@ class Mesh:
     def __post_init__(self) -> None:
         if len(self.points) < 2:
             raise DomainError("a mesh needs at least two points")
-        if any(b <= a for a, b in zip(self.points, self.points[1:])):
+        if not all(map(operator.lt, self.points, self.points[1:])):
             raise DomainError("mesh points must be strictly increasing")
 
     @property

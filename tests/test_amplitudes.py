@@ -442,3 +442,45 @@ def test_amplitude_v_array_rejects_one_bad_point():
     # pi - 1e-17 rounds to pi, so the mirrored geometry does not exist
     with pytest.raises(DomainError, match=r"needs pi - beta to stay below pi; beta = 1e-17"):
         g_of_s(-1.0, KnifeGeometry(1.0, 1e-17), 5.0)
+
+
+def _assert_real_path_matches_complex(s, geo, k):
+    for f, args in ((r_of_s, ()), (mu_of_s, (k,)), (h_of_s, (k,)), (g_of_s, (k,))):
+        np.testing.assert_array_equal(f(s, geo, *args), f(s.astype(complex), geo, *args))
+
+
+@pytest.mark.parametrize("beta", [0.4, 1.2, math.pi / 2, 2.0, 2.9])
+def test_real_points_give_the_complex_values_bit_for_bit(beta):
+    # a float64 array runs r, mu and h in real arithmetic; negative s take
+    # g's mirror rule
+    geo = KnifeGeometry(1.3, beta)
+    s = np.random.default_rng(11).uniform(-4.0, 4.0, 300)
+    s[:3] = (0.0, geo.R * math.cos(beta), -geo.R * math.cos(beta))
+    _assert_real_path_matches_complex(s, geo, 6.5)
+    for f, args in ((r_of_s, ()), (mu_of_s, (6.5,)), (h_of_s, (6.5,))):
+        assert f(s, geo, *args).dtype == np.float64
+
+
+@pytest.mark.parametrize(
+    ("geo", "points"),
+    [
+        # rounding takes r's radicand below 0
+        (KnifeGeometry(0.2698473009350636, 1.0194153802344125e-08), [0.2698473009350639, -0.3]),
+        # rounding takes the radicand R - s cos(beta) + r of mu's root below 0
+        (KnifeGeometry(1.0, 1e-9), [2.00216, 2.0024, -0.5]),
+    ],
+)
+def test_real_points_with_a_negative_radicand_take_the_complex_root(geo, points):
+    _assert_real_path_matches_complex(np.array(points), geo, 5.0)
+
+
+@pytest.mark.parametrize("f", [h_of_s, g_of_s])
+def test_h_and_g_raise_where_r_rounds_to_zero(f):
+    # off the cut, but R sin(beta) is below the rounding of r's radicand, so
+    # r(s) reads 0 and so does h's denominator 2 r (r + R)
+    geo = KnifeGeometry(0.6395080848042881, 8.97898823953947e-12)
+    s = 0.6395080848042852
+    assert r_of_s(s, geo) == 0.0
+    for points in (s, complex(s), np.array([0.1, s])):
+        with pytest.raises(OverflowError, match=re.escape(f"at s = {complex(s)!r}")):
+            f(points, geo, 5.0)

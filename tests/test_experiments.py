@@ -112,6 +112,14 @@ def test_fit_rate_needs_enough_points():
         fit_rate([(2, 1e-1), (3, 1e-2), (4, 1e-3), (5, 1e-15), (6, 1e-16)])
 
 
+def test_fit_rate_needs_two_distinct_degrees():
+    # one p fits no slope: polyfit read tau = 0.86, r^2 = 1 off a rank warning
+    with pytest.raises(DomainError, match=r"distinct p above roundoff, got p = \[4.0\]"):
+        fit_rate([(4, 1e-3)] * 4)
+    with pytest.raises(DomainError, match="distinct p"):
+        fit_rate([(4, 1e-3), (4, 2e-3), (4, 1e-2), (4, 5e-2), (5, 1e-15)])
+
+
 def test_run_grid_canonical_order():
     grid = ExperimentGrid(
         k_values=(16.0, 4.0), alpha_values=(3.0, 2.0), p_values=(3, 2)

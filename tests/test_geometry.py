@@ -335,3 +335,16 @@ def test_mu_subnormal_input_names_k_and_s():
     assert mu_of_s(0.0, geo, 5e-324) == 0.0
     with pytest.raises(DomainError, match=r"s = \(0\.5\+0j\) for k = 5e-324"):
         mu_of_s(np.array([0.0, 0.5, 1.0]), geo, 5e-324)
+
+
+def test_real_points_on_a_cut_still_raise():
+    # R sin(beta) <= CUT_RTOL R: the cuts reach the real line, so real input
+    # cannot skip the cut check
+    geo = KnifeGeometry(R=1.0, beta=1e-16)
+    assert geo.R * math.sin(geo.beta) <= CUT_RTOL * geo.R
+    on_cut = geo.R * math.cos(geo.beta)
+    for pts in (np.array([0.5, on_cut]), np.array([0.5, on_cut], dtype=complex)):
+        with pytest.raises(BranchCutError, match=re.escape(f"s = {complex(on_cut)!r} lies")):
+            r_of_s(pts, geo)
+        with pytest.raises(BranchCutError, match=re.escape(f"s = {complex(on_cut)!r} lies")):
+            mu_of_s(pts, geo, 3.0)

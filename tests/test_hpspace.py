@@ -66,6 +66,12 @@ def test_mesh_validation():
         PiecewisePolySpace(mesh=Mesh(points=(0.0, 1.0)), degree=-1)
 
 
+def test_mesh_rejects_a_nan_point():
+    # every comparison with NaN is false, so a NaN breaks the strict order
+    with pytest.raises(DomainError, match="strictly increasing"):
+        Mesh(points=(0.0, math.nan, 1.0))
+
+
 def test_shadow_mesh_centered_at_origin():
     # alpha = pi puts the shadow point at s = 0; the left copy falls outside
     # and sigma^0 l_nc lands exactly on the right endpoint
