@@ -5,9 +5,9 @@ one numpy body on an array of at least one dimension and returns a Python
 complex for scalar input and an ndarray of the input's shape otherwise.
 Validation covers the whole array and names the first offending point.
 
-The functions of a point s of the complex plane take real input as float64
-(`as_points(s, dtype=None)`), so that points on the real line run in real
-arithmetic; they name a point as a complex number whatever its dtype.
+Real input stays real: as_points makes booleans, integers and floats
+float64, so that points on the real line run in real arithmetic. Messages
+name a point as a complex number whatever its dtype.
 """
 
 from __future__ import annotations
@@ -17,25 +17,19 @@ import numpy as np
 from shadowhp.errors import DomainError
 
 
-def as_points(z, dtype: type | None = complex) -> tuple[np.ndarray, bool]:
-    """(array of z with at least one dimension, whether z was a scalar).
+def as_points(z) -> tuple[np.ndarray, bool]:
+    """(array of z with at least one dimension, whether z was a scalar);
+    float64 for booleans, integers and floats, complex128 for all else.
 
-    dtype=None keeps real input real: float64 for booleans, integers and
-    floats, complex128 for everything else.
-
-    Raises DomainError naming the first element that is not finite, as a
-    complex number unless dtype is float.
+    Raises DomainError naming the first element that is not finite.
     """
-    arr = np.asarray(z, dtype=dtype)
-    if dtype is None:
-        arr = arr.astype(float if arr.dtype.kind in "biuf" else complex, copy=False)
+    arr = np.asarray(z)
+    arr = arr.astype(float if arr.dtype.kind in "biuf" else complex, copy=False)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     bad = ~np.isfinite(arr)
     if bad.any():
-        point = first(arr, bad)
-        if dtype is not float:
-            point = complex(point)
+        point = complex(first(arr, bad))
         raise DomainError(f"argument must have finite components, got {point!r}")
     return arr, scalar
 

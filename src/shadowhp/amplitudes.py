@@ -225,7 +225,7 @@ def h_of_s(s, geo: KnifeGeometry, k: float):
     0, near s = R cos(beta) for beta within about 1e-8 of 0 or pi).
     """
     check_wavenumber(k)
-    s, scalar = as_points(s, dtype=None)
+    s, scalar = as_points(s)
     h, _ = _h_mu(s, r_of_s(s, geo), geo, k)
     return unwrap(h, scalar)
 
@@ -241,7 +241,7 @@ def g_of_s(s, geo: KnifeGeometry, k: float):
     uses the analytic continuation of the formula.
     """
     check_wavenumber(k)
-    s, scalar = as_points(s, dtype=None)
+    s, scalar = as_points(s)
     mirror = (s.imag == 0.0) & (s.real < 0.0)
     if mirror.any():
         out = np.empty(s.shape, dtype=complex)
@@ -300,9 +300,12 @@ def amplitude_v(s, cfg: ShadowConfig):
     a point at s_sb also evaluates g+(0), for H(0) = 1/2.
 
     Defined for all real s >= 0 so the smoothness checks can follow the
-    shadow boundary wherever alpha puts it.
+    shadow boundary wherever alpha puts it. An arc length of complex type
+    raises DomainError naming its first point.
     """
-    s, scalar = as_points(s, dtype=float)
+    s, scalar = as_points(s)
+    if s.dtype.kind == "c":
+        raise DomainError(f"arc length must be real, got {complex(s.flat[0])!r}")
     if (s < 0.0).any():
         raise DomainError(f"arc length must be finite and >= 0, got {first(s, s < 0.0)}")
     g = g_of_s(np.concatenate((cfg.s_sb - s, s + cfg.s_sb), axis=None), cfg.geo_minus, cfg.k)

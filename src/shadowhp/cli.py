@@ -128,7 +128,10 @@ def _cmd_region(args: argparse.Namespace) -> int:
 def _cmd_project(args: argparse.Namespace) -> int:
     cfg = _shadow_config(args)
     n = args.n if args.n is not None else layers_for_degree(args.p, args.c)
-    check_mesh_depth(cfg.l_nc, n, args.sigma)
+    try:
+        check_mesh_depth(cfg.l_nc, n, args.sigma)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
     res = best_approx_error(cfg, n, args.sigma, args.p, args.quad_order)
     print(f"{_fmt(res.error_l2)},{_fmt(res.relative_error)},{res.dof}")
     return 0

@@ -199,7 +199,7 @@ def run_grid(grid: ExperimentGrid, parallelism: int = 1) -> list[GridRow]:
     _MIN_ROWS_PER_WORKER rows per worker; below two workers the pairs run
     in-process.
     """
-    if parallelism < 1:
+    if not (isinstance(parallelism, int) and parallelism >= 1):
         raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
     pairs = list(itertools.product(sorted(grid.k_values), sorted(grid.alpha_values)))
     n_rows = len(pairs) * len(grid.p_values)

@@ -6,8 +6,9 @@ along the two vertical rays {R cos(beta) + i v : |v| >= R sin(beta)}, where
 the radicand is real and nonpositive. All predicates classify boundary
 points as outside (the regions are open sets).
 
-On the real line r, mu and h are real, and a real array of points is
-evaluated in float64. The values are bit for bit those of the same points
+On the real line r, mu, h and the Fresnel argument of F(mu) are real, and
+real input stays real (`_arrays.as_points`): it is evaluated in float64 up
+to F's Faddeeva call. The values are bit for bit those of the same points
 given as complex numbers. The operations on x + 0j in complex128 carry
 exact zeros in the imaginary parts, so their real parts are the float64
 operations. The one exception is division: numpy divides by c + 0j with
@@ -161,7 +162,7 @@ def r_of_s(s, geo: KnifeGeometry):
     BranchCutError for an s on a cut and OverflowError for an s whose
     radicand leaves the double range, naming the first such point.
     """
-    s, scalar = as_points(s, dtype=None)
+    s, scalar = as_points(s)
     _require_off_cut(s, geo)
     # an overflow here is reported by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -201,7 +202,7 @@ def mu_of_s(s, geo: KnifeGeometry, k: float):
     s >= 0.
     """
     check_wavenumber(k)
-    s, scalar = as_points(s, dtype=None)
+    s, scalar = as_points(s)
     mu, _ = mu_with_root(s, r_of_s(s, geo), geo, k)
     return unwrap(mu, scalar)
 

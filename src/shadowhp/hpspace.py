@@ -50,8 +50,9 @@ __all__ = [
 
 
 def check_degree(p: int) -> None:
-    """Raise ConfigError, naming p, unless the degree is an integer >= 0."""
-    if not (isinstance(p, int) and p >= 0):
+    """Raise ConfigError, naming p, unless the degree is an integer >= 0
+    (a bool is not a degree)."""
+    if not (isinstance(p, int) and not isinstance(p, bool) and p >= 0):
         raise ConfigError(f"degree must be a nonnegative integer, got {p}")
 
 
@@ -61,17 +62,14 @@ def check_grading(sigma: float) -> None:
         raise ConfigError(f"grading must lie in (0, 1), got {sigma}")
 
 
-def check_mesh_depth(
-    length: float, n: int, sigma: float, error: type[DomainError] = ConfigError
-) -> None:
+def check_mesh_depth(length: float, n: int, sigma: float) -> None:
     """Raise ConfigError, naming n, unless the layer count is an integer in
     [1, MAX_LAYERS], and check sigma with check_grading; then raise
-    `error`, naming both, when n layers at grading sigma put the finest
+    DomainError, naming both, when n layers at grading sigma put the finest
     point sigma^(n-1) length of a side of that length at 0.0.
 
-    ConfigError is the default because n and sigma are the options of a
-    `project` run. geometric_mesh raises the underflow as a DomainError,
-    so that a sweep row at that depth fails on its own.
+    So a sweep row at that depth fails on its own; `shadowhp project`,
+    whose options n and sigma are, reports the underflow as a ConfigError.
     """
     if not (isinstance(n, int) and n >= 1):
         raise ConfigError(f"layer count must be an integer >= 1, got {n}")
@@ -79,7 +77,7 @@ def check_mesh_depth(
         raise ConfigError(f"layer count {n} exceeds MAX_LAYERS = {MAX_LAYERS}")
     check_grading(sigma)
     if sigma ** (n - 1) * length == 0.0:
-        raise error(f"{n} layers at grading {sigma} put the finest point at 0.0")
+        raise DomainError(f"{n} layers at grading {sigma} put the finest point at 0.0")
 
 
 def check_quad_order(p: int, quad_order: int | None) -> int:
@@ -150,7 +148,7 @@ def geometric_mesh(length: float, n: int, sigma: float) -> Mesh:
     """
     if not (length > 0.0 and math.isfinite(length)):
         raise DomainError(f"length must be positive and finite, got {length}")
-    check_mesh_depth(length, n, sigma, DomainError)
+    check_mesh_depth(length, n, sigma)
     pts = [0.0] + [sigma ** (n - i) * length for i in range(1, n + 1)]
     return Mesh(points=tuple(pts))
 

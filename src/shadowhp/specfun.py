@@ -61,7 +61,7 @@ def fresnel_fr(z):
         iz2 = 1j * zz * zz
     over = (iz2.real != -np.inf) & ~((iz2.real <= _EXP_MAX) & np.isfinite(iz2.imag))
     if over.any():
-        raise OverflowError(f"exp(i z^2) overflows at z = {first(z, over)!r}")
+        raise OverflowError(f"exp(i z^2) overflows at z = {complex(first(z, over))!r}")
     fr = 0.5 * np.exp(iz2) * faddeeva_w(_EIPI4 * zz)
     return unwrap(np.where(flip, 1.0 - fr, fr), scalar)
 
@@ -97,7 +97,7 @@ def fresnel_oracle(z: complex, tol: float = 1e-13) -> complex:
     # ~0.25 s and ~26 MB of start-up, and only this oracle uses it
     from scipy.integrate import quad
 
-    z = as_points(z)[0].item()
+    z = complex(as_points(z)[0].item())
     if tol < 1e-14:
         raise DomainError(f"oracle tolerance must be >= 1e-14, got {tol}")
     b = 2j * _EIPI4 * z
@@ -157,7 +157,7 @@ _C_UPPER = 1.59
 MAX_SAMPLES = 1_000_000
 
 
-@functools.lru_cache(maxsize=4, typed=True)
+@functools.lru_cache(maxsize=4)
 def _sector_sample(n_samples: int) -> np.ndarray:
     """The points of the bounded-sector check: the 25 x 40 polar grid
     (angle-major), then seeded (angle, radius) draws up to n_samples from one
@@ -202,11 +202,11 @@ def sector_bound_cert(n_samples: int) -> SectorBoundCert:
         e^X - 1/2 <= |F(z)| <= e^X + 1/2,   X = |z|^2 sin(2 arg z),
 
     on the growth-sector grid of _growth_sample. Any violation raises
-    CertificationError naming the point. n_samples must lie in
+    CertificationError naming the point. n_samples must be an integer in
     [1000, MAX_SAMPLES]: the sample holds at least the 1000 points of its
     grid, and the cap bounds its memory.
     """
-    if not 1000 <= n_samples <= MAX_SAMPLES:
+    if not (isinstance(n_samples, int) and 1000 <= n_samples <= MAX_SAMPLES):
         raise ConfigError(f"n_samples must lie in [1000, {MAX_SAMPLES}], got {n_samples}")
     points = _sector_sample(n_samples)
     mags = np.abs(big_f(points))

@@ -22,6 +22,7 @@ from shadowhp.amplitudes import (
 )
 from shadowhp.errors import DomainError
 from shadowhp.geometry import KnifeGeometry, mu_of_s, r_of_s, strip_S_delta
+from shadowhp.specfun import big_f, fresnel_fr
 
 E3IPI4 = cmath.exp(0.75j * math.pi)
 SQRTPI = math.sqrt(math.pi)
@@ -436,6 +437,11 @@ def test_amplitude_v_array_rejects_one_bad_point():
         amplitude_v(np.array([0.2, -0.1, 0.4]), cfg)
     with pytest.raises(DomainError):
         amplitude_v(np.array([0.2, math.nan]), cfg)
+    # a complex arc length is refused, not cut to its real part
+    with pytest.raises(DomainError, match=re.escape("arc length must be real, got (0.5+0.3j)")):
+        amplitude_v(0.5 + 0.3j, cfg)
+    with pytest.raises(DomainError, match=re.escape("arc length must be real, got (0.5+0.3j)")):
+        amplitude_v(np.array([0.5 + 0.3j, 0.2]), cfg)
     geo = KnifeGeometry(R=1.0, beta=math.pi / 3)
     with pytest.raises(DomainError):
         g_of_s(np.array([0.2, complex(0.0, math.inf)]), geo, 5.0)
@@ -459,6 +465,14 @@ def test_real_points_give_the_complex_values_bit_for_bit(beta):
     _assert_real_path_matches_complex(s, geo, 6.5)
     for f, args in ((r_of_s, ()), (mu_of_s, (6.5,)), (h_of_s, (6.5,))):
         assert f(s, geo, *args).dtype == np.float64
+    # F and Fr at V's real Fresnel arguments mu, at the points themselves and
+    # at signed zeros, subnormals and points far out on the real line
+    extremes = np.array([-0.0, 5e-324, -1e-300, 1e-8, 30.0, -1e3, 1e150, -1e150])
+    for x in (mu_of_s(s, geo, 6.5), s, extremes):
+        for f in (big_f, fresnel_fr):
+            out = f(x)
+            assert out.dtype == np.complex128
+            assert out.tobytes() == f(x.astype(complex)).tobytes()
 
 
 @pytest.mark.parametrize(

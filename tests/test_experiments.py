@@ -64,6 +64,9 @@ def test_grid_validation():
         ExperimentGrid(k_values=(), alpha_values=(2.0,), p_values=(2,))
     with pytest.raises(DomainError):
         ExperimentGrid(k_values=(16.0,), alpha_values=(2.0,), p_values=(-1,))
+    # a bool is an int to Python, but would write "True" into the CSV
+    with pytest.raises(ConfigError, match="degree must be a nonnegative integer, got True$"):
+        ExperimentGrid(k_values=(16.0,), alpha_values=(2.4,), p_values=(True, 2))
     with pytest.raises(DomainError):
         ExperimentGrid(k_values=(16.0,), alpha_values=(2.0,), p_values=(2,), sigma=1.5)
     for bad in (math.nan, math.inf):
@@ -282,9 +285,13 @@ def test_run_grid_never_starts_more_workers_than_pairs(monkeypatch, pool_sizes):
     assert pool_sizes == [2]
 
 
-def test_run_grid_rejects_bad_parallelism():
-    with pytest.raises(ConfigError):
-        run_grid(SMALL, parallelism=0)
+def test_run_grid_rejects_bad_parallelism(monkeypatch):
+    # enough cores and rows for a pool, which a non-integer count would reach
+    monkeypatch.setattr(experiments, "_usable_cores", lambda: 4)
+    monkeypatch.setattr(experiments, "_MIN_ROWS_PER_WORKER", 1)
+    for parallelism in (0, 2.5):
+        with pytest.raises(ConfigError, match=f"parallelism must be >= 1, got {parallelism}$"):
+            run_grid(replace(SMALL, alpha_values=(2.0, 2.4, 3.0)), parallelism=parallelism)
 
 
 @pytest.mark.parametrize(
@@ -413,6 +420,24 @@ def test_sweep_csv_bytes_are_pinned(parallelism):
     assert len(rows) == 84
     text = format_csv(rows)
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == README_GRID_SHA256
+
+
+#: the 1152-row reference grid of the determinism contract; 1152 rows are
+#: enough for a 2-worker pool wherever 2 cores are usable
+REFERENCE_GRID = ExperimentGrid(
+    k_values=(4.0, 16.0, 64.0, 256.0),
+    alpha_values=tuple(float(a) for a in np.linspace(0.5 * math.pi, math.pi, 33)[1:]),
+    p_values=tuple(range(2, 11)),
+)
+REFERENCE_GRID_SHA256 = "2a6e352fa93af7b6ff4f3f743e3a27c64eed7af04bfad3ad72160dfbd84df884"
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_reference_grid_csv_bytes_are_pinned(parallelism):
+    rows = run_grid(REFERENCE_GRID, parallelism=parallelism)
+    assert len(rows) == 1152
+    text = format_csv(rows)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == REFERENCE_GRID_SHA256
 
 
 def test_check_output_touches_nothing(tmp_path):

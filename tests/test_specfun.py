@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from shadowhp.errors import CertificationError, DomainError
+from shadowhp.errors import CertificationError, ConfigError, DomainError
 from shadowhp.specfun import _EIPI4, big_f, fresnel_fr, fresnel_oracle, sector_bound_cert
 
 
@@ -125,8 +125,9 @@ def test_non_finite_input_rejected():
 
 
 def test_sector_cert_requires_min_samples():
-    with pytest.raises(DomainError):
-        sector_bound_cert(999)
+    for n_samples in (999, 2000.0):
+        with pytest.raises(ConfigError, match=rf"n_samples must lie in .*, got {n_samples}$"):
+            sector_bound_cert(n_samples)
 
 
 def test_sector_cert_passes_and_sees_the_true_maximum():
