@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from shadowhp import kernel
 from shadowhp.amplitudes import ShadowConfig
 from shadowhp.errors import ConfigError, DomainError
 from shadowhp.hpspace import (
@@ -35,7 +36,6 @@ from shadowhp.hpspace import (
     check_grading,
     check_quad_order,
 )
-from shadowhp.kernel import load_wofz
 
 CSV_HEADER = "k,alpha,p,n_layers,dof,error_l2,relative_error,status"
 
@@ -178,14 +178,6 @@ def _pair_task(grid: ExperimentGrid, pair: tuple, ps: list[int] | None = None) -
     ]
 
 
-def _usable_cores() -> int:
-    """Cores this process may run on (its affinity mask where the OS has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def run_grid(grid: ExperimentGrid, parallelism: int = 1) -> list[GridRow]:
     """One row per (k, alpha, p), in canonical sorted order. A row that
     fails with a domain or overflow error records its reason in the
@@ -195,7 +187,8 @@ def run_grid(grid: ExperimentGrid, parallelism: int = 1) -> list[GridRow]:
     The unit of work is a (k, alpha) pair: V is evaluated once for all of
     its degrees (see _pair_task), and the pairs' rows are concatenated in
     sorted pair order. At most `parallelism` worker processes are used,
-    never more than the usable cores or the pairs, and never fewer than
+    never more than the usable cores (kernel._usable_cores, which also
+    sizes faddeeva_w's thread split) or the pairs, and never fewer than
     _MIN_ROWS_PER_WORKER rows per worker; below two workers the pairs run
     in-process.
     """
@@ -204,12 +197,12 @@ def run_grid(grid: ExperimentGrid, parallelism: int = 1) -> list[GridRow]:
     pairs = list(itertools.product(sorted(grid.k_values), sorted(grid.alpha_values)))
     n_rows = len(pairs) * len(grid.p_values)
     task = functools.partial(_pair_task, grid)
-    workers = min(parallelism, _usable_cores(), len(pairs), n_rows // _MIN_ROWS_PER_WORKER)
+    workers = min(parallelism, kernel._usable_cores(), len(pairs), n_rows // _MIN_ROWS_PER_WORKER)
     if workers < 2:
         return [row for pair in pairs for row in task(pair)]
     chunksize = math.ceil(len(pairs) / (4 * workers))
     # forked workers inherit the kernel from here instead of each loading it
-    load_wofz()
+    kernel.load_wofz()
     # the pool machinery (multiprocessing) is loaded only by a run that uses it
     from concurrent.futures import ProcessPoolExecutor
 

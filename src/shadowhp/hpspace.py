@@ -130,12 +130,26 @@ class PiecewisePolySpace:
 
 @dataclass(frozen=True)
 class ProjectionResult:
-    """Per-element orthonormal-Legendre coefficients with L2 error data."""
+    """Per-element orthonormal-Legendre coefficients with L2 error data.
+
+    element_err2 holds each element's squared L2 error, in mesh order and
+    read-only; error_l2 is the square root of their sum.
+    """
 
     coefficients: tuple[np.ndarray, ...]
     error_l2: float
     relative_error: float
     dof: int
+    element_err2: np.ndarray
+
+    @property
+    def worst_element(self) -> tuple[int, float]:
+        """(index, share): the element with the largest squared error and
+        its share of the squared error of the whole mesh (0.0 when the
+        projection is exact)."""
+        i = int(np.argmax(self.element_err2))
+        total = float(self.element_err2.sum())
+        return i, float(self.element_err2[i]) / total if total > 0.0 else 0.0
 
 
 def geometric_mesh(length: float, n: int, sigma: float) -> Mesh:
@@ -237,7 +251,8 @@ def _project_values(
     proj = c @ van.T / sqrt_half
     # an overflow here is reported by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
-        err2 = float(half @ (np.abs(f - proj) ** 2 @ w))
+        rows = np.abs(f - proj) ** 2 @ w
+        err2 = float(half @ rows)
         norm2 = float(half @ (np.abs(f) ** 2 @ w))
     if not (math.isfinite(err2) and math.isfinite(norm2)):
         raise OverflowError(
@@ -247,11 +262,14 @@ def _project_values(
     if norm == 0.0:
         raise DomainError("zero-norm target: relative error undefined")
     error = math.sqrt(err2)
+    element_err2 = half * rows
+    element_err2.flags.writeable = False
     return ProjectionResult(
         coefficients=tuple(c),
         error_l2=error,
         relative_error=error / norm,
         dof=space.dof,
+        element_err2=element_err2,
     )
 
 

@@ -91,13 +91,17 @@ def fresnel_oracle(z: complex, tol: float = 1e-13) -> complex:
     When Re b > 0 the symmetry Fr(z) = 1 - Fr(-z) is applied first so the
     integrand decays from u = 0 on; the integral is then truncated where
     the envelope falls below exp(-746) and handed to adaptive quadrature.
-    Raises OracleError when the declared quadrature error exceeds tol.
+    Raises OracleError when the declared quadrature error exceeds tol, and
+    DomainError, naming its shape, for an array of more than one point.
     """
     # imported here, not at module level: scipy.integrate costs every process
     # ~0.25 s and ~26 MB of start-up, and only this oracle uses it
     from scipy.integrate import quad
 
-    z = complex(as_points(z)[0].item())
+    pts, _ = as_points(z)
+    if pts.size != 1:
+        raise DomainError(f"fresnel_oracle takes one point, got an array of shape {pts.shape}")
+    z = complex(pts.item())
     if tol < 1e-14:
         raise DomainError(f"oracle tolerance must be >= 1e-14, got {tol}")
     b = 2j * _EIPI4 * z

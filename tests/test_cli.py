@@ -887,7 +887,7 @@ def test_cli_commands_do_not_load_the_process_pool(startup_report):
 
 _POOL_PROBE = """
 import concurrent.futures, json, sys
-from shadowhp import experiments
+from shadowhp import experiments, kernel
 
 KERNEL = ("scipy.special._special_ufuncs", "scipy.special")
 
@@ -906,7 +906,7 @@ class RecordingPool(concurrent.futures.ProcessPoolExecutor):
 
 
 concurrent.futures.ProcessPoolExecutor = RecordingPool
-experiments._usable_cores = lambda: 2
+kernel._usable_cores = lambda: 2
 experiments._MIN_ROWS_PER_WORKER = 1
 before = loaded()
 grid = experiments.ExperimentGrid(k_values=(4.0, 16.0), alpha_values=(2.4,), p_values=(2,))

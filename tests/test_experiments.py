@@ -11,6 +11,7 @@ import pytest
 
 import shadowhp.experiments as experiments
 import shadowhp.hpspace as hpspace
+import shadowhp.kernel as kernel
 from shadowhp.errors import ConfigError, DomainError, OracleError
 from shadowhp.experiments import (
     CSV_HEADER,
@@ -257,7 +258,7 @@ def pool_sizes(monkeypatch):
 
 def test_run_grid_pool_output_identical_across_parallelism(monkeypatch, pool_sizes):
     assert 2 * experiments._MIN_ROWS_PER_WORKER <= 288 < 3 * experiments._MIN_ROWS_PER_WORKER
-    monkeypatch.setattr(experiments, "_usable_cores", lambda: 8)
+    monkeypatch.setattr(kernel, "_usable_cores", lambda: 8)
     csv = {par: format_csv(run_grid(POOLED, parallelism=par)) for par in (1, 2, 4)}
     assert csv[1] == csv[2] == csv[4]
     assert csv[1].count("\n") == 289
@@ -266,16 +267,16 @@ def test_run_grid_pool_output_identical_across_parallelism(monkeypatch, pool_siz
 
 def test_run_grid_runs_in_process_when_a_pool_cannot_pay(monkeypatch, pool_sizes):
     # a small grid, however many cores and workers are allowed
-    monkeypatch.setattr(experiments, "_usable_cores", lambda: 8)
+    monkeypatch.setattr(kernel, "_usable_cores", lambda: 8)
     assert run_grid(SMALL, parallelism=4) == run_grid(SMALL)
     # a grid large enough for a pool, on one usable core
-    monkeypatch.setattr(experiments, "_usable_cores", lambda: 1)
+    monkeypatch.setattr(kernel, "_usable_cores", lambda: 1)
     assert len(run_grid(POOLED, parallelism=4)) == 288
     assert pool_sizes == []
 
 
 def test_run_grid_never_starts_more_workers_than_pairs(monkeypatch, pool_sizes):
-    monkeypatch.setattr(experiments, "_usable_cores", lambda: 8)
+    monkeypatch.setattr(kernel, "_usable_cores", lambda: 8)
     monkeypatch.setattr(experiments, "_MIN_ROWS_PER_WORKER", 1)
     one_pair = ExperimentGrid(k_values=(16.0,), alpha_values=(2.5,), p_values=(2, 3, 4, 5))
     assert run_grid(one_pair, parallelism=4) == run_grid(one_pair)
@@ -287,7 +288,7 @@ def test_run_grid_never_starts_more_workers_than_pairs(monkeypatch, pool_sizes):
 
 def test_run_grid_rejects_bad_parallelism(monkeypatch):
     # enough cores and rows for a pool, which a non-integer count would reach
-    monkeypatch.setattr(experiments, "_usable_cores", lambda: 4)
+    monkeypatch.setattr(kernel, "_usable_cores", lambda: 4)
     monkeypatch.setattr(experiments, "_MIN_ROWS_PER_WORKER", 1)
     for parallelism in (0, 2.5):
         with pytest.raises(ConfigError, match=f"parallelism must be >= 1, got {parallelism}$"):

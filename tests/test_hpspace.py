@@ -224,6 +224,34 @@ def test_projection_pythagoras():
     assert norm2 == pytest.approx(proj2 + res.error_l2**2, rel=1e-10)
 
 
+def test_element_errors_sum_to_the_l2_error():
+    space = _space((0.0, 0.3, 0.8, 1.5), 5)
+    res = l2_project(lambda s: amplitude_v(s, CFG), space)
+    assert res.element_err2.shape == (space.mesh.n_elements,)
+    assert not res.element_err2.flags.writeable
+    assert (res.element_err2 >= 0.0).all()
+    assert res.element_err2.sum() == pytest.approx(res.error_l2**2, rel=1e-12)
+    for batch in best_approx_error(CFG, [2, 6, 9], 0.15, [2, 6, 9]):
+        assert batch.element_err2.sum() == pytest.approx(batch.error_l2**2, rel=1e-12)
+    # an exact projection has no worst share
+    exact = hpspace.ProjectionResult((), 0.0, 0.0, 3, np.zeros(3))
+    assert exact.worst_element == (0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "alpha, element", [(0.75 * math.pi, (0.0, 0.775)), (math.pi, (0.225, 1.5))]
+)
+@pytest.mark.parametrize("k", [4.0, 16.0, 64.0, 256.0])
+def test_worst_element_holds_the_error(k, alpha, element):
+    # at p = n = 8 one element holds all but 1e-4 of the squared error
+    cfg = ShadowConfig(k=k, alpha=alpha, l_nc=1.5, l_nc_prime=1.0)
+    res = best_approx_error(cfg, 8, 0.15, 8)
+    index, share = res.worst_element
+    assert shadow_mesh(cfg, 8, 0.15).elements()[index] == pytest.approx(element, rel=1e-12)
+    assert share > 0.9999
+    assert share == res.element_err2.max() / res.element_err2.sum()
+
+
 def test_projection_quadrature_converged():
     r1 = best_approx_error(CFG, 4, 0.15, 4)
     r2 = best_approx_error(CFG, 4, 0.15, 4, quad_order=2 * (2 * 4 + 16))

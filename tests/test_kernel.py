@@ -5,13 +5,16 @@ import json
 import math
 import subprocess
 import sys
+import threading
 
 import mpmath
 import numpy as np
 import pytest
 
+import shadowhp.kernel as kernel
 from shadowhp.errors import DomainError
 from shadowhp.kernel import faddeeva_w, load_wofz
+from shadowhp.specfun import _EIPI4, big_f
 
 
 def w_reference(z: complex) -> complex:
@@ -218,3 +221,205 @@ def test_load_wofz_falls_back_to_scipy_special():
     loaded, same, value = _run(_FALLBACK_PROBE)
     assert loaded and same
     assert value == pytest.approx(0.42758357615580705, rel=1e-15)
+
+
+FLOOR = kernel._MIN_POINTS_PER_THREAD
+
+
+@pytest.fixture
+def split_chunks(monkeypatch):
+    """Chunk count of every split faddeeva_w makes."""
+    counts = []
+    split = kernel._split_wofz
+
+    def recording(wofz, arr, n_chunks):
+        counts.append(n_chunks)
+        return split(wofz, arr, n_chunks)
+
+    monkeypatch.setattr(kernel, "_split_wofz", recording)
+    return counts
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+def test_split_values_are_one_serial_call_bitwise(monkeypatch, split_chunks, cores):
+    monkeypatch.setattr(kernel, "_usable_cores", lambda: cores)
+    rng = np.random.default_rng(15)
+    shapes = [(FLOOR - 1,), (2 * FLOOR,), (2 * FLOOR + 1,), (3 * FLOOR + 7,), (7, FLOOR // 2 + 3)]
+    wofz = load_wofz()
+    for shape in shapes:
+        # |Im z| <= 20 keeps exp(-z^2) finite in the lower half-plane
+        pts = rng.uniform(-20.0, 20.0, shape) + 1j * rng.uniform(-20.0, 20.0, shape)
+        got = faddeeva_w(pts)
+        assert got.shape == shape
+        assert got.tobytes() == wofz(pts).tobytes()
+        z = pts * _EIPI4.conjugate()
+        assert big_f(z).tobytes() == (0.5 * wofz(_EIPI4 * z)).tobytes()
+    # each array was split as often as floor and cores allow (twice: w and F)
+    three = 3 if cores == 3 else 2
+    assert split_chunks == [2, 2, 2, 2, three, three, three, three]
+
+
+def test_split_reads_the_usable_cores(monkeypatch, split_chunks):
+    pts = np.full(4 * FLOOR, 0.5 + 0.5j)
+    monkeypatch.setattr(kernel, "_usable_cores", lambda: 1)
+    assert faddeeva_w(pts).tobytes() == load_wofz()(pts).tobytes()
+    monkeypatch.setattr(kernel, "_usable_cores", lambda: 8)
+    faddeeva_w(pts)
+    # one core: one call; eight cores: no chunk below the floor
+    assert split_chunks == [4]
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    (complex(2.0, math.nan), DomainError, r"z = \(2\+nanj\)"),
+    (complex(0.5, -31.0), OverflowError, r"z = \(0\.5-31j\)"),
+])
+def test_split_array_names_a_bad_point_in_its_last_chunk(monkeypatch, bad, error, message):
+    monkeypatch.setattr(kernel, "_usable_cores", lambda: 3)
+    pts = np.full(3 * FLOOR + 7, 0.5 + 0.5j)
+    pts[-1] = bad
+    with pytest.raises(error, match=message):
+        faddeeva_w(pts)
+
+
+def test_every_chunk_runs_under_the_callers_error_state(monkeypatch):
+    wofz = load_wofz()
+    seen = []
+
+    def recording_wofz(z, out=None):
+        seen.append(np.geterr()["under"])
+        return wofz(z) if out is None else wofz(z, out=out)
+
+    monkeypatch.setattr(kernel, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(kernel, "load_wofz", lambda: recording_wofz)
+    pts = np.full(3 * FLOOR, 0.5 + 0.5j)
+    with np.errstate(under="raise"):
+        faddeeva_w(pts)
+    assert seen == ["raise"] * 3
+
+
+def test_an_error_in_a_pool_chunk_reaches_the_caller(monkeypatch):
+    # the caller evaluates the first chunk, the pool the second
+    def failing_wofz(z, out=None):
+        if z[0] == 1.0:
+            raise FloatingPointError("chunk failed")
+        return load_wofz.__wrapped__()(z, out=out)
+
+    monkeypatch.setattr(kernel, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(kernel, "load_wofz", lambda: failing_wofz)
+    pts = np.zeros(2 * FLOOR, complex)
+    pts[FLOOR:] = 1.0
+    with pytest.raises(FloatingPointError, match="chunk failed"):
+        faddeeva_w(pts)
+
+
+def test_concurrent_splits_from_many_threads(monkeypatch):
+    # more calling threads and chunks than cores, switching often: every
+    # result must still be its serial bits and every call must finish
+    monkeypatch.setattr(kernel, "_usable_cores", lambda: 4)
+    rng = np.random.default_rng(16)
+    arrays = [rng.uniform(-9.0, 9.0, 4 * FLOOR + i) + 0.5j for i in range(8)]
+    wofz = load_wofz()
+    want = [wofz(a).tobytes() for a in arrays]
+    got = [None] * len(arrays)
+
+    def work(i):
+        for _ in range(3):
+            got[i] = faddeeva_w(arrays[i]).tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(arrays))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
+
+
+_FORK_PROBE = """
+import hashlib, json, math, multiprocessing, sys
+import numpy as np
+from shadowhp import kernel
+from shadowhp.experiments import ExperimentGrid, format_csv, run_grid
+
+kernel._usable_cores = lambda: 2
+pts = np.linspace(-5.0, 5.0, 4 * kernel._MIN_POINTS_PER_THREAD) + 0.5j
+want = kernel.load_wofz()(pts).tobytes()
+report = {"parent_split": kernel.faddeeva_w(pts).tobytes() == want}
+report["pool_started"] = kernel._pool is not None
+
+
+def child():
+    sys.exit(0 if kernel.faddeeva_w(pts).tobytes() == want else 1)
+
+
+proc = multiprocessing.get_context("fork").Process(target=child)
+proc.start()
+report["pool_dropped_at_fork"] = kernel._pool is None
+proc.join(60)
+if proc.exitcode is None:
+    proc.kill()
+    proc.join()
+report["child_exit"] = proc.exitcode
+report["split_after_fork"] = kernel.faddeeva_w(pts).tobytes() == want
+grid = ExperimentGrid(
+    k_values=(4.0, 16.0, 64.0, 256.0),
+    alpha_values=tuple(float(a) for a in np.linspace(0.5 * math.pi, math.pi, 33)[1:]),
+    p_values=tuple(range(2, 11)),
+)
+text = format_csv(run_grid(grid, parallelism=2))
+report["grid_sha256"] = hashlib.sha256(text.encode("ascii")).hexdigest()
+print(json.dumps(report))
+"""
+
+
+def test_split_survives_a_fork():
+    # a forked child must not inherit the parent's executor without threads
+    report = _run(_FORK_PROBE)
+    assert report == {
+        "parent_split": True,
+        "pool_started": True,
+        "pool_dropped_at_fork": True,
+        "child_exit": 0,
+        "split_after_fork": True,
+        "grid_sha256": "2a6e352fa93af7b6ff4f3f743e3a27c64eed7af04bfad3ad72160dfbd84df884",
+    }
+
+
+_THREAD_PROBE = """
+import contextlib, io, json, sys, threading
+from shadowhp import kernel
+from shadowhp.cli import main
+
+kernel._usable_cores = lambda: 2
+
+
+def state():
+    return [threading.active_count(), sorted(m for m in sys.modules if m.startswith("concurrent"))]
+
+
+report = {}
+with contextlib.redirect_stdout(io.StringIO()):
+    for name, argv in (
+        ("region", ["region", "--R", "1", "--beta", "2", "--nx", "40", "--ny", "30"]),
+        ("cert_1000", ["cert", "--n-samples", "1000"]),
+        ("cert_10000", ["cert", "--n-samples", "10000"]),
+    ):
+        assert main(argv) == 0
+        report[name] = state()
+print(json.dumps(report))
+"""
+
+
+def test_small_commands_start_no_thread():
+    # only an array of 2 * FLOOR points or more starts the pool and loads
+    # concurrent.futures; cert at 10000 samples is the control that does
+    report = _run(_THREAD_PROBE)
+    assert report["region"] == [1, []]
+    assert report["cert_1000"] == [1, []]
+    threads, modules = report["cert_10000"]
+    assert threads == 2 and "concurrent.futures.thread" in modules

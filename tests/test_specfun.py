@@ -117,6 +117,14 @@ def test_oracle_rejects_too_tight_tolerance():
         fresnel_oracle(1.0, 1e-15)
 
 
+def test_oracle_rejects_an_array_naming_its_shape():
+    for z, shape in ((np.array([1.0, 2.0]), r"\(2,\)"), (np.ones((2, 3), complex), r"\(2, 3\)")):
+        with pytest.raises(DomainError, match=f"takes one point.*shape {shape}"):
+            fresnel_oracle(z)
+    # one point as an array of one element is still one point
+    assert fresnel_oracle(np.array([2.0]), 1e-13) == fresnel_oracle(2.0, 1e-13)
+
+
 def test_non_finite_input_rejected():
     with pytest.raises(DomainError):
         fresnel_fr(complex(math.nan, 0.0))
