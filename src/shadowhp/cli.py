@@ -39,7 +39,7 @@ from shadowhp.experiments import (
     write_csv,
 )
 from shadowhp.geometry import KnifeGeometry, region_label
-from shadowhp.hpspace import best_approx_error, check_mesh_depth
+from shadowhp.hpspace import best_approx_error, check_mesh_depth, shadow_mesh
 from shadowhp.specfun import MAX_SAMPLES, big_f, fresnel_fr, sector_bound_cert
 
 __all__ = ["main"]
@@ -134,6 +134,13 @@ def _cmd_project(args: argparse.Namespace) -> int:
         raise ConfigError(str(exc)) from exc
     res = best_approx_error(cfg, n, args.sigma, args.p, args.quad_order)
     print(f"{_fmt(res.error_l2)},{_fmt(res.relative_error)},{res.dof}")
+    if args.elements:
+        # the result holds no mesh; best_approx_error projected on this one
+        elements = shadow_mesh(cfg, n, args.sigma).elements()
+        for i, ((a, b), err2, share) in enumerate(
+            zip(elements, res.element_err2, res.element_shares)
+        ):
+            print(f"{i},{_fmt(a)},{_fmt(b)},{_fmt(err2)},{_fmt(share)}")
     return 0
 
 
@@ -282,6 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
     depth.add_argument("--n", type=int, default=None, help="override n = max(1, ceil(c p))")
     pj.add_argument("--quad-order", type=int, default=None)
     pj.add_argument("--degrees", action="store_true", help="alpha is given in degrees")
+    pj.add_argument(
+        "--elements",
+        action="store_true",
+        help="then print index,a,b,err2,share for each element, in mesh order",
+    )
     pj.set_defaults(func=_cmd_project)
 
     ex = sub.add_parser("experiment", help="run a sweep from a key=value config file")

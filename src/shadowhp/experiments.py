@@ -13,15 +13,26 @@ small to repay a pool's start-up (fewer than 2 * _MIN_ROWS_PER_WORKER
 rows) runs in-process. Results are always merged back in canonical
 (k, alpha, p) order and the output is bit-identical regardless of the
 parallelism degree.
+
+Every output file (an experiment's CSV, a region's point cloud) is written
+by open_output, which overwrites an existing file in place: it opens
+without truncating, writes over the old bytes and, on close, cuts a
+regular file at the written length. Cutting a file to zero before the
+write costs far more than the write itself on filesystems that flush a
+file's data when it is replaced by truncation (ext4's auto_da_alloc).
+Neither design fsyncs, and only a hard kill between the last write and
+the cut can leave the old file's tail.
 """
 
 from __future__ import annotations
 
 import errno
 import functools
+import io
 import itertools
 import math
 import os
+import stat
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -312,14 +323,52 @@ def check_output(path: str) -> None:
         raise _output_error(path, exc) from exc
 
 
-def open_output(path: str):
+class _OverwriteText(io.TextIOWrapper):
+    """ASCII text written over the old bytes of the file open at fd. Closing
+    it (also by leaving a `with` block on an exception) cuts a regular file
+    at the final position, so exactly the text written remains.
+    """
+
+    def __init__(self, fd: int) -> None:
+        raw = io.FileIO(fd, "w")
+        st = os.fstat(fd)
+        self._cut = stat.S_ISREG(st.st_mode)
+        # the buffer size and line buffering that open(path, "w") would pick
+        size = st.st_blksize if st.st_blksize > 1 else io.DEFAULT_BUFFER_SIZE
+        super().__init__(
+            io.BufferedWriter(raw, size),
+            encoding="ascii",
+            newline="\n",
+            line_buffering=raw.isatty(),
+        )
+
+    def close(self) -> None:
+        try:
+            if self._cut and not self.closed:
+                self.truncate()
+        finally:
+            super().close()
+
+
+def open_output(path: str) -> io.TextIOWrapper:
     """Open a run's output file for writing ASCII text. Raise ConfigError,
     naming the path, when it cannot be opened: the path is a run option.
+
+    The file is opened without O_TRUNC (a new one is created with mode 0o666
+    under the umask, as by open(path, "w")), written over in place and, when
+    closed, truncated at the written length if it is a regular file; a pipe,
+    /dev/null or /dev/stdout is never truncated. The bytes left are those a
+    truncating open would leave, a symlink is written through and a hard
+    link keeps its inode. Truncating a file to zero before the write cost
+    about ten times the write of a small CSV on ext4 (auto_da_alloc flushes
+    a file replaced that way). Nothing is fsynced: a hard kill after the
+    last write and before the close can leave the old file's tail.
     """
     try:
-        return open(path, "w", encoding="ascii", newline="\n")
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     except (OSError, ValueError) as exc:
         raise _output_error(path, exc) from exc
+    return _OverwriteText(fd)
 
 
 def write_csv(rows: list[GridRow], path: str) -> None:

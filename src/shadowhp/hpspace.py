@@ -128,12 +128,13 @@ class PiecewisePolySpace:
         return self.mesh.n_elements * (self.degree + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectionResult:
     """Per-element orthonormal-Legendre coefficients with L2 error data.
 
     element_err2 holds each element's squared L2 error, in mesh order and
-    read-only; error_l2 is the square root of their sum.
+    read-only; error_l2 is the square root of their sum. Results compare
+    and hash by identity, as their array fields cannot be compared by value.
     """
 
     coefficients: tuple[np.ndarray, ...]
@@ -143,13 +144,18 @@ class ProjectionResult:
     element_err2: np.ndarray
 
     @property
+    def element_shares(self) -> np.ndarray:
+        """Each element's share of the squared error of the whole mesh, in
+        mesh order (all 0.0 when the projection is exact)."""
+        total = self.element_err2.sum()
+        return self.element_err2 / total if total > 0.0 else np.zeros_like(self.element_err2)
+
+    @property
     def worst_element(self) -> tuple[int, float]:
         """(index, share): the element with the largest squared error and
-        its share of the squared error of the whole mesh (0.0 when the
-        projection is exact)."""
+        its share (see element_shares)."""
         i = int(np.argmax(self.element_err2))
-        total = float(self.element_err2.sum())
-        return i, float(self.element_err2[i]) / total if total > 0.0 else 0.0
+        return i, float(self.element_shares[i])
 
 
 def geometric_mesh(length: float, n: int, sigma: float) -> Mesh:

@@ -346,6 +346,12 @@ def test_region_output_file(tmp_path, capsys):
     assert len(lines) == 1 + 12
 
 
+def test_region_output_to_dev_null(capsys):
+    argv = ["region", "--R", "1", "--beta", "2", "--nx", "3", "--ny", "2"]
+    code, out, err = run_cli([*argv, "--output", os.devnull], capsys)
+    assert (code, out, err) == (0, "", "")
+
+
 def test_region_unwritable_output_exits_2(tmp_path, capsys):
     for target in (tmp_path / "missing-dir" / "x.csv", tmp_path):
         argv = ["region", "--R", "1", "--beta", "2", "--nx", "2", "--ny", "2"]
@@ -370,6 +376,28 @@ def test_project_matches_library(capsys):
     assert float(err_s) == want.error_l2
     assert float(rel_s) == want.relative_error
     assert int(dof_s) == want.dof
+
+
+def test_project_elements(capsys):
+    argv = ["project", "--k", "16", "--alpha", repr(PI), "--p", "8", "--n", "8"]
+    code, plain, _ = run_cli(argv, capsys)
+    assert code == 0
+    code, out, err = run_cli([*argv, "--elements"], capsys)
+    assert (code, err) == (0, "")
+    first, *lines = out.splitlines()
+    assert first + "\n" == plain
+    res = best_approx_error(ShadowConfig(k=16.0, alpha=PI, l_nc=1.5, l_nc_prime=1.0), 8, 0.15, 8)
+    assert len(lines) == len(res.element_err2)
+    rows = [line.split(",") for line in lines]
+    assert [int(r[0]) for r in rows] == list(range(len(rows)))
+    a, b, err2, share = ([float(r[i]) for r in rows] for i in range(1, 5))
+    assert a[0] == 0.0 and b[-1] == 1.5 and a[1:] == b[:-1]
+    assert err2 == list(res.element_err2)
+    assert math.fsum(share) == pytest.approx(1.0, abs=1e-12)
+    worst = max(range(len(rows)), key=share.__getitem__)
+    assert worst == res.worst_element[0]
+    assert (a[worst], b[worst]) == pytest.approx((0.225, 1.5), rel=1e-12)
+    assert share[worst] > 0.9999
 
 
 @pytest.mark.parametrize(
@@ -444,6 +472,19 @@ def test_experiment_run_and_determinism(tmp_path, capsys):
     code, _, _ = run_cli(["experiment", str(cfg_a), "--output", str(out_b)], capsys)
     assert code == 0
     assert out_b.read_bytes() == out_a.read_bytes()
+
+
+@pytest.mark.parametrize("old", [b"stale row\n" * 500, b"k\n"], ids=["longer", "shorter"])
+def test_experiment_rewrites_an_existing_output(tmp_path, capsys, old):
+    fresh = tmp_path / "fresh.csv"
+    cfg = tmp_path / "a.conf"
+    cfg.write_text(CONFIG_OK.format(out=fresh), encoding="ascii")
+    assert run_cli(["experiment", str(cfg)], capsys)[0] == 0
+    rerun = tmp_path / "rerun.csv"
+    rerun.write_bytes(old)
+    assert len(old) != len(fresh.read_bytes())
+    assert run_cli(["experiment", str(cfg), "--output", str(rerun)], capsys)[0] == 0
+    assert rerun.read_bytes() == fresh.read_bytes()
 
 
 def test_experiment_unwritable_output_exits_2(tmp_path, capsys):

@@ -4,6 +4,8 @@ import concurrent.futures
 import hashlib
 import itertools
 import math
+import os
+import stat
 from dataclasses import replace
 
 import numpy as np
@@ -458,3 +460,87 @@ def test_check_output_touches_nothing(tmp_path):
             check_output(path)
         with pytest.raises(ConfigError, match="embedded null byte"):
             open_output(path)
+
+
+def _fresh_bytes(tmp_path, text):
+    fresh = tmp_path / "fresh.out"
+    with open(fresh, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(text)
+    return fresh.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "old", [b"x" * 5000 + b"\n", b"y\n", b""], ids=["longer", "shorter", "empty"]
+)
+def test_open_output_overwrites_in_place(tmp_path, old):
+    # a longer old file leaves no stale tail, a shorter one is outgrown
+    rows = run_grid(SMALL)
+    path = tmp_path / "out.csv"
+    path.write_bytes(old)
+    inode = path.stat().st_ino
+    write_csv(rows, str(path))
+    assert path.read_bytes() == _fresh_bytes(tmp_path, format_csv(rows))
+    assert path.stat().st_ino == inode
+
+
+def test_open_output_writes_through_links(tmp_path):
+    text = "a,b\n1,2\n"
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"old contents, longer than the new ones\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    hard = tmp_path / "hard.csv"
+    os.link(target, hard)
+    with open_output(str(link)) as fh:
+        fh.write(text)
+    assert link.is_symlink()
+    assert target.read_bytes() == _fresh_bytes(tmp_path, text)
+    # the hard link shares the inode, so it sees the new bytes too
+    with open_output(str(hard)) as fh:
+        fh.write(text + text)
+    assert hard.stat().st_ino == target.stat().st_ino
+    assert target.read_bytes() == hard.read_bytes() == _fresh_bytes(tmp_path, text + text)
+
+
+def test_open_output_keeps_what_was_written_before_an_exception(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"z" * 10000)
+    with pytest.raises(KeyError):
+        with open_output(str(path)) as fh:
+            fh.write("header\nrow 1\n")
+            raise KeyError("mid-write")
+    assert fh.closed
+    assert path.read_bytes() == _fresh_bytes(tmp_path, "header\nrow 1\n")
+
+
+def test_open_output_creates_a_file_as_open_does(tmp_path):
+    umask = os.umask(0o027)
+    try:
+        with open(tmp_path / "by-open.csv", "w", encoding="ascii") as fh:
+            fh.write("x\n")
+        with open_output(str(tmp_path / "by-open-output.csv")) as fh:
+            fh.write("x\n")
+    finally:
+        os.umask(umask)
+    want = (tmp_path / "by-open.csv").stat()
+    got = (tmp_path / "by-open-output.csv").stat()
+    assert stat.S_IMODE(got.st_mode) == stat.S_IMODE(want.st_mode) == 0o640
+    assert (tmp_path / "by-open-output.csv").read_bytes() == b"x\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_open_output_never_truncates_a_pipe():
+    # truncating a pipe raises; the writer cuts only regular files
+    read_end, write_end = os.pipe()
+    try:
+        with open_output(f"/dev/fd/{write_end}") as fh:
+            fh.write("through a pipe\n")
+        os.close(write_end)
+        write_end = None
+        assert os.read(read_end, 100) == b"through a pipe\n"
+    finally:
+        os.close(read_end)
+        if write_end is not None:
+            os.close(write_end)
+    with open_output(os.devnull) as fh:
+        fh.write("discarded\n")

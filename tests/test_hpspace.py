@@ -238,6 +238,14 @@ def test_element_errors_sum_to_the_l2_error():
     assert exact.worst_element == (0, 0.0)
 
 
+def test_projection_results_compare_and_hash_by_identity():
+    a = best_approx_error(CFG, 4, 0.15, 4)
+    b = best_approx_error(CFG, 4, 0.15, 4)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+    assert a.element_shares.sum() == pytest.approx(1.0, abs=1e-12)
+
+
 @pytest.mark.parametrize(
     "alpha, element", [(0.75 * math.pi, (0.0, 0.775)), (math.pi, (0.225, 1.5))]
 )
