@@ -21,7 +21,9 @@ regular file at the written length. Cutting a file to zero before the
 write costs far more than the write itself on filesystems that flush a
 file's data when it is replaced by truncation (ext4's auto_da_alloc).
 Neither design fsyncs, and only a hard kill between the last write and
-the cut can leave the old file's tail.
+the cut can leave the old file's tail. check_output, run before a sweep,
+asks the filesystem about the path without opening it, so the write is
+the only time the path is opened: a FIFO's reader sees one writer.
 """
 
 from __future__ import annotations
@@ -301,50 +303,41 @@ def _output_error(path: str, exc: Exception) -> ConfigError:
 
 def check_output(path: str) -> None:
     """Raise ConfigError, as open_output would, when path cannot be opened
-    for writing; create, truncate and write nothing.
+    for writing. The filesystem is asked, the path never opened: nothing is
+    created, truncated or written, and a FIFO sees no writer.
 
     A run that writes its output only at the end checks it first, so that an
-    unwritable path exits before any work. An existing path is opened for
-    appending and closed again; a new one needs a writable parent directory.
-    A path with a NUL byte, which no file can have, is refused too.
+    unwritable path exits before any work. An existing path must not be a
+    directory and must be writable; a new one needs a writable parent
+    directory. A path with a NUL byte, which no file can have, is refused too.
     """
     try:
-        if "\0" in path:
-            raise ValueError("embedded null byte")
-        if os.path.exists(path):
-            open(path, "ab").close()
-            return
-        parent = os.path.dirname(path) or "."
-        if not path or not os.path.isdir(parent):
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-        if not os.access(parent, os.W_OK | os.X_OK):
+        try:
+            st = os.stat(path)
+        except FileNotFoundError:
+            parent = os.path.dirname(path) or "."
+            if not path or not os.path.isdir(parent):
+                raise
+            target, mode = parent, os.W_OK | os.X_OK
+        else:
+            if stat.S_ISDIR(st.st_mode):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            target, mode = path, os.W_OK
+        if not os.access(target, mode):
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
     except (OSError, ValueError) as exc:
         raise _output_error(path, exc) from exc
 
 
 class _OverwriteText(io.TextIOWrapper):
-    """ASCII text written over the old bytes of the file open at fd. Closing
-    it (also by leaving a `with` block on an exception) cuts a regular file
-    at the final position, so exactly the text written remains.
+    """Text written over the old bytes of a file opened without O_TRUNC.
+    Closing it (also by leaving a `with` block on an exception) cuts a
+    regular file at the final position, so exactly the text written remains.
     """
-
-    def __init__(self, fd: int) -> None:
-        raw = io.FileIO(fd, "w")
-        st = os.fstat(fd)
-        self._cut = stat.S_ISREG(st.st_mode)
-        # the buffer size and line buffering that open(path, "w") would pick
-        size = st.st_blksize if st.st_blksize > 1 else io.DEFAULT_BUFFER_SIZE
-        super().__init__(
-            io.BufferedWriter(raw, size),
-            encoding="ascii",
-            newline="\n",
-            line_buffering=raw.isatty(),
-        )
 
     def close(self) -> None:
         try:
-            if self._cut and not self.closed:
+            if not self.closed and stat.S_ISREG(os.fstat(self.fileno()).st_mode):
                 self.truncate()
         finally:
             super().close()
@@ -355,20 +348,22 @@ def open_output(path: str) -> io.TextIOWrapper:
     naming the path, when it cannot be opened: the path is a run option.
 
     The file is opened without O_TRUNC (a new one is created with mode 0o666
-    under the umask, as by open(path, "w")), written over in place and, when
+    under the umask, as by open(path, "w")), with the buffer size and line
+    buffering open(path, "w") would pick, written over in place and, when
     closed, truncated at the written length if it is a regular file; a pipe,
-    /dev/null or /dev/stdout is never truncated. The bytes left are those a
-    truncating open would leave, a symlink is written through and a hard
-    link keeps its inode. Truncating a file to zero before the write cost
-    about ten times the write of a small CSV on ext4 (auto_da_alloc flushes
-    a file replaced that way). Nothing is fsynced: a hard kill after the
-    last write and before the close can leave the old file's tail.
+    a FIFO, /dev/null or /dev/stdout is never truncated. The bytes left are
+    those a truncating open would leave, a symlink is written through and a
+    hard link keeps its inode. Truncating a file to zero before the write
+    cost about ten times the write of a small CSV on ext4 (auto_da_alloc
+    flushes a file replaced that way). Nothing is fsynced: a hard kill after
+    the last write and before the close can leave the old file's tail.
     """
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     except (OSError, ValueError) as exc:
         raise _output_error(path, exc) from exc
-    return _OverwriteText(fd)
+    binary = open(fd, "wb")
+    return _OverwriteText(binary, encoding="ascii", newline="\n", line_buffering=binary.isatty())
 
 
 def write_csv(rows: list[GridRow], path: str) -> None:

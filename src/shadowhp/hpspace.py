@@ -323,14 +323,16 @@ def best_approx_error(
 
     n and p are integers, or equal-length sequences of them for a batch of
     rows on one configuration, which returns a list of results in order.
-    A scalar call is a one-row batch, so both give the same bits.
+    A scalar call is a one-row batch, so both give the same bits. Anything
+    else (a mix of the two, empty or unequal sequences) raises DomainError.
     """
-    scalar = np.ndim(n) == 0 and np.ndim(p) == 0
-    ns, ps = ([n], [p]) if scalar else (list(n), list(p))
-    if not ns or len(ns) != len(ps):
+    scalar = np.ndim(n) == 0
+    if np.ndim(p) != np.ndim(n) or not scalar and not 0 < len(n) == len(p):
         raise DomainError(
-            f"n and p must be nonempty and of equal length, got {len(ns)} and {len(ps)}"
+            "n and p must be integers or nonempty sequences of equal length, "
+            f"got {n!r} and {p!r}"
         )
+    ns, ps = ([n], [p]) if scalar else (list(n), list(p))
     spaces = [
         PiecewisePolySpace(mesh=shadow_mesh(cfg, layers, sigma), degree=degree)
         for layers, degree in zip(ns, ps)

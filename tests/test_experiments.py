@@ -6,6 +6,8 @@ import itertools
 import math
 import os
 import stat
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -544,3 +546,47 @@ def test_open_output_never_truncates_a_pipe():
             os.close(write_end)
     with open_output(os.devnull) as fh:
         fh.write("discarded\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_experiment_to_a_fifo_is_one_writer_session(tmp_path):
+    # the early check must not open the FIFO: the reader's EOF comes only
+    # after the whole CSV, and the write finds the reader still there
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    cfg = tmp_path / "a.conf"
+    cfg.write_text(
+        f"k_values = 16\nalpha_values = {0.75 * math.pi!r}\np_values = 2, 3, 4\n"
+        f"output = {fifo}\n",
+        encoding="ascii",
+    )
+    # `cat fifo` in its own process, so that a writer that never comes
+    # cannot hang the test
+    cat = "import sys; sys.stdout.buffer.write(open(sys.argv[1], 'rb').read())"
+    with subprocess.Popen([sys.executable, "-c", cat, str(fifo)], stdout=subprocess.PIPE) as reader:
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "shadowhp", "experiment", str(cfg)],
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            got, _ = reader.communicate(timeout=60)
+        finally:
+            reader.kill()
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"wrote 3 rows to {fifo}\n"
+    assert got == format_csv(run_grid(SMALL)).encode("ascii")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_check_output_on_a_fifo_without_a_reader_returns(tmp_path):
+    # opening a FIFO for writing blocks until a reader comes; the check
+    # must not open it
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    code = "import sys; from shadowhp.experiments import check_output; check_output(sys.argv[1])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(fifo)], capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -423,6 +423,11 @@ def test_best_approx_batch_validation():
         best_approx_error(CFG, [2, 3], 0.15, [2])
     with pytest.raises(DomainError, match="nonempty"):
         best_approx_error(CFG, [], 0.15, [])
+    # an integer with a sequence is neither a row nor a batch
+    for n, p in ((4, [2, 3]), ([2, 3], 4)):
+        with pytest.raises(DomainError, match="must be integers or nonempty sequences") as exc:
+            best_approx_error(CFG, n, 0.15, p)
+        assert str(exc.value).endswith(f"got {n} and {p}")
     # a rule of at most p nodes is a run option out of range, and one bad row
     # fails the whole batch
     for n, p in ((8, 8), ([2, 8], [2, 8])):

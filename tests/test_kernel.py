@@ -341,7 +341,7 @@ def test_concurrent_splits_from_many_threads(monkeypatch):
 
 
 _FORK_PROBE = """
-import hashlib, json, math, multiprocessing, sys
+import json, math, multiprocessing, sys
 import numpy as np
 from shadowhp import kernel
 from shadowhp.experiments import ExperimentGrid, format_csv, run_grid
@@ -371,8 +371,8 @@ grid = ExperimentGrid(
     alpha_values=tuple(float(a) for a in np.linspace(0.5 * math.pi, math.pi, 33)[1:]),
     p_values=tuple(range(2, 11)),
 )
-text = format_csv(run_grid(grid, parallelism=2))
-report["grid_sha256"] = hashlib.sha256(text.encode("ascii")).hexdigest()
+pooled = format_csv(run_grid(grid, parallelism=2))
+report["grid_pooled_equals_serial"] = pooled == format_csv(run_grid(grid, parallelism=1))
 print(json.dumps(report))
 """
 
@@ -386,7 +386,7 @@ def test_split_survives_a_fork():
         "pool_dropped_at_fork": True,
         "child_exit": 0,
         "split_after_fork": True,
-        "grid_sha256": "2a6e352fa93af7b6ff4f3f743e3a27c64eed7af04bfad3ad72160dfbd84df884",
+        "grid_pooled_equals_serial": True,
     }
 
 
