@@ -1,4 +1,5 @@
-"""Scalar-or-array argument handling shared by the evaluation functions.
+"""Scalar-or-array argument handling shared by the evaluation functions,
+and the integer test shared by the range checks of counts.
 
 Every evaluation function takes a scalar or an array of points. It runs
 one numpy body on an array of at least one dimension and returns a Python
@@ -11,6 +12,8 @@ name a point as a complex number whatever its dtype.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -42,3 +45,8 @@ def first(arr: np.ndarray, mask: np.ndarray):
 def unwrap(out: np.ndarray, scalar: bool):
     """Python complex for a scalar call, the array otherwise."""
     return complex(out[0]) if scalar else out
+
+
+def is_count(x) -> bool:
+    """Whether x is an integer, Python or numpy, and not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)

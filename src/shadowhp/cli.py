@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import math
 import re
 import sys
@@ -38,8 +39,8 @@ from shadowhp.experiments import (
     run_grid,
     write_csv,
 )
-from shadowhp.geometry import KnifeGeometry, region_label
-from shadowhp.hpspace import best_approx_error, check_mesh_depth, shadow_mesh
+from shadowhp.geometry import KnifeGeometry, RegionLabel, region_label
+from shadowhp.hpspace import best_approx_error
 from shadowhp.specfun import MAX_SAMPLES, big_f, fresnel_fr, sector_bound_cert
 
 __all__ = ["main"]
@@ -82,12 +83,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-#: the four region flags as the end of a CSV line, indexed by
-#: in_cut_plane, in_R, in_ellipse, in_S (bools index as 0 and 1)
-_FLAG_TEXT = tuple(
-    tuple(tuple(tuple(f"{a},{b},{c},{d}\n" for d in (0, 1)) for c in (0, 1)) for b in (0, 1))
-    for a in (0, 1)
-)
+#: each region label's four flags as the end of a CSV line, in the
+#: header's column order in_cut, in_R, in_ellipse, in_S
+_FLAG_TEXT = {
+    RegionLabel(*flags): ",".join(str(int(f)) for f in flags) + "\n"
+    for flags in itertools.product((False, True), repeat=4)
+}
 
 
 def _axis(lo: float, hi: float, n: int) -> list[float]:
@@ -101,7 +102,7 @@ def _cmd_region(args: argparse.Namespace) -> int:
     if not all(math.isfinite(x) for x in box):
         raise ConfigError(f"bounding box {box} has a bound that is not finite")
     if not (args.re_max > args.re_min and args.im_max > args.im_min):
-        raise ConfigError("empty bounding box")
+        raise ConfigError(f"bounding box {box} is empty")
     res = _axis(args.re_min, args.re_max, args.nx)
     ims = _axis(args.im_min, args.im_max, args.ny)
     if not all(math.isfinite(x) for x in res + ims):
@@ -119,8 +120,7 @@ def _cmd_region(args: argparse.Namespace) -> int:
             line = []
             for re, re_text in columns:
                 lab = region_label(complex(re, im), geo)
-                flags = _FLAG_TEXT[lab.in_cut_plane][lab.in_R][lab.in_ellipse][lab.in_S]
-                line.append(re_text + im_text + flags)
+                line.append(re_text + im_text + _FLAG_TEXT[lab])
             out.write("".join(line))
     return 0
 
@@ -128,17 +128,11 @@ def _cmd_region(args: argparse.Namespace) -> int:
 def _cmd_project(args: argparse.Namespace) -> int:
     cfg = _shadow_config(args)
     n = args.n if args.n is not None else layers_for_degree(args.p, args.c)
-    try:
-        check_mesh_depth(cfg.l_nc, n, args.sigma)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
     res = best_approx_error(cfg, n, args.sigma, args.p, args.quad_order)
     print(f"{_fmt(res.error_l2)},{_fmt(res.relative_error)},{res.dof}")
     if args.elements:
-        # the result holds no mesh; best_approx_error projected on this one
-        elements = shadow_mesh(cfg, n, args.sigma).elements()
         for i, ((a, b), err2, share) in enumerate(
-            zip(elements, res.element_err2, res.element_shares)
+            zip(res.space.mesh.elements(), res.element_err2, res.element_shares)
         ):
             print(f"{i},{_fmt(a)},{_fmt(b)},{_fmt(err2)},{_fmt(share)}")
     return 0
@@ -191,7 +185,8 @@ def parse_config(text: str) -> dict:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        # utf-8-sig: a byte order mark some editors write is not part of a key
+        with open(args.config, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     # ValueError: a NUL byte in the path or (UnicodeDecodeError) a non-UTF-8 file
     except (OSError, ValueError) as exc:

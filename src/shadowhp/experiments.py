@@ -40,6 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from shadowhp import kernel
+from shadowhp._arrays import is_count
 from shadowhp.amplitudes import ShadowConfig
 from shadowhp.errors import ConfigError, DomainError
 from shadowhp.hpspace import (
@@ -205,7 +206,7 @@ def run_grid(grid: ExperimentGrid, parallelism: int = 1) -> list[GridRow]:
     _MIN_ROWS_PER_WORKER rows per worker; below two workers the pairs run
     in-process.
     """
-    if not (isinstance(parallelism, int) and parallelism >= 1):
+    if not (is_count(parallelism) and parallelism >= 1):
         raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
     pairs = list(itertools.product(sorted(grid.k_values), sorted(grid.alpha_values)))
     n_rows = len(pairs) * len(grid.p_values)

@@ -26,6 +26,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,8 +99,7 @@ class KnifeGeometry:
         )
 
 
-@dataclass(frozen=True)
-class RegionLabel:
+class RegionLabel(NamedTuple):
     in_cut_plane: bool
     in_R: bool
     in_ellipse: bool

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from shadowhp._arrays import is_count
 from shadowhp.amplitudes import ShadowConfig, amplitude_v
 from shadowhp.errors import ConfigError, DomainError
 
@@ -27,7 +28,7 @@ MERGE_RTOL = 1e-12
 #: --n 1024 --sigma 0.999` peaks at 110 MB resident, where `--p 4
 #: --n 80000 --sigma 0.99999` reached 329 MB. The cap lies above the 400
 #: layers at which the default grading 0.15 underflows, so that depth
-#: still fails as a DomainError of its own sweep row.
+#: still fails as a ConfigError of its own sweep row.
 MAX_LAYERS = 1024
 
 __all__ = [
@@ -51,8 +52,8 @@ __all__ = [
 
 def check_degree(p: int) -> None:
     """Raise ConfigError, naming p, unless the degree is an integer >= 0
-    (a bool is not a degree)."""
-    if not (isinstance(p, int) and not isinstance(p, bool) and p >= 0):
+    (see is_count: a numpy integer is one, a bool is not)."""
+    if not (is_count(p) and p >= 0):
         raise ConfigError(f"degree must be a nonnegative integer, got {p}")
 
 
@@ -64,20 +65,20 @@ def check_grading(sigma: float) -> None:
 
 def check_mesh_depth(length: float, n: int, sigma: float) -> None:
     """Raise ConfigError, naming n, unless the layer count is an integer in
-    [1, MAX_LAYERS], and check sigma with check_grading; then raise
-    DomainError, naming both, when n layers at grading sigma put the finest
-    point sigma^(n-1) length of a side of that length at 0.0.
+    [1, MAX_LAYERS] (not a bool), and check sigma with check_grading; then
+    raise ConfigError, naming both, when n layers at grading sigma put the
+    finest point sigma^(n-1) length of a side of that length at 0.0.
 
-    So a sweep row at that depth fails on its own; `shadowhp project`,
-    whose options n and sigma are, reports the underflow as a ConfigError.
+    n and sigma are run options, so the underflow is a ConfigError like the
+    ranges; being a DomainError too, it fails a sweep row on its own.
     """
-    if not (isinstance(n, int) and n >= 1):
+    if not (is_count(n) and n >= 1):
         raise ConfigError(f"layer count must be an integer >= 1, got {n}")
     if n > MAX_LAYERS:
         raise ConfigError(f"layer count {n} exceeds MAX_LAYERS = {MAX_LAYERS}")
     check_grading(sigma)
     if sigma ** (n - 1) * length == 0.0:
-        raise DomainError(f"{n} layers at grading {sigma} put the finest point at 0.0")
+        raise ConfigError(f"{n} layers at grading {sigma} put the finest point at 0.0")
 
 
 def check_quad_order(p: int, quad_order: int | None) -> int:
@@ -87,7 +88,7 @@ def check_quad_order(p: int, quad_order: int | None) -> int:
     the default p is at most 120.
     """
     m = 2 * p + 16 if quad_order is None else quad_order
-    if not (isinstance(m, int) and p + 1 <= m <= 256):
+    if not (is_count(m) and p + 1 <= m <= 256):
         name = "quad_order (the default 2p + 16)" if quad_order is None else "quad_order"
         raise ConfigError(f"{name} for degree {p} must be an integer in [{p + 1}, 256], got {m}")
     return m
@@ -132,16 +133,22 @@ class PiecewisePolySpace:
 class ProjectionResult:
     """Per-element orthonormal-Legendre coefficients with L2 error data.
 
-    element_err2 holds each element's squared L2 error, in mesh order and
-    read-only; error_l2 is the square root of their sum. Results compare
-    and hash by identity, as their array fields cannot be compared by value.
+    space is the space projected on, so space.mesh holds the elements in
+    mesh order; element_err2 holds each element's squared L2 error, in that
+    order and read-only; error_l2 is the square root of their sum. Results
+    compare and hash by identity, as their array fields cannot be compared
+    by value.
     """
 
+    space: PiecewisePolySpace
     coefficients: tuple[np.ndarray, ...]
     error_l2: float
     relative_error: float
-    dof: int
     element_err2: np.ndarray
+
+    @property
+    def dof(self) -> int:
+        return self.space.dof
 
     @property
     def element_shares(self) -> np.ndarray:
@@ -162,9 +169,9 @@ def geometric_mesh(length: float, n: int, sigma: float) -> Mesh:
     """Geometric mesh on (0, length) graded toward 0:
     points 0 and sigma^{n-i} length for i = 1..n.
 
-    A layer count outside [1, MAX_LAYERS] raises ConfigError, and a finest
-    point that underflows to 0.0 raises DomainError, both before any point
-    is built.
+    A layer count outside [1, MAX_LAYERS] and a finest point that
+    underflows to 0.0 raise ConfigError (see check_mesh_depth) before any
+    point is built.
     """
     if not (length > 0.0 and math.isfinite(length)):
         raise DomainError(f"length must be positive and finite, got {length}")
@@ -207,7 +214,7 @@ def gauss_legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     Cached per m (typed, so 2.0 is still rejected after 2 was cached); the
     arrays are shared between callers and therefore read-only.
     """
-    if not (isinstance(m, int) and 1 <= m <= 256):
+    if not (is_count(m) and 1 <= m <= 256):
         raise ConfigError(f"quad_order (rule size) must be an integer in [1, 256], got {m}")
     x, w = np.polynomial.legendre.leggauss(m)
     x.flags.writeable = False
@@ -271,10 +278,10 @@ def _project_values(
     element_err2 = half * rows
     element_err2.flags.writeable = False
     return ProjectionResult(
+        space=space,
         coefficients=tuple(c),
         error_l2=error,
         relative_error=error / norm,
-        dof=space.dof,
         element_err2=element_err2,
     )
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from shadowhp._arrays import as_points, first, unwrap
+from shadowhp._arrays import as_points, first, is_count, unwrap
 from shadowhp.errors import CertificationError, ConfigError, DomainError, OracleError
 from shadowhp.kernel import faddeeva_w
 
@@ -210,7 +210,7 @@ def sector_bound_cert(n_samples: int) -> SectorBoundCert:
     [1000, MAX_SAMPLES]: the sample holds at least the 1000 points of its
     grid, and the cap bounds its memory.
     """
-    if not (isinstance(n_samples, int) and 1000 <= n_samples <= MAX_SAMPLES):
+    if not (is_count(n_samples) and 1000 <= n_samples <= MAX_SAMPLES):
         raise ConfigError(f"n_samples must lie in [1000, {MAX_SAMPLES}], got {n_samples}")
     points = _sector_sample(n_samples)
     mags = np.abs(big_f(points))

@@ -274,6 +274,9 @@ def test_region_resolution_cap(tmp_path, capsys):
         ["--im-min=-1e308", "--im-max=1e308"],
         # a finite span whose grid steps overflow: (re_max - re_min) * i
         ["--re-min", "0", "--re-max", "1.7e308"],
+        # an empty box
+        ["--re-max=-2"],
+        ["--im-min", "2"],
     ],
 )
 def test_region_box_must_be_finite(tmp_path, capsys, box):
@@ -541,6 +544,42 @@ def test_experiment_config_that_is_not_utf8_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_experiment_reads_a_config_with_a_byte_order_mark(tmp_path, capsys):
+    # some editors start a UTF-8 file with U+FEFF, which is not part of the first key
+    text = "k_values = 16\nalpha_values = 2.0\np_values = 2, 3\noutput = {out}\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    cfg = tmp_path / "a.conf"
+    for out_file, mark in ((plain, b""), (marked, b"\xef\xbb\xbf")):
+        cfg.write_bytes(mark + text.format(out=out_file).encode("ascii"))
+        code, _, err = run_cli(["experiment", str(cfg)], capsys)
+        assert code == 0, err
+    assert marked.read_bytes() == plain.read_bytes()
+
+
+def test_experiment_output_without_write_permission_exits_2_before_any_row(
+    tmp_path, capsys, monkeypatch
+):
+    import shadowhp.experiments
+
+    calls = []
+    monkeypatch.setattr(
+        shadowhp.experiments, "best_approx_error", lambda *a, **kw: calls.append(a)
+    )
+    cfg = tmp_path / "a.conf"
+    old = tmp_path / "old.csv"
+    old.write_bytes(b"previous run\n")
+    # the answer os.access gives an unprivileged user; root may write anywhere
+    monkeypatch.setattr(os, "access", lambda *a, **kw: False)
+    for target in (old, tmp_path / "new.csv"):
+        cfg.write_text(CONFIG_OK.format(out=target), encoding="ascii")
+        code, out, err = run_cli(["experiment", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"config error: cannot write output {str(target)!r}: Permission denied\n"
+    assert calls == []
+    assert old.read_bytes() == b"previous run\n"
+    assert not (tmp_path / "new.csv").exists()
+
+
 def test_experiment_output_is_written_only_after_the_sweep(tmp_path, capsys, monkeypatch):
     # the early check neither creates a new output nor truncates an old one
     import shadowhp.cli
@@ -565,8 +604,8 @@ def test_experiment_output_is_written_only_after_the_sweep(tmp_path, capsys, mon
 
 
 def test_experiment_records_a_mesh_underflow_as_a_failed_row(tmp_path, capsys):
-    # project rejects 400 layers at grading 0.15 up front (exit 2); in a
-    # sweep the same depth fails its own row and the run goes on
+    # project exits 2 on 400 layers at grading 0.15; in a sweep the same
+    # ConfigError fails its own row and the run goes on
     out_file = tmp_path / "deep.csv"
     cfg = tmp_path / "deep.conf"
     cfg.write_text(
@@ -579,7 +618,7 @@ def test_experiment_records_a_mesh_underflow_as_a_failed_row(tmp_path, capsys):
     rows = out_file.read_text(encoding="ascii").splitlines()[1:]
     assert rows[0].endswith(",ok")
     assert rows[1].endswith(
-        ",failed: DomainError: 400 layers at grading 0.15 put the finest point at 0.0"
+        ",failed: ConfigError: 400 layers at grading 0.15 put the finest point at 0.0"
     )
 
 

@@ -159,6 +159,18 @@ def test_run_grid_monotone_trend():
         assert nxt <= 1.05 * cur
 
 
+def test_a_grid_of_numpy_integers_writes_the_same_csv():
+    # numpy integers are counts, so a grid may take its degrees from np.arange
+    ints = ExperimentGrid(k_values=(16.0,), alpha_values=(2.4,), p_values=tuple(range(2, 11)))
+    arange = replace(ints, p_values=tuple(np.arange(2, 11)))
+    want = format_csv(run_grid(ints))
+    assert format_csv(run_grid(arange)) == want
+    assert format_csv(run_grid(ints, parallelism=np.int64(2))) == want
+    # a bool is never a count
+    with pytest.raises(ConfigError, match="degree must be a nonnegative integer, got True"):
+        replace(ints, p_values=(True, 2))
+
+
 def test_run_grid_records_failures_and_continues():
     # at c = 50, p = 8 asks for 400 layers, whose finest point underflows to 0
     grid = ExperimentGrid(
@@ -167,7 +179,7 @@ def test_run_grid_records_failures_and_continues():
     rows = run_grid(grid)
     by_p = {r.p: r for r in rows}
     assert by_p[2].status == "ok"
-    assert by_p[8].status.startswith("failed: DomainError")
+    assert by_p[8].status.startswith("failed: ConfigError")
     assert "," not in by_p[8].status
     assert math.isnan(by_p[8].error_l2)
     assert by_p[8].dof == 0
@@ -294,7 +306,7 @@ def test_run_grid_rejects_bad_parallelism(monkeypatch):
     # enough cores and rows for a pool, which a non-integer count would reach
     monkeypatch.setattr(kernel, "_usable_cores", lambda: 4)
     monkeypatch.setattr(experiments, "_MIN_ROWS_PER_WORKER", 1)
-    for parallelism in (0, 2.5):
+    for parallelism in (0, 2.5, True):
         with pytest.raises(ConfigError, match=f"parallelism must be >= 1, got {parallelism}$"):
             run_grid(replace(SMALL, alpha_values=(2.0, 2.4, 3.0)), parallelism=parallelism)
 
@@ -373,7 +385,7 @@ def test_dip_scan_raises_on_a_failed_row():
     grid = ExperimentGrid(
         k_values=(16.0,), alpha_values=(2.0, 2.2, 2.4, 2.6), p_values=(8,), c=60.0
     )
-    with pytest.raises(DomainError, match=r"row at alpha = 2\.0 failed: DomainError: 480 layers"):
+    with pytest.raises(DomainError, match=r"row at alpha = 2\.0 failed: ConfigError: 480 layers"):
         dip_scan(grid, p=8)
 
 

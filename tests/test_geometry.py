@@ -244,6 +244,17 @@ def _check_region_label_matches_seed(case):
     assert got == _seed_flags(s, geo), f"s={s!r}, {geo}"
 
 
+def test_region_label_is_a_frozen_value():
+    lab = region_label(0.4 + 0.2j, KnifeGeometry(R=1.0, beta=2.0))
+    copy = RegionLabel(*lab)
+    assert copy == lab and hash(copy) == hash(lab)
+    assert repr(RegionLabel(True, False, True, False)) == (
+        "RegionLabel(in_cut_plane=True, in_R=False, in_ellipse=True, in_S=False)"
+    )
+    with pytest.raises(AttributeError):
+        lab.in_S = not lab.in_S
+
+
 def test_region_label_matches_the_seed_formula():
     # hypothesis caches the constants of local modules under its home directory,
     # ./.hypothesis unless told otherwise; keep that cache out of the working tree
@@ -291,6 +302,8 @@ def test_strip_S_delta():
     assert not strip_S_delta(complex(0.2, math.sin(geo.beta)), geo, 0.5)
     # |Im| = 0.8 exceeds 0.9 sin(pi/3) ~ 0.779
     assert not strip_S_delta(1.0 + 0.8j, geo, 0.1)
+    # the sector's vertex has no argument and lies outside
+    assert not strip_S_delta(0j, geo, 0.5)
     with pytest.raises(DomainError):
         strip_S_delta(0.5, geo, 1.5)
 

@@ -16,6 +16,8 @@ from shadowhp.hpspace import (
     _orthonormal_vandermonde,
     bernstein_rho,
     best_approx_error,
+    check_degree,
+    check_quad_order,
     gauss_legendre_rule,
     geometric_mesh,
     l2_project,
@@ -47,7 +49,7 @@ def test_geometric_mesh_validation():
     with pytest.raises(DomainError):
         geometric_mesh(1.0, 2, 0.0)
     # the finest point underflows to 0.0: rejected before any point is built
-    with pytest.raises(DomainError, match="finest point"):
+    with pytest.raises(ConfigError, match="finest point"):
         geometric_mesh(1.5, MAX_LAYERS, 0.15)
     # past the layer cap: a run option out of range, rejected before the
     # underflow check and before a billion points are built
@@ -55,6 +57,21 @@ def test_geometric_mesh_validation():
         with pytest.raises(ConfigError, match="exceeds MAX_LAYERS"):
             geometric_mesh(1.5, n, sigma)
     assert len(geometric_mesh(1.5, MAX_LAYERS, 0.999).points) == MAX_LAYERS + 1
+
+
+def test_counts_take_numpy_integers_and_refuse_bools():
+    assert geometric_mesh(1.5, np.int64(3), 0.15) == geometric_mesh(1.5, 3, 0.15)
+    assert check_quad_order(np.int32(4), None) == 24
+    for got, want in zip(gauss_legendre_rule(np.int64(5)), gauss_legendre_rule(5)):
+        assert np.array_equal(got, want)
+    for check in (
+        check_degree,
+        lambda n: geometric_mesh(1.0, n, 0.5),
+        lambda m: check_quad_order(0, m),
+        gauss_legendre_rule,
+    ):
+        with pytest.raises(ConfigError, match="got True"):
+            check(True)
 
 
 def test_mesh_validation():
@@ -234,8 +251,20 @@ def test_element_errors_sum_to_the_l2_error():
     for batch in best_approx_error(CFG, [2, 6, 9], 0.15, [2, 6, 9]):
         assert batch.element_err2.sum() == pytest.approx(batch.error_l2**2, rel=1e-12)
     # an exact projection has no worst share
-    exact = hpspace.ProjectionResult((), 0.0, 0.0, 3, np.zeros(3))
+    exact = hpspace.ProjectionResult(
+        space=_space((0.0, 0.5, 1.0, 1.5), 0),
+        coefficients=(),
+        error_l2=0.0,
+        relative_error=0.0,
+        element_err2=np.zeros(3),
+    )
     assert exact.worst_element == (0, 0.0)
+
+
+def test_a_result_holds_the_space_it_was_projected_on():
+    res = best_approx_error(CFG, 8, 0.15, 8)
+    assert res.space == PiecewisePolySpace(mesh=shadow_mesh(CFG, 8, 0.15), degree=8)
+    assert res.dof == res.space.dof == res.space.mesh.n_elements * 9
 
 
 def test_projection_results_compare_and_hash_by_identity():

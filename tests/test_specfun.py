@@ -133,9 +133,13 @@ def test_non_finite_input_rejected():
 
 
 def test_sector_cert_requires_min_samples():
-    for n_samples in (999, 2000.0):
+    for n_samples in (999, 2000.0, True):
         with pytest.raises(ConfigError, match=rf"n_samples must lie in .*, got {n_samples}$"):
             sector_bound_cert(n_samples)
+
+
+def test_sector_cert_takes_a_numpy_integer():
+    assert sector_bound_cert(np.int64(1000)) == sector_bound_cert(1000)
 
 
 def test_sector_cert_passes_and_sees_the_true_maximum():
