@@ -1,114 +1,93 @@
 """shadowhp: shadow-boundary amplitude functions, analyticity-region
 geometry, and graded-mesh hp best approximation for high-frequency
 knife-edge diffraction.
+
+Importing the package loads none of its modules. Each public name is
+imported from its module at its first access (PEP 562's module
+__getattr__), so a process loads only the layers it uses: `shadowhp.cli`
+and `shadowhp.KnifeGeometry` need no numpy, `shadowhp.KERNEL_BACKEND`
+needs no scipy. `from shadowhp import *` loads every module.
 """
 
-from shadowhp.amplitudes import (
-    FieldPoint,
-    ShadowConfig,
-    amplitude_v,
-    de_dn_check,
-    e_field,
-    e_go,
-    e_remainder_check,
-    g_of_s,
-    gtd_far_field,
-    h_of_s,
-    psi_go,
-)
-from shadowhp.errors import (
-    BranchCutError,
-    CertificationError,
-    ConfigError,
-    DomainError,
-    OracleError,
-)
-from shadowhp.experiments import (
-    DipScanResult,
-    ExperimentGrid,
-    GridRow,
-    RateFit,
-    dip_scan,
-    fit_rate,
-    run_grid,
-    write_csv,
-)
-from shadowhp.geometry import (
-    THETA_STAR,
-    KnifeGeometry,
-    RegionLabel,
-    mu_of_s,
-    r_of_s,
-    region_label,
-    strip_S_delta,
-)
-from shadowhp.hpspace import (
-    Mesh,
-    PiecewisePolySpace,
-    ProjectionResult,
-    bernstein_rho,
-    best_approx_error,
-    gauss_legendre_rule,
-    geometric_mesh,
-    l2_project,
-    shadow_mesh,
-)
-from shadowhp.kernel import BACKEND as KERNEL_BACKEND
-from shadowhp.specfun import (
-    SectorBoundCert,
-    big_f,
-    fresnel_fr,
-    fresnel_oracle,
-    sector_bound_cert,
-)
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "BranchCutError",
-    "CertificationError",
-    "ConfigError",
-    "DipScanResult",
-    "DomainError",
-    "ExperimentGrid",
-    "FieldPoint",
-    "GridRow",
-    "KERNEL_BACKEND",
-    "KnifeGeometry",
-    "Mesh",
-    "OracleError",
-    "PiecewisePolySpace",
-    "ProjectionResult",
-    "RateFit",
-    "RegionLabel",
-    "SectorBoundCert",
-    "ShadowConfig",
-    "THETA_STAR",
-    "amplitude_v",
-    "best_approx_error",
-    "bernstein_rho",
-    "big_f",
-    "de_dn_check",
-    "dip_scan",
-    "e_field",
-    "e_go",
-    "e_remainder_check",
-    "fit_rate",
-    "fresnel_fr",
-    "fresnel_oracle",
-    "g_of_s",
-    "gauss_legendre_rule",
-    "geometric_mesh",
-    "gtd_far_field",
-    "h_of_s",
-    "l2_project",
-    "mu_of_s",
-    "psi_go",
-    "r_of_s",
-    "region_label",
-    "run_grid",
-    "sector_bound_cert",
-    "shadow_mesh",
-    "strip_S_delta",
-    "write_csv",
-]
+#: the public names of each module; KERNEL_BACKEND is kernel.BACKEND
+_EXPORTS = {
+    "shadowhp.amplitudes": (
+        "FieldPoint",
+        "ShadowConfig",
+        "amplitude_v",
+        "de_dn_check",
+        "e_field",
+        "e_go",
+        "e_remainder_check",
+        "g_of_s",
+        "gtd_far_field",
+        "h_of_s",
+        "psi_go",
+    ),
+    "shadowhp.errors": (
+        "BranchCutError",
+        "CertificationError",
+        "ConfigError",
+        "DomainError",
+        "OracleError",
+    ),
+    "shadowhp.experiments": (
+        "DipScanResult",
+        "ExperimentGrid",
+        "GridRow",
+        "RateFit",
+        "dip_scan",
+        "fit_rate",
+        "run_grid",
+        "write_csv",
+    ),
+    "shadowhp.geometry": ("mu_of_s", "r_of_s"),
+    "shadowhp.hpspace": (
+        "Mesh",
+        "PiecewisePolySpace",
+        "ProjectionResult",
+        "bernstein_rho",
+        "best_approx_error",
+        "gauss_legendre_rule",
+        "geometric_mesh",
+        "l2_project",
+        "shadow_mesh",
+    ),
+    "shadowhp.kernel": ("KERNEL_BACKEND",),
+    "shadowhp.regions": (
+        "THETA_STAR",
+        "KnifeGeometry",
+        "RegionLabel",
+        "region_label",
+        "strip_S_delta",
+    ),
+    "shadowhp.specfun": (
+        "SectorBoundCert",
+        "big_f",
+        "fresnel_fr",
+        "fresnel_oracle",
+        "sector_bound_cert",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(module), "BACKEND" if name == "KERNEL_BACKEND" else name)
+    # bound like an eager import: later reads find it without this hook
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -25,7 +25,8 @@ import numpy as np
 from shadowhp._arrays import as_points, first, unwrap
 from shadowhp.errors import DomainError
 from shadowhp.geometry import mu_of_s  # noqa: F401  (perfbench/tracer.py wraps it here)
-from shadowhp.geometry import KnifeGeometry, check_wavenumber, mu_with_root, r_of_s
+from shadowhp.geometry import check_wavenumber, mu_with_root, r_of_s
+from shadowhp.regions import KnifeGeometry
 from shadowhp.specfun import big_f, fresnel_fr
 
 _E3IPI4 = cmath.exp(0.75j * math.pi)

@@ -7,6 +7,11 @@ cert (sector bound certification). Exit codes: 0 success, 1 domain error,
 code: each range rule raises ConfigError (a run option or config value,
 exit 2) or DomainError (a model value, exit 1) where it lives, and the
 commands restate none of them.
+
+Loading this module imports no numpy: region, --help and a usage error
+run on the standard library and the numpy-free modules regions and runio.
+The other commands import their layers when they run, and run_grid,
+write_csv and sector_bound_cert here load theirs at their first call.
 """
 
 from __future__ import annotations
@@ -19,31 +24,39 @@ import math
 import re
 import sys
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
-from shadowhp.amplitudes import (
-    FieldPoint,
-    ShadowConfig,
-    amplitude_v,
-    e_field,
-    g_of_s,
-    h_of_s,
-    psi_go,
-)
 from shadowhp.errors import CertificationError, ConfigError, DomainError
-from shadowhp.experiments import (
-    ExperimentGrid,
-    _fmt,
-    check_output,
-    layers_for_degree,
-    open_output,
-    run_grid,
-    write_csv,
-)
-from shadowhp.geometry import KnifeGeometry, RegionLabel, region_label
-from shadowhp.hpspace import best_approx_error
-from shadowhp.specfun import MAX_SAMPLES, big_f, fresnel_fr, sector_bound_cert
+from shadowhp.regions import KnifeGeometry, RegionLabel, region_label
+from shadowhp.runio import MAX_SAMPLES, _fmt, check_output, open_output
+
+if TYPE_CHECKING:
+    from shadowhp.amplitudes import ShadowConfig
+    from shadowhp.experiments import ExperimentGrid, GridRow
+    from shadowhp.specfun import SectorBoundCert
 
 __all__ = ["main"]
+
+
+def run_grid(grid: ExperimentGrid, parallelism: int = 1) -> list[GridRow]:
+    """experiments.run_grid, imported at the first call."""
+    from shadowhp import experiments
+
+    return experiments.run_grid(grid, parallelism)
+
+
+def write_csv(rows: list[GridRow], path: str) -> None:
+    """experiments.write_csv, imported at the first call."""
+    from shadowhp import experiments
+
+    experiments.write_csv(rows, path)
+
+
+def sector_bound_cert(n_samples: int) -> SectorBoundCert:
+    """specfun.sector_bound_cert, imported at the first call."""
+    from shadowhp import specfun
+
+    return specfun.sector_bound_cert(n_samples)
 
 
 def _print_complex(v: complex) -> None:
@@ -55,12 +68,17 @@ def _rad(value: float, degrees: bool) -> float:
 
 
 def _shadow_config(args: argparse.Namespace) -> ShadowConfig:
+    from shadowhp.amplitudes import ShadowConfig
+
     return ShadowConfig(
         k=args.k, alpha=_rad(args.alpha, args.degrees), l_nc=args.lnc, l_nc_prime=args.lncp
     )
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from shadowhp.amplitudes import FieldPoint, amplitude_v, e_field, g_of_s, h_of_s, psi_go
+    from shadowhp.specfun import big_f, fresnel_fr
+
     fn = args.function
     if fn in ("fr", "F"):
         z = complex(args.re, args.im)
@@ -125,7 +143,17 @@ def _cmd_region(args: argparse.Namespace) -> int:
     return 0
 
 
+#: project's options whose defaults are the sweep's, and their ExperimentGrid fields
+_GRID_DEFAULTS = {"lnc": "l_nc", "lncp": "l_nc_prime", "sigma": "sigma", "c": "c"}
+
+
 def _cmd_project(args: argparse.Namespace) -> int:
+    from shadowhp.experiments import ExperimentGrid, layers_for_degree
+    from shadowhp.hpspace import best_approx_error
+
+    for option, field in _GRID_DEFAULTS.items():
+        if getattr(args, option) is None:
+            setattr(args, option, getattr(ExperimentGrid, field))
     cfg = _shadow_config(args)
     n = args.n if args.n is not None else layers_for_degree(args.p, args.c)
     res = best_approx_error(cfg, n, args.sigma, args.p, args.quad_order)
@@ -184,6 +212,8 @@ def parse_config(text: str) -> dict:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from shadowhp.experiments import ExperimentGrid
+
     try:
         # utf-8-sig: a byte order mark some editors write is not part of a key
         with open(args.config, "r", encoding="utf-8-sig") as fh:
@@ -276,11 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
     pj.add_argument("--k", type=float, required=True)
     pj.add_argument("--alpha", type=float, required=True)
     pj.add_argument("--p", type=int, required=True)
-    pj.add_argument("--lnc", type=float, default=ExperimentGrid.l_nc)
-    pj.add_argument("--lncp", type=float, default=ExperimentGrid.l_nc_prime)
-    pj.add_argument("--sigma", type=float, default=ExperimentGrid.sigma)
+    # None: the ExperimentGrid default (_GRID_DEFAULTS), filled in when the command runs
+    pj.add_argument("--lnc", type=float, default=None)
+    pj.add_argument("--lncp", type=float, default=None)
+    pj.add_argument("--sigma", type=float, default=None)
     depth = pj.add_mutually_exclusive_group()
-    depth.add_argument("--c", type=float, default=ExperimentGrid.c)
+    depth.add_argument("--c", type=float, default=None)
     depth.add_argument("--n", type=int, default=None, help="override n = max(1, ceil(c p))")
     pj.add_argument("--quad-order", type=int, default=None)
     pj.add_argument("--degrees", action="store_true", help="alpha is given in degrees")

@@ -14,27 +14,16 @@ rows) runs in-process. Results are always merged back in canonical
 (k, alpha, p) order and the output is bit-identical regardless of the
 parallelism degree.
 
-Every output file (an experiment's CSV, a region's point cloud) is written
-by open_output, which overwrites an existing file in place: it opens
-without truncating, writes over the old bytes and, on close, cuts a
-regular file at the written length. Cutting a file to zero before the
-write costs far more than the write itself on filesystems that flush a
-file's data when it is replaced by truncation (ext4's auto_da_alloc).
-Neither design fsyncs, and only a hard kill between the last write and
-the cut can leave the old file's tail. check_output, run before a sweep,
-asks the filesystem about the path without opening it, so the write is
-the only time the path is opened: a FIFO's reader sees one writer.
+The CSV is written by runio.open_output, which overwrites an existing
+file in place; check_output and open_output live in runio, which needs no
+numpy, and are exported here too.
 """
 
 from __future__ import annotations
 
-import errno
 import functools
-import io
 import itertools
 import math
-import os
-import stat
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,6 +39,7 @@ from shadowhp.hpspace import (
     check_grading,
     check_quad_order,
 )
+from shadowhp.runio import _fmt, check_output, open_output
 
 CSV_HEADER = "k,alpha,p,n_layers,dof,error_l2,relative_error,status"
 
@@ -207,7 +197,7 @@ def run_grid(grid: ExperimentGrid, parallelism: int = 1) -> list[GridRow]:
     in-process.
     """
     if not (is_count(parallelism) and parallelism >= 1):
-        raise ConfigError(f"parallelism must be >= 1, got {parallelism}")
+        raise ConfigError(f"parallelism must be an integer >= 1, got {parallelism}")
     pairs = list(itertools.product(sorted(grid.k_values), sorted(grid.alpha_values)))
     n_rows = len(pairs) * len(grid.p_values)
     task = functools.partial(_pair_task, grid)
@@ -284,10 +274,6 @@ def dip_scan(grid: ExperimentGrid, p: int = 8, parallelism: int = 1) -> DipScanR
     )
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def format_csv(rows: list[GridRow]) -> str:
     lines = [CSV_HEADER]
     for r in rows:
@@ -298,78 +284,9 @@ def format_csv(rows: list[GridRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _output_error(path: str, exc: Exception) -> ConfigError:
-    return ConfigError(f"cannot write output {path!r}: {getattr(exc, 'strerror', None) or exc}")
-
-
-def check_output(path: str) -> None:
-    """Raise ConfigError, as open_output would, when path cannot be opened
-    for writing. The filesystem is asked, the path never opened: nothing is
-    created, truncated or written, and a FIFO sees no writer.
-
-    A run that writes its output only at the end checks it first, so that an
-    unwritable path exits before any work. An existing path must not be a
-    directory and must be writable; a new one needs a writable parent
-    directory. A path with a NUL byte, which no file can have, is refused too.
-    """
-    try:
-        try:
-            st = os.stat(path)
-        except FileNotFoundError:
-            parent = os.path.dirname(path) or "."
-            if not path or not os.path.isdir(parent):
-                raise
-            target, mode = parent, os.W_OK | os.X_OK
-        else:
-            if stat.S_ISDIR(st.st_mode):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-            target, mode = path, os.W_OK
-        if not os.access(target, mode):
-            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
-    except (OSError, ValueError) as exc:
-        raise _output_error(path, exc) from exc
-
-
-class _OverwriteText(io.TextIOWrapper):
-    """Text written over the old bytes of a file opened without O_TRUNC.
-    Closing it (also by leaving a `with` block on an exception) cuts a
-    regular file at the final position, so exactly the text written remains.
-    """
-
-    def close(self) -> None:
-        try:
-            if not self.closed and stat.S_ISREG(os.fstat(self.fileno()).st_mode):
-                self.truncate()
-        finally:
-            super().close()
-
-
-def open_output(path: str) -> io.TextIOWrapper:
-    """Open a run's output file for writing ASCII text. Raise ConfigError,
-    naming the path, when it cannot be opened: the path is a run option.
-
-    The file is opened without O_TRUNC (a new one is created with mode 0o666
-    under the umask, as by open(path, "w")), with the buffer size and line
-    buffering open(path, "w") would pick, written over in place and, when
-    closed, truncated at the written length if it is a regular file; a pipe,
-    a FIFO, /dev/null or /dev/stdout is never truncated. The bytes left are
-    those a truncating open would leave, a symlink is written through and a
-    hard link keeps its inode. Truncating a file to zero before the write
-    cost about ten times the write of a small CSV on ext4 (auto_da_alloc
-    flushes a file replaced that way). Nothing is fsynced: a hard kill after
-    the last write and before the close can leave the old file's tail.
-    """
-    try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    except (OSError, ValueError) as exc:
-        raise _output_error(path, exc) from exc
-    binary = open(fd, "wb")
-    return _OverwriteText(binary, encoding="ascii", newline="\n", line_buffering=binary.isatty())
-
-
 def write_csv(rows: list[GridRow], path: str) -> None:
     """Emit the canonical CSV; bit-identical across reruns of the same grid.
-    An output that cannot be opened raises ConfigError (see open_output).
+    An output that cannot be opened raises ConfigError (see runio.open_output).
     """
     with open_output(path) as fh:
         fh.write(format_csv(rows))

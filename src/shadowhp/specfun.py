@@ -27,6 +27,7 @@ import numpy as np
 from shadowhp._arrays import as_points, first, is_count, unwrap
 from shadowhp.errors import CertificationError, ConfigError, DomainError, OracleError
 from shadowhp.kernel import faddeeva_w
+from shadowhp.runio import MAX_SAMPLES
 
 _EIPI4 = cmath.exp(0.25j * math.pi)
 _SQRTPI = math.sqrt(math.pi)
@@ -91,7 +92,8 @@ def fresnel_oracle(z: complex, tol: float = 1e-13) -> complex:
     When Re b > 0 the symmetry Fr(z) = 1 - Fr(-z) is applied first so the
     integrand decays from u = 0 on; the integral is then truncated where
     the envelope falls below exp(-746) and handed to adaptive quadrature.
-    Raises OracleError when the declared quadrature error exceeds tol, and
+    Raises OracleError when the declared quadrature error exceeds tol,
+    DomainError, naming tol, unless it is finite and at least 1e-14, and
     DomainError, naming its shape, for an array of more than one point.
     """
     # imported here, not at module level: scipy.integrate costs every process
@@ -102,8 +104,9 @@ def fresnel_oracle(z: complex, tol: float = 1e-13) -> complex:
     if pts.size != 1:
         raise DomainError(f"fresnel_oracle takes one point, got an array of shape {pts.shape}")
     z = complex(pts.item())
-    if tol < 1e-14:
-        raise DomainError(f"oracle tolerance must be >= 1e-14, got {tol}")
+    # a NaN or infinite tol would pass the declared-error check below unchecked
+    if not (math.isfinite(tol) and tol >= 1e-14):
+        raise DomainError(f"oracle tolerance must be finite and >= 1e-14, got {tol}")
     b = 2j * _EIPI4 * z
     if b.real > 0.0:
         return 1.0 - fresnel_oracle(-z, tol)
@@ -156,9 +159,6 @@ class SectorBoundCert:
 
 
 _C_UPPER = 1.59
-#: largest sample sector_bound_cert draws: 100x the command's default,
-#: about 80 MB at the ~80 bytes a sample costs
-MAX_SAMPLES = 1_000_000
 
 
 @functools.lru_cache(maxsize=4)
@@ -211,7 +211,9 @@ def sector_bound_cert(n_samples: int) -> SectorBoundCert:
     grid, and the cap bounds its memory.
     """
     if not (is_count(n_samples) and 1000 <= n_samples <= MAX_SAMPLES):
-        raise ConfigError(f"n_samples must lie in [1000, {MAX_SAMPLES}], got {n_samples}")
+        raise ConfigError(
+            f"n_samples must be an integer in [1000, {MAX_SAMPLES}], got {n_samples}"
+        )
     points = _sector_sample(n_samples)
     mags = np.abs(big_f(points))
     i_max = int(np.argmax(mags))

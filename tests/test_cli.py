@@ -841,7 +841,8 @@ def test_cert_sample_size_is_a_run_option(capsys, n_samples, code):
     if code == 2:
         assert out == ""
         assert err == (
-            f"config error: n_samples must lie in [1000, {MAX_SAMPLES}], got {n_samples}\n"
+            f"config error: n_samples must be an integer in [1000, {MAX_SAMPLES}], "
+            f"got {n_samples}\n"
         )
 
 
@@ -963,6 +964,64 @@ def test_cli_commands_do_not_load_the_process_pool(startup_report):
     # the probe's sweep is too small to repay a pool, and only a pool needs
     # concurrent.futures.process and the multiprocessing it pulls in
     assert "concurrent.futures.process" not in startup_report["after_commands"]
+
+
+_LAYER_PROBE = """
+import contextlib, io, json, sys
+import shadowhp.cli
+
+ARRAYS = ("numpy", "scipy")
+LAYERS = ("shadowhp.experiments", "shadowhp.hpspace", "shadowhp.amplitudes")
+
+
+def loaded(modules):
+    return [m for m in modules if m in sys.modules]
+
+
+region, usage_error = json.loads(sys.argv[1])
+report = {"on_import": loaded(ARRAYS)}
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    report["region"] = shadowhp.cli.main(region)
+    report["after_region"] = loaded(ARRAYS)
+    for step, argv in (("help", ["--help"]), ("usage", usage_error)):
+        try:
+            shadowhp.cli.main(argv)
+        except SystemExit as exc:
+            report[step] = exc.code
+        report["after_" + step] = loaded(ARRAYS)
+    report["cert"] = shadowhp.cli.main(["cert", "--n-samples", "1000"])
+report["after_cert"] = loaded(ARRAYS)
+report["cert_layers"] = loaded(LAYERS)
+print(json.dumps(report))
+"""
+
+
+def test_each_command_loads_only_the_layers_it_runs(tmp_path):
+    # region, --help and a usage error never build an array, and numpy's
+    # import alone is most of their start-up; cert runs specfun and the
+    # kernel, not the sweep's layers
+    out = tmp_path / "region.csv"
+    region = ["region", "--R", "1", "--beta", "2", "--nx", "4", "--ny", "3", "--output", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAYER_PROBE, json.dumps([region, ["region", "--R", "1"]])],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "on_import": [],
+        "region": 0,
+        "after_region": [],
+        "help": 0,
+        "after_help": [],
+        "usage": 2,
+        "after_usage": [],
+        "cert": 0,
+        "after_cert": ["numpy", "scipy"],
+        "cert_layers": [],
+    }
+    assert len(out.read_text().splitlines()) == 1 + 4 * 3
 
 
 _POOL_PROBE = """

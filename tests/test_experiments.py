@@ -307,7 +307,9 @@ def test_run_grid_rejects_bad_parallelism(monkeypatch):
     monkeypatch.setattr(kernel, "_usable_cores", lambda: 4)
     monkeypatch.setattr(experiments, "_MIN_ROWS_PER_WORKER", 1)
     for parallelism in (0, 2.5, True):
-        with pytest.raises(ConfigError, match=f"parallelism must be >= 1, got {parallelism}$"):
+        with pytest.raises(
+            ConfigError, match=f"parallelism must be an integer >= 1, got {parallelism}$"
+        ):
             run_grid(replace(SMALL, alpha_values=(2.0, 2.4, 3.0)), parallelism=parallelism)
 
 

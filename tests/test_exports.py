@@ -26,6 +26,8 @@ def test_the_library_modules_declare_their_exports():
         "shadowhp.geometry",
         "shadowhp.hpspace",
         "shadowhp.kernel",
+        "shadowhp.regions",
+        "shadowhp.runio",
         "shadowhp.specfun",
     }
 

@@ -113,8 +113,10 @@ def test_oracle_symmetry():
 
 
 def test_oracle_rejects_too_tight_tolerance():
-    with pytest.raises(DomainError):
-        fresnel_oracle(1.0, 1e-15)
+    # a NaN or infinite tol would pass the declared-error check and certify nothing
+    for tol in (1e-15, math.nan, math.inf):
+        with pytest.raises(DomainError, match=f"got {tol}$"):
+            fresnel_oracle(1.0, tol)
 
 
 def test_oracle_rejects_an_array_naming_its_shape():
@@ -134,7 +136,9 @@ def test_non_finite_input_rejected():
 
 def test_sector_cert_requires_min_samples():
     for n_samples in (999, 2000.0, True):
-        with pytest.raises(ConfigError, match=rf"n_samples must lie in .*, got {n_samples}$"):
+        with pytest.raises(
+            ConfigError, match=rf"n_samples must be an integer in .*, got {n_samples}$"
+        ):
             sector_bound_cert(n_samples)
 
 
