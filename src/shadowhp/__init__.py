@@ -13,7 +13,7 @@ from importlib import import_module
 
 __version__ = "1.0.0"
 
-#: the public names of each module; KERNEL_BACKEND is kernel.BACKEND
+#: the public names of each module, each listed in that module's __all__
 _EXPORTS = {
     "shadowhp.amplitudes": (
         "FieldPoint",
@@ -83,7 +83,7 @@ def __getattr__(name: str):
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(module), "BACKEND" if name == "KERNEL_BACKEND" else name)
+    value = getattr(import_module(module), name)
     # bound like an eager import: later reads find it without this hook
     globals()[name] = value
     return value

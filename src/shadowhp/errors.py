@@ -8,6 +8,8 @@ or config value out of range) exits 2, any other DomainError (a model
 value outside its domain) exits 1.
 """
 
+__all__ = ["BranchCutError", "CertificationError", "ConfigError", "DomainError", "OracleError"]
+
 
 class DomainError(ValueError):
     """An argument violates a documented precondition."""

@@ -15,8 +15,8 @@ rows) runs in-process. Results are always merged back in canonical
 parallelism degree.
 
 The CSV is written by runio.open_output, which overwrites an existing
-file in place; check_output and open_output live in runio, which needs no
-numpy, and are exported here too.
+file in place. The writer and check_output have their one home in runio,
+which needs no numpy.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from shadowhp.hpspace import (
     check_grading,
     check_quad_order,
 )
-from shadowhp.runio import _fmt, check_output, open_output
+from shadowhp.runio import _fmt, open_output
 
 CSV_HEADER = "k,alpha,p,n_layers,dof,error_l2,relative_error,status"
 
@@ -55,12 +55,10 @@ __all__ = [
     "ExperimentGrid",
     "GridRow",
     "RateFit",
-    "check_output",
     "dip_scan",
     "fit_rate",
     "format_csv",
     "layers_for_degree",
-    "open_output",
     "run_grid",
     "write_csv",
 ]
@@ -218,8 +216,12 @@ def fit_rate(pairs: list[tuple[float, float]]) -> RateFit:
     """Fit log(error) = intercept - tau * p over (p, error) pairs.
 
     Pairs with error <= 1e-14 are dropped (converged-to-roundoff tail);
-    at least 4 must survive, at 2 or more distinct p.
+    at least 4 must survive, at 2 or more distinct p. A p or error that is
+    not finite (a failed row's NaN error) raises DomainError naming its pair.
     """
+    for p, e in pairs:
+        if not (math.isfinite(p) and math.isfinite(e)):
+            raise DomainError(f"rate fit needs finite p and error, got p = {p!r}, error = {e!r}")
     kept = [(float(p), float(e)) for p, e in pairs if e > 1e-14]
     if len(kept) < 4:
         raise DomainError(

@@ -4,7 +4,7 @@ The distance function r(s) = sqrt(R^2 + s^2 - 2 s R cos(beta)) has branch
 points at s = R e^{+-i beta}; the continuation is taken in the plane cut
 along the two vertical rays {R cos(beta) + i v : |v| >= R sin(beta)}, where
 the radicand is real and nonpositive. KnifeGeometry and the region
-predicates live in regions, which needs no numpy, and are exported here too.
+predicates have their one home in regions, which needs no numpy.
 
 On the real line r, mu, h and the Fresnel argument of F(mu) are real, and
 real input stays real (`_arrays.as_points`): it is evaluated in float64 up
@@ -27,28 +27,9 @@ import numpy as np
 
 from shadowhp._arrays import as_points, first, unwrap
 from shadowhp.errors import BranchCutError, DomainError
-from shadowhp.regions import (
-    CUT_RTOL,
-    THETA_STAR,
-    KnifeGeometry,
-    RegionLabel,
-    cut_distance,
-    region_label,
-    strip_S_delta,
-)
+from shadowhp.regions import KnifeGeometry
 
-__all__ = [
-    "CUT_RTOL",
-    "THETA_STAR",
-    "KnifeGeometry",
-    "RegionLabel",
-    "check_wavenumber",
-    "cut_distance",
-    "mu_of_s",
-    "r_of_s",
-    "region_label",
-    "strip_S_delta",
-]
+__all__ = ["check_wavenumber", "mu_of_s", "r_of_s"]
 
 
 def check_wavenumber(k: float) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from shadowhp._arrays import is_count
+from shadowhp._arrays import first, is_count
 from shadowhp.amplitudes import ShadowConfig, amplitude_v
 from shadowhp.errors import ConfigError, DomainError
 
@@ -273,7 +273,8 @@ def _project_values(
         )
     norm = math.sqrt(norm2)
     if norm == 0.0:
-        raise DomainError("zero-norm target: relative error undefined")
+        what = "the target's squared L2 norm underflows to 0" if f.any() else "zero-norm target"
+        raise DomainError(f"{what}: relative error undefined")
     error = math.sqrt(err2)
     element_err2 = half * rows
     element_err2.flags.writeable = False
@@ -298,9 +299,11 @@ def l2_project(
     element of every space, and returns the values there (a constant is
     broadcast). quad_order is the per-element Gauss-Legendre size; the
     default 2p + 16 resolves (polynomial) x (smooth amplitude) integrands,
-    which the doubling self-test in the suite confirms. Raises on
-    quad_order <= p (the coefficients would alias) and on a zero-norm
-    target (the relative error would be undefined).
+    which the doubling self-test in the suite confirms. Raises DomainError
+    on quad_order <= p (the coefficients would alias), on target values that
+    are not finite (None reads as NaN) or of another shape, naming the first
+    such node or both shapes, and on a target whose squared norm is 0 (the
+    relative error would be undefined).
     """
     scalar = isinstance(space_or_spaces, PiecewisePolySpace)
     spaces = [space_or_spaces] if scalar else list(space_or_spaces)
@@ -308,7 +311,13 @@ def l2_project(
         raise DomainError("l2_project needs at least one space")
     quads = [_quadrature(space, quad_order) for space in spaces]
     nodes = np.concatenate([q.ravel() for q, _, _ in quads])
-    values = np.broadcast_to(np.asarray(target(nodes), dtype=complex), nodes.shape)
+    values = np.asarray(target(nodes), dtype=complex)
+    if values.shape not in ((), nodes.shape):
+        raise DomainError(f"target values of shape {values.shape} for nodes of shape {nodes.shape}")
+    values = np.broadcast_to(values, nodes.shape)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise DomainError(f"target not finite at s = {first(nodes, bad)!r}: {first(values, bad)!r}")
     cuts = np.cumsum([q.size for q, _, _ in quads])[:-1]
     results = [
         _project_values(f.reshape(q.shape), half, m, space)

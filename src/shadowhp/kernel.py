@@ -1,8 +1,8 @@
 """Faddeeva kernel w(z) = exp(-z^2) erfc(-iz).
 
 w is S. G. Johnson's Faddeeva Package as shipped in scipy's wofz ufunc,
-applied elementwise. BACKEND names it so that run records can say which
-kernel produced them. For Im z < 0 that code applies the reflection
+applied elementwise. KERNEL_BACKEND, read as shadowhp.KERNEL_BACKEND,
+names it for run records. For Im z < 0 that code applies the reflection
 w(z) = 2 exp(-z^2) - w(-z) itself, so callers such as specfun.big_f pass
 any point straight in. faddeeva_w is the one place that checks the
 exponential of that reflection stays inside the double range: it raises
@@ -18,7 +18,7 @@ reuses it and scipy.special.wofz is the same ufunc object. A scipy without
 that module, or whose module has no wofz, gets w from scipy.special
 instead. A process that never evaluates w (`shadowhp region`, `--help`, a
 command that exits 2 on a bad option) loads no scipy at all. Reading
-BACKEND loads nothing.
+KERNEL_BACKEND loads nothing.
 
 An array of at least 2 * _MIN_POINTS_PER_THREAD points is evaluated in
 contiguous chunks, one per usable core (_usable_cores, the rule run_grid
@@ -51,7 +51,7 @@ import numpy as np
 from shadowhp._arrays import first
 from shadowhp.errors import DomainError
 
-BACKEND = "scipy"
+KERNEL_BACKEND = "scipy"
 
 #: scipy's compiled module that holds the wofz ufunc
 _UFUNC_MODULE = "scipy.special._special_ufuncs"
@@ -72,7 +72,7 @@ _pool = None
 #: across a fork, so that no thread starts a pool a child would inherit
 _pool_lock = threading.Lock()
 
-__all__ = ["BACKEND", "faddeeva_w", "load_wofz"]
+__all__ = ["KERNEL_BACKEND", "faddeeva_w", "load_wofz"]
 
 
 def _usable_cores() -> int:

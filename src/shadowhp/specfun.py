@@ -34,7 +34,6 @@ _SQRTPI = math.sqrt(math.pi)
 _EXP_MAX = 709.0  # exp overflows just above this in double precision
 
 __all__ = [
-    "MAX_SAMPLES",
     "SectorBoundCert",
     "big_f",
     "fresnel_fr",

@@ -22,7 +22,6 @@ from shadowhp.amplitudes import (
     psi_go,
 )
 from shadowhp.experiments import ExperimentGrid, fit_rate, run_grid
-from shadowhp.geometry import KnifeGeometry
 from shadowhp.hpspace import (
     Mesh,
     PiecewisePolySpace,
@@ -30,6 +29,7 @@ from shadowhp.hpspace import (
     best_approx_error,
     l2_project,
 )
+from shadowhp.regions import KnifeGeometry
 from shadowhp.specfun import big_f, fresnel_fr, fresnel_oracle, sector_bound_cert
 
 PI = math.pi

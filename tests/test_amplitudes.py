@@ -21,7 +21,8 @@ from shadowhp.amplitudes import (
     psi_go,
 )
 from shadowhp.errors import DomainError
-from shadowhp.geometry import KnifeGeometry, mu_of_s, r_of_s, strip_S_delta
+from shadowhp.geometry import mu_of_s, r_of_s
+from shadowhp.regions import KnifeGeometry, strip_S_delta
 from shadowhp.specfun import big_f, fresnel_fr
 
 E3IPI4 = cmath.exp(0.75j * math.pi)

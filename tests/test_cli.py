@@ -20,7 +20,8 @@ from shadowhp.cli import _CONFIG_SCHEMA, build_parser, main, parse_config
 from shadowhp.errors import ConfigError, DomainError
 from shadowhp.experiments import ExperimentGrid
 from shadowhp.hpspace import MAX_LAYERS, best_approx_error
-from shadowhp.specfun import MAX_SAMPLES, fresnel_fr
+from shadowhp.runio import MAX_SAMPLES
+from shadowhp.specfun import fresnel_fr
 
 PI = math.pi
 
@@ -434,6 +435,16 @@ def test_project_rejects_bad_options(capsys, flag, value, code, message):
     assert out == ""
     assert message in err
     assert err.startswith("config error" if code == 2 else "domain error")
+
+
+def test_project_says_a_tiny_target_underflows(capsys):
+    # |V| on [0, 1.5] reaches 5.7e-163 here; only its squared norm is 0
+    argv = ["project", "--k", "5e-324", "--alpha", "2.3", "--p", "2"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        "domain error: the target's squared L2 norm underflows to 0: relative error undefined\n"
+    )
 
 
 def test_config_errors_are_domain_errors():

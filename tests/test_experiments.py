@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -20,16 +21,15 @@ from shadowhp.errors import ConfigError, DomainError, OracleError
 from shadowhp.experiments import (
     CSV_HEADER,
     ExperimentGrid,
-    check_output,
     dip_scan,
     fit_rate,
     format_csv,
     layers_for_degree,
-    open_output,
     run_grid,
     write_csv,
 )
 from shadowhp.hpspace import MAX_LAYERS
+from shadowhp.runio import check_output, open_output
 
 SMALL = ExperimentGrid(k_values=(16.0,), alpha_values=(0.75 * math.pi,), p_values=(2, 3, 4))
 # 2 k x 16 alpha x 9 p = 288 rows: enough rows for a 2-worker pool, not for 3
@@ -118,6 +118,17 @@ def test_fit_rate_needs_enough_points():
     # roundoff tail is excluded before counting
     with pytest.raises(DomainError):
         fit_rate([(2, 1e-1), (3, 1e-2), (4, 1e-3), (5, 1e-15), (6, 1e-16)])
+
+
+@pytest.mark.parametrize(
+    "pair", [(3, math.inf), (3, math.nan), (3, -math.inf), (math.inf, 1e-2), (math.nan, 1e-2)]
+)
+def test_fit_rate_refuses_a_pair_that_is_not_finite(pair):
+    # a failed row's NaN error must not vanish in the roundoff filter, nor
+    # an infinite one give tau = nan
+    pairs = [(2, 1e-1), pair, (4, 1e-3), (5, 1e-4), (6, 1e-5)]
+    with pytest.raises(DomainError, match=re.escape(f"got p = {pair[0]!r}, error = {pair[1]!r}")):
+        fit_rate(pairs)
 
 
 def test_fit_rate_needs_two_distinct_degrees():
@@ -599,7 +610,7 @@ def test_check_output_on_a_fifo_without_a_reader_returns(tmp_path):
     # must not open it
     fifo = tmp_path / "out.fifo"
     os.mkfifo(fifo)
-    code = "import sys; from shadowhp.experiments import check_output; check_output(sys.argv[1])"
+    code = "import sys; from shadowhp.runio import check_output; check_output(sys.argv[1])"
     proc = subprocess.run(
         [sys.executable, "-c", code, str(fifo)], capture_output=True, text=True, timeout=30
     )

@@ -11,14 +11,13 @@ from hypothesis import configuration, given, settings
 from hypothesis import strategies as st
 
 from shadowhp.errors import BranchCutError, DomainError
-from shadowhp.geometry import (
+from shadowhp.geometry import mu_of_s, r_of_s
+from shadowhp.regions import (
     CUT_RTOL,
     THETA_STAR,
     KnifeGeometry,
     RegionLabel,
     cut_distance,
-    mu_of_s,
-    r_of_s,
     region_label,
     strip_S_delta,
 )

@@ -303,6 +303,38 @@ def test_projection_validation():
         l2_project(lambda s: 0.0, space)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, None])
+def test_l2_project_names_the_first_node_where_the_target_is_not_finite(bad):
+    # refused before any product: no numpy warning, no OverflowError
+    space = _space((0.0, 0.4, 1.5), 3)
+    nodes = []
+
+    def target(s):
+        nodes.append(s)
+        if bad is None:
+            return None
+        return np.where(s > 1.0, bad, 1.0)
+
+    with pytest.raises(DomainError, match="not finite") as info:
+        l2_project(target, space)
+    s = nodes[0] if bad is None else nodes[0][nodes[0] > 1.0]
+    assert f"at s = {s[0].item()!r}: " in str(info.value)
+
+
+def test_l2_project_names_both_shapes_of_a_misshapen_target():
+    space = _space((0.0, 1.5), 4)  # 24 nodes
+    with pytest.raises(DomainError, match=r"shape \(3,\) for nodes of shape \(24,\)"):
+        l2_project(lambda s: np.ones(3), space)
+
+
+def test_a_tiny_target_underflows_where_a_zero_one_has_zero_norm():
+    space = _space((0.0, 1.5), 2)
+    with pytest.raises(DomainError, match="squared L2 norm underflows to 0"):
+        l2_project(lambda s: 1e-170, space)
+    with pytest.raises(DomainError, match="^zero-norm target"):
+        l2_project(lambda s: 0.0, space)
+
+
 def test_l2_project_calls_the_target_once_on_every_node():
     spaces = [_space((0.0, 0.4, 1.5), 3), _space((0.0, 1.5), 5), _space((0.0, 0.5, 1.0, 1.5), 2)]
     seen = []
