@@ -3,8 +3,8 @@
 The distance function r(s) = sqrt(R^2 + s^2 - 2 s R cos(beta)) has branch
 points at s = R e^{+-i beta}; the continuation is taken in the plane cut
 along the two vertical rays {R cos(beta) + i v : |v| >= R sin(beta)}, where
-the radicand is real and nonpositive. KnifeGeometry and the region
-predicates have their one home in regions, which needs no numpy.
+the radicand is real and nonpositive. KnifeGeometry, the region predicates
+and cut_distance have their one home in regions, which needs no numpy.
 
 On the real line r, mu, h and the Fresnel argument of F(mu) are real, and
 real input stays real (`_arrays.as_points`): it is evaluated in float64 up
@@ -27,7 +27,7 @@ import numpy as np
 
 from shadowhp._arrays import as_points, first, unwrap
 from shadowhp.errors import BranchCutError, DomainError
-from shadowhp.regions import KnifeGeometry
+from shadowhp.regions import KnifeGeometry, cut_distance
 
 __all__ = ["check_wavenumber", "mu_of_s", "r_of_s"]
 
@@ -48,18 +48,15 @@ def _principal_sqrt(x: np.ndarray) -> np.ndarray:
 
 
 def _require_off_cut(s: np.ndarray, geo: KnifeGeometry) -> None:
-    # cut_distance over a whole array; cut_distance itself (in regions)
-    # stays scalar for region_label, which labels one point at a time
     _, r_cb, r_sb, cut_tol, *_ = geo._region_constants
     if r_sb > cut_tol and s.dtype.kind == "f":
         # a real point lies at least R sin(beta) from the cuts
         return
-    dx = np.abs(s.real - r_cb)
-    dy = r_sb - np.abs(s.imag)
-    on_cut = np.where(dy <= 0.0, dx, np.hypot(dx, dy)) <= cut_tol
-    if on_cut.any():
-        point = complex(first(s, on_cut))
-        raise BranchCutError(f"s = {point!r} lies on a branch cut of r(s) for {geo}")
+    # the cuts lie on the line Re s = R cos(beta), so only a point within
+    # cut_tol of it can be on one; cut_distance (regions) measures those
+    for point in s[np.abs(s.real - r_cb) <= cut_tol]:
+        if cut_distance(point, geo) <= cut_tol:
+            raise BranchCutError(f"s = {complex(point)!r} lies on a branch cut of r(s) for {geo}")
 
 
 def r_of_s(s, geo: KnifeGeometry):

@@ -41,7 +41,6 @@ __all__ = [
     "best_approx_error",
     "check_degree",
     "check_grading",
-    "check_mesh_depth",
     "check_quad_order",
     "gauss_legendre_rule",
     "geometric_mesh",
@@ -63,24 +62,6 @@ def check_grading(sigma: float) -> None:
         raise ConfigError(f"grading must lie in (0, 1), got {sigma}")
 
 
-def check_mesh_depth(length: float, n: int, sigma: float) -> None:
-    """Raise ConfigError, naming n, unless the layer count is an integer in
-    [1, MAX_LAYERS] (not a bool), and check sigma with check_grading; then
-    raise ConfigError, naming both, when n layers at grading sigma put the
-    finest point sigma^(n-1) length of a side of that length at 0.0.
-
-    n and sigma are run options, so the underflow is a ConfigError like the
-    ranges; being a DomainError too, it fails a sweep row on its own.
-    """
-    if not (is_count(n) and n >= 1):
-        raise ConfigError(f"layer count must be an integer >= 1, got {n}")
-    if n > MAX_LAYERS:
-        raise ConfigError(f"layer count {n} exceeds MAX_LAYERS = {MAX_LAYERS}")
-    check_grading(sigma)
-    if sigma ** (n - 1) * length == 0.0:
-        raise ConfigError(f"{n} layers at grading {sigma} put the finest point at 0.0")
-
-
 def check_quad_order(p: int, quad_order: int | None) -> int:
     """The per-element rule size for degree p: quad_order, or 2p + 16 when
     it is None. Raise ConfigError unless the size is an integer in
@@ -96,7 +77,7 @@ def check_quad_order(p: int, quad_order: int | None) -> int:
 
 @dataclass(frozen=True)
 class Mesh:
-    """Sorted breakpoints of a one-dimensional mesh."""
+    """Finite, strictly increasing breakpoints of a one-dimensional mesh."""
 
     points: tuple[float, ...]
 
@@ -105,6 +86,10 @@ class Mesh:
             raise DomainError("a mesh needs at least two points")
         if not all(map(operator.lt, self.points, self.points[1:])):
             raise DomainError("mesh points must be strictly increasing")
+        # a NaN fails the order above, so only an end can be infinite
+        for end in (self.points[0], self.points[-1]):
+            if not math.isfinite(end):
+                raise DomainError(f"mesh points must be finite, got {end}")
 
     @property
     def n_elements(self) -> int:
@@ -169,13 +154,20 @@ def geometric_mesh(length: float, n: int, sigma: float) -> Mesh:
     """Geometric mesh on (0, length) graded toward 0:
     points 0 and sigma^{n-i} length for i = 1..n.
 
-    A layer count outside [1, MAX_LAYERS] and a finest point that
-    underflows to 0.0 raise ConfigError (see check_mesh_depth) before any
-    point is built.
+    Before any point is built, a length that is not positive and finite
+    raises DomainError; a layer count outside [1, MAX_LAYERS] (or a bool), a
+    sigma outside (0, 1) and a finest point that underflows to 0.0 raise
+    ConfigError.
     """
     if not (length > 0.0 and math.isfinite(length)):
         raise DomainError(f"length must be positive and finite, got {length}")
-    check_mesh_depth(length, n, sigma)
+    if not (is_count(n) and n >= 1):
+        raise ConfigError(f"layer count must be an integer >= 1, got {n}")
+    if n > MAX_LAYERS:
+        raise ConfigError(f"layer count {n} exceeds MAX_LAYERS = {MAX_LAYERS}")
+    check_grading(sigma)
+    if sigma ** (n - 1) * length == 0.0:
+        raise ConfigError(f"{n} layers at grading {sigma} put the finest point at 0.0")
     pts = [0.0] + [sigma ** (n - i) * length for i in range(1, n + 1)]
     return Mesh(points=tuple(pts))
 

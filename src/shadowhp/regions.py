@@ -101,8 +101,8 @@ def _cut_distance(x: float, y: float, r_cos_beta: float, r_sin_beta: float) -> f
 
 
 def cut_distance(s: complex, geo: KnifeGeometry) -> float:
-    """Euclidean distance from s to the two vertical branch cuts. Raises
-    DomainError for a non-finite s.
+    """Euclidean distance from s to the two vertical branch cuts, also for
+    the cut check of r(s) (geometry). Raises DomainError for a non-finite s.
     """
     s = _finite_point(s)
     _, r_cb, r_sb, *_ = geo._region_constants

@@ -48,12 +48,15 @@ def check_output(path: str) -> None:
     unwritable path exits before any work. An existing path must not be a
     directory and must be writable; a new one needs a writable parent
     directory. A path with a NUL byte, which no file can have, is refused too.
+    A dangling symlink's parent is that of its target, where open(O_CREAT)
+    would create the file.
     """
     try:
         try:
             st = os.stat(path)
         except FileNotFoundError:
-            parent = os.path.dirname(path) or "."
+            real = os.path.realpath(path) if os.path.islink(path) else path
+            parent = os.path.dirname(real) or "."
             if not path or not os.path.isdir(parent):
                 raise
             target, mode = parent, os.W_OK | os.X_OK

@@ -42,6 +42,11 @@ __all__ = [
 ]
 
 
+def _exp_overflows(iz2):
+    # where e^{i z^2} or i z^2 leaves the double range; Re(i z^2) = -inf gives 0
+    return (iz2.real != -np.inf) & ~((iz2.real <= _EXP_MAX) & np.isfinite(iz2.imag))
+
+
 def fresnel_fr(z):
     """Fresnel integral Fr(z) = (1/2) erfc(e^{-i pi/4} z), entire in z.
 
@@ -59,10 +64,10 @@ def fresnel_fr(z):
     # an overflow here is reported by the check below
     with np.errstate(over="ignore", invalid="ignore"):
         iz2 = 1j * zz * zz
-    over = (iz2.real != -np.inf) & ~((iz2.real <= _EXP_MAX) & np.isfinite(iz2.imag))
+    over = _exp_overflows(iz2)
     if over.any():
         raise OverflowError(f"exp(i z^2) overflows at z = {complex(first(z, over))!r}")
-    fr = 0.5 * np.exp(iz2) * faddeeva_w(_EIPI4 * zz)
+    fr = np.exp(iz2) * big_f(zz)
     return unwrap(np.where(flip, 1.0 - fr, fr), scalar)
 
 
@@ -91,9 +96,10 @@ def fresnel_oracle(z: complex, tol: float = 1e-13) -> complex:
     When Re b > 0 the symmetry Fr(z) = 1 - Fr(-z) is applied first so the
     integrand decays from u = 0 on; the integral is then truncated where
     the envelope falls below exp(-746) and handed to adaptive quadrature.
-    Raises OracleError when the declared quadrature error exceeds tol,
-    DomainError, naming tol, unless it is finite and at least 1e-14, and
-    DomainError, naming its shape, for an array of more than one point.
+    Raises OverflowError where fresnel_fr does, before any quadrature;
+    OracleError when the declared quadrature error exceeds tol; DomainError,
+    naming tol, unless it is finite and at least 1e-14, and, naming its
+    shape, for an array of more than one point.
     """
     # imported here, not at module level: scipy.integrate costs every process
     # ~0.25 s and ~26 MB of start-up, and only this oracle uses it
@@ -106,6 +112,9 @@ def fresnel_oracle(z: complex, tol: float = 1e-13) -> complex:
     # a NaN or infinite tol would pass the declared-error check below unchecked
     if not (math.isfinite(tol) and tol >= 1e-14):
         raise DomainError(f"oracle tolerance must be finite and >= 1e-14, got {tol}")
+    iz2 = 1j * z * z
+    if _exp_overflows(iz2):
+        raise OverflowError(f"exp(i z^2) overflows at z = {z!r}")
     b = 2j * _EIPI4 * z
     if b.real > 0.0:
         return 1.0 - fresnel_oracle(-z, tol)
@@ -128,9 +137,6 @@ def fresnel_oracle(z: complex, tol: float = 1e-13) -> complex:
         raise OracleError(
             f"quadrature declared error {declared:.3e} exceeds tol {tol:.3e} at z = {z!r}"
         )
-    iz2 = 1j * z * z
-    if iz2.real > _EXP_MAX:
-        raise OverflowError(f"exp(i z^2) overflows at z = {z!r}")
     return cmath.exp(iz2) * integral / _SQRTPI
 
 
@@ -150,7 +156,8 @@ class SectorBoundCert:
     z_max: complex
 
     def __post_init__(self) -> None:
-        if self.max_observed > self.c_upper:
+        # written so that a NaN maximum fails too
+        if not self.max_observed <= self.c_upper:
             raise CertificationError(
                 f"|F({self.z_max!r})| = {self.max_observed} "
                 f"exceeds the sector bound {self.c_upper}"

@@ -55,6 +55,42 @@ def test_e_go_cases():
         e_go(FieldPoint(1.0, 2.5 * math.pi), 3.0)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: FieldPoint(-1.0, 0.5), "radius must be a finite nonnegative length, got -1.0"),
+        (lambda: FieldPoint(math.inf, 0.5), "radius must be a finite nonnegative length, got inf"),
+        (lambda: FieldPoint(math.nan, 0.5), "radius must be a finite nonnegative length, got nan"),
+        (lambda: FieldPoint(1.0, math.inf), "angle must be finite, got inf"),
+        (lambda: FieldPoint(1.0, math.nan), "angle must be finite, got nan"),
+        (lambda: e_remainder_check(FieldPoint(0.0, 1.0), 2.0), "needs r > 0, got 0.0"),
+        (lambda: gtd_far_field(FieldPoint(0.0, 1.0), 2.0), "needs r > 0, got 0.0"),
+        (
+            lambda: de_dn_check(1e-9, KnifeGeometry(1.0, 0.5 * math.pi), 2.0),
+            "x(1e-09) lies on the shadow boundary psi = pi",
+        ),
+        (
+            lambda: psi_go(math.nan, ShadowConfig(k=2.0, alpha=3.0, l_nc=1.5, l_nc_prime=1.0)),
+            "arc length must be finite, got nan",
+        ),
+    ],
+    ids=[
+        "negative-r",
+        "infinite-r",
+        "nan-r",
+        "infinite-psi",
+        "nan-psi",
+        "e_remainder_check-r0",
+        "gtd_far_field-r0",
+        "de_dn_check-shadow-boundary",
+        "psi_go-nan",
+    ],
+)
+def test_field_validation_names_the_value(make, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        make()
+
+
 def test_e_remainder_examples():
     assert e_remainder_check(FieldPoint(2.0, 2.0), 10.0) <= 1e-12
     assert e_remainder_check(FieldPoint(0.5, 5.0), 3.0) <= 1e-12

@@ -530,6 +530,25 @@ def test_experiment_checks_its_output_before_any_row(tmp_path, capsys, monkeypat
     assert calls == []
 
 
+def test_experiment_output_through_a_dangling_symlink_exits_2_before_any_row(
+    tmp_path, capsys, monkeypatch
+):
+    import shadowhp.experiments
+
+    calls = []
+    monkeypatch.setattr(
+        shadowhp.experiments, "best_approx_error", lambda *a, **kw: calls.append(a)
+    )
+    (tmp_path / "link.csv").symlink_to(tmp_path / "nodir" / "out.csv")
+    cfg = tmp_path / "a.conf"
+    cfg.write_text(CONFIG_OK.format(out="link.csv"), encoding="ascii")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["experiment", str(cfg)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "config error: cannot write output 'link.csv': No such file or directory\n"
+    assert calls == []
+
+
 def test_experiment_output_with_a_nul_byte_exits_2_before_any_row(tmp_path, capsys, monkeypatch):
     import shadowhp.experiments
 

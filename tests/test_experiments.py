@@ -489,6 +489,19 @@ def test_check_output_touches_nothing(tmp_path):
             open_output(path)
 
 
+def test_check_output_follows_a_dangling_symlink(tmp_path):
+    # open(O_CREAT) creates a dangling link's target, so its directory counts
+    (tmp_path / "dir").mkdir()
+    for name, target in (("into-dir", "dir/out.csv"), ("into-missing", "nodir/out.csv")):
+        (tmp_path / name).symlink_to(tmp_path / target)
+    (tmp_path / "relative").symlink_to("nodir/out.csv")
+    check_output(str(tmp_path / "into-dir"))
+    assert not (tmp_path / "dir" / "out.csv").exists()
+    for name in ("into-missing", "relative"):
+        with pytest.raises(ConfigError, match="cannot write output .*No such file or directory"):
+            check_output(str(tmp_path / name))
+
+
 def _fresh_bytes(tmp_path, text):
     fresh = tmp_path / "fresh.out"
     with open(fresh, "w", encoding="ascii", newline="\n") as fh:

@@ -48,6 +48,13 @@ def test_every_name_in_all_resolves(name):
     assert set(exported) <= set(namespace)
 
 
+def test_dir_lists_every_export():
+    # the lazy package resolves names on access; dir() must not wait for that
+    listed = dir(shadowhp)
+    assert listed == sorted(listed)
+    assert set(shadowhp.__all__) <= set(listed)
+
+
 def _imported_names(node: ast.AST) -> set[str]:
     """Names bound by the imports of a module's top level, including those
     under an if or a try (a TYPE_CHECKING block), not inside a def or class."""

@@ -334,6 +334,22 @@ def test_array_input_rejects_one_bad_point():
         mu_of_s(np.array([0.3, math.inf]), geo, 3.0)
 
 
+def test_cut_check_of_r_is_cut_distance():
+    # r(s) refuses exactly the points that cut_distance puts within the
+    # tolerance, naming the first in C order; the line Re s = R cos(beta)
+    # between the branch points holds no cut
+    geo = KnifeGeometry(R=1.0, beta=2 * math.pi / 3)
+    x0, y0, tol = geo.R * math.cos(geo.beta), geo.R * math.sin(geo.beta), CUT_RTOL * geo.R
+    off = np.array([complex(x0, 0.5 * y0), complex(x0, -0.999 * y0), complex(x0 + 2 * tol, 2 * y0)])
+    assert all(cut_distance(s, geo) > tol for s in off)
+    assert r_of_s(off, geo).shape == (3,)
+    below, above = complex(x0 + 0.5 * tol, -2 * y0), complex(x0, 1.5 * y0)
+    assert cut_distance(below, geo) <= tol and cut_distance(above, geo) <= tol
+    pts = np.array([[0.3 + 0.1j, off[0]], [below, above]])
+    with pytest.raises(BranchCutError, match=re.escape(f"s = {below!r} lies")):
+        r_of_s(pts, geo)
+
+
 def test_r_overflow_raises_naming_the_point():
     geo = KnifeGeometry(R=1.0, beta=2.0)
     with pytest.raises(OverflowError, match=re.escape(repr(complex(1e300)))):

@@ -89,6 +89,16 @@ def test_mesh_rejects_a_nan_point():
         Mesh(points=(0.0, math.nan, 1.0))
 
 
+@pytest.mark.parametrize(
+    "points, named",
+    [((0.0, math.inf), "inf"), ((-math.inf, 0.0), "-inf"), ((-math.inf, 1.0, math.inf), "-inf")],
+)
+def test_mesh_rejects_an_infinite_point(points, named):
+    # an infinite end would reach the projection as inf * 0 = NaN
+    with pytest.raises(DomainError, match=f"mesh points must be finite, got {named}$"):
+        Mesh(points=points)
+
+
 def test_shadow_mesh_centered_at_origin():
     # alpha = pi puts the shadow point at s = 0; the left copy falls outside
     # and sigma^0 l_nc lands exactly on the right endpoint

@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from shadowhp.errors import CertificationError, ConfigError, DomainError
+from shadowhp.errors import CertificationError, ConfigError, DomainError, OracleError
 from shadowhp.specfun import _EIPI4, big_f, fresnel_fr, fresnel_oracle, sector_bound_cert
 
 
@@ -119,6 +119,23 @@ def test_oracle_rejects_too_tight_tolerance():
             fresnel_oracle(1.0, tol)
 
 
+@pytest.mark.parametrize("z", [1e155, 1e200])
+def test_oracle_overflows_where_fresnel_fr_does(z, monkeypatch):
+    # i z^2 is not finite there; fresnel_fr's rule rejects it before either
+    # quadrature runs
+    import scipy.integrate
+
+    monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **kw: pytest.fail("quad ran"))
+    for f in (fresnel_fr, fresnel_oracle):
+        with pytest.raises(OverflowError, match=re.escape(f"overflows at z = {complex(z)!r}")):
+            f(z)
+
+
+def test_oracle_error_when_the_quadrature_cannot_meet_tol():
+    with pytest.raises(OracleError, match=r"exceeds tol 1\.000e-13 at z = \(100000000\+0j\)"):
+        fresnel_oracle(1e8)
+
+
 def test_oracle_rejects_an_array_naming_its_shape():
     for z, shape in ((np.array([1.0, 2.0]), r"\(2,\)"), (np.ones((2, 3), complex), r"\(2, 3\)")):
         with pytest.raises(DomainError, match=f"takes one point.*shape {shape}"):
@@ -164,6 +181,9 @@ def test_sector_cert_dataclass_enforces_invariant():
     ):
         SectorBoundCert(c_upper=1.59, n_samples=1000, max_observed=1.60, z_max=0.5 - 2j)
     assert SectorBoundCert(1.59, 1000, 1.59, 0.5 - 2j).z_max == 0.5 - 2j
+    # a NaN maximum certifies nothing
+    with pytest.raises(CertificationError, match=r"\|F\(0j\)\| = nan exceeds"):
+        SectorBoundCert(1.59, 10, math.nan, 0j)
 
 
 def _plane_points(n: int, seed: int) -> np.ndarray:
