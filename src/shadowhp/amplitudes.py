@@ -231,32 +231,37 @@ def h_of_s(s, geo: KnifeGeometry, k: float):
     return unwrap(h, scalar)
 
 
+def _g(s, geo: KnifeGeometry, k: float):
+    # the formula of g_of_s on checked points
+    h, mu = _h_mu(s, r_of_s(s, geo), geo, k)
+    return _E3IPI4 / _SQRTPI * h - 1j * k * math.sin(geo.beta) * big_f(mu)
+
+
 def g_of_s(s, geo: KnifeGeometry, k: float):
     """Normal-derivative amplitude g(s) = e^{i 3pi/4}/sqrt(pi) h(s) - i k sin(beta) F(mu(s)),
     for a scalar or an array of s.
 
     On the negative real axis the boundary trace satisfies the mirror rule
     g(-s; R, beta) = g(s; R, pi - beta), which is taken as the definition
-    there: those points are evaluated as -s on KnifeGeometry(R, pi - beta),
-    by a call of this function. Every other point, complex ones included,
+    there: those points are evaluated, after all others, as -s on
+    KnifeGeometry(R, pi - beta). Every other point, complex ones included,
     uses the analytic continuation of the formula.
     """
     check_wavenumber(k)
     s, scalar = as_points(s)
     mirror = (s.imag == 0.0) & (s.real < 0.0)
-    if mirror.any():
-        out = np.empty(s.shape, dtype=complex)
-        out[~mirror] = g_of_s(s[~mirror], geo, k)
-        if math.pi - geo.beta == math.pi:
-            point = complex(first(s, mirror))
-            raise DomainError(
-                f"g at the negative real s = {point!r} follows the mirror rule, "
-                f"which needs pi - beta to stay below pi; beta = {geo.beta!r} rounds it to pi"
-            )
-        out[mirror] = g_of_s(-s.real[mirror], KnifeGeometry(geo.R, math.pi - geo.beta), k)
-        return unwrap(out, scalar)
-    h, mu = _h_mu(s, r_of_s(s, geo), geo, k)
-    return unwrap(_E3IPI4 / _SQRTPI * h - 1j * k * math.sin(geo.beta) * big_f(mu), scalar)
+    if not mirror.any():
+        return unwrap(_g(s, geo, k), scalar)
+    out = np.empty(s.shape, dtype=complex)
+    out[~mirror] = _g(s[~mirror], geo, k)
+    if math.pi - geo.beta == math.pi:
+        point = complex(first(s, mirror))
+        raise DomainError(
+            f"g at the negative real s = {point!r} follows the mirror rule, "
+            f"which needs pi - beta to stay below pi; beta = {geo.beta!r} rounds it to pi"
+        )
+    out[mirror] = _g(-s.real[mirror], KnifeGeometry(geo.R, math.pi - geo.beta), k)
+    return unwrap(out, scalar)
 
 
 def de_dn_check(s: float, geo: KnifeGeometry, k: float) -> float:

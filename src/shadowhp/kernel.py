@@ -23,8 +23,8 @@ KERNEL_BACKEND loads nothing.
 An array of at least 2 * _MIN_POINTS_PER_THREAD points is evaluated in
 contiguous chunks, one per usable core (_usable_cores, the rule run_grid
 also sizes its process pool by) and never fewer than
-_MIN_POINTS_PER_THREAD points each. The overflow and NaN checks run on the
-whole array first. The calling thread evaluates the first chunk and a
+_MIN_POINTS_PER_THREAD points each. The finiteness and overflow checks run
+on the whole array first. The calling thread evaluates the first chunk and a
 thread pool, started at the first split, the others, each writing into its
 slice of one output array. wofz releases the GIL and works point by point,
 so every value is the bits of one serial call. Each chunk runs under a copy
@@ -48,8 +48,7 @@ from importlib.util import module_from_spec
 
 import numpy as np
 
-from shadowhp._arrays import first
-from shadowhp.errors import DomainError
+from shadowhp._arrays import as_points, first, unwrap
 
 KERNEL_BACKEND = "scipy"
 
@@ -155,9 +154,8 @@ def load_wofz():
 
 def faddeeva_w(z):
     """Evaluate w(z) for a scalar or an array; raises OverflowError deep in
-    the lower half-plane and DomainError at the first point with a NaN
-    component, where the Faddeeva Package would return NaN. Infinite
-    components keep their limits (w(inf + 1j) is 0).
+    the lower half-plane and, by the rule of every evaluation function
+    (_arrays.as_points), DomainError at the first point that is not finite.
 
     For Im z < 0 the Faddeeva Package itself reflects, w(z) = 2 exp(-z^2) -
     w(-z), and exp(-z^2) overflows once Im(z)^2 - Re(z)^2 exceeds
@@ -168,10 +166,7 @@ def faddeeva_w(z):
     2 * _MIN_POINTS_PER_THREAD points or more is evaluated in one chunk per
     usable core (see the module docstring), bit for bit as in one call.
     """
-    arr = np.asarray(z, dtype=complex)
-    nan = np.isnan(arr)
-    if nan.any():
-        raise DomainError(f"w(z) is undefined at z = {first(arr, nan)!r}")
+    arr, scalar = as_points(z)
     im = arr.imag
     lower = im < 0.0
     if lower.any():
@@ -189,6 +184,5 @@ def faddeeva_w(z):
     if arr.size >= 2 * _MIN_POINTS_PER_THREAD:
         n_chunks = min(arr.size // _MIN_POINTS_PER_THREAD, _usable_cores())
         if n_chunks >= 2:
-            return _split_wofz(wofz, arr, n_chunks)
-    w = wofz(arr)
-    return complex(w) if arr.ndim == 0 else w
+            return unwrap(_split_wofz(wofz, arr, n_chunks), scalar)
+    return unwrap(wofz(arr), scalar)

@@ -41,7 +41,7 @@ __all__ = [
 
 
 def _finite_point(s: complex) -> complex:
-    # region_label makes this check inline: it labels one point per call
+    # region_label tests inline, one point per call, and calls this to raise
     s = complex(s)
     if not cmath.isfinite(s):
         raise DomainError(f"argument must have finite components, got {s!r}")
@@ -119,7 +119,7 @@ def region_label(s: complex, geo: KnifeGeometry) -> RegionLabel:
     s = complex(s)
     x, y = s.real, s.imag
     if not (math.isfinite(x) and math.isfinite(y)):
-        raise DomainError(f"argument must have finite components, got {s!r}")
+        _finite_point(s)
     cb, r_cb, r_sb, cut_tol, r2_cb2, acute = geo._region_constants
 
     in_cut_plane = _cut_distance(x, y, r_cb, r_sb) > cut_tol

@@ -478,7 +478,10 @@ def test_check_output_touches_nothing(tmp_path):
     old.write_bytes(b"kept\n")
     check_output(str(old))
     assert old.read_bytes() == b"kept\n"
-    for bad in (tmp_path / "missing-dir" / "x.csv", old / "x.csv", tmp_path, ""):
+    # open() fails on a new name with a trailing slash and resolves ".."
+    # through the missing directory before it: os.path.realpath would not
+    bad_paths = (str(new) + "/", str(tmp_path / "missing-dir") + "/../x.csv")
+    for bad in (tmp_path / "missing-dir" / "x.csv", *bad_paths, old / "x.csv", tmp_path, ""):
         with pytest.raises(ConfigError, match="cannot write output"):
             check_output(str(bad))
     # os.path.exists reads a path with a NUL byte as absent, not as invalid

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import configuration, given, settings
 from hypothesis import strategies as st
 
+from shadowhp.amplitudes import ShadowConfig, amplitude_v, g_of_s, h_of_s
 from shadowhp.errors import BranchCutError, DomainError
 from shadowhp.geometry import mu_of_s, r_of_s
+from shadowhp.kernel import faddeeva_w
 from shadowhp.regions import (
     CUT_RTOL,
     THETA_STAR,
@@ -21,6 +23,7 @@ from shadowhp.regions import (
     region_label,
     strip_S_delta,
 )
+from shadowhp.specfun import big_f, fresnel_fr
 
 
 def random_off_cut_points(geo, n, seed, box=6.0):
@@ -284,15 +287,35 @@ def test_region_label_returns_shared_labels():
     assert region_label(0.5 + 0.1j, geo) is region_label(0.5 + 0.1j, geo)
 
 
-def test_region_label_rejects_non_finite_points():
-    geo = KnifeGeometry(R=1.0, beta=2.0)
-    for s in (complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, 1.0)):
-        with pytest.raises(DomainError, match="finite components"):
-            region_label(s, geo)
-        with pytest.raises(DomainError, match="finite components"):
-            cut_distance(s, geo)
-        with pytest.raises(DomainError, match="finite components"):
-            strip_S_delta(s, geo, 0.5)
+_GEO = KnifeGeometry(R=1.0, beta=2.0)
+_CFG = ShadowConfig(k=9.0, alpha=0.75 * math.pi, l_nc=1.5, l_nc_prime=1.0)
+#: every function that evaluates at points, as a function of the point alone
+_AT_POINTS = {
+    "r_of_s": lambda s: r_of_s(s, _GEO),
+    "mu_of_s": lambda s: mu_of_s(s, _GEO, 9.0),
+    "h_of_s": lambda s: h_of_s(s, _GEO, 9.0),
+    "g_of_s": lambda s: g_of_s(s, _GEO, 9.0),
+    "big_f": big_f,
+    "fresnel_fr": fresnel_fr,
+    "faddeeva_w": faddeeva_w,
+    "amplitude_v": lambda s: amplitude_v(s, _CFG),
+    "region_label": lambda s: region_label(s, _GEO),
+    "cut_distance": lambda s: cut_distance(s, _GEO),
+    "strip_S_delta": lambda s: strip_S_delta(s, _GEO, 0.5),
+}
+_NON_FINITE = (complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, 1.0))
+
+
+@pytest.mark.parametrize(
+    ("name", "s"),
+    [(name, s) for name in _AT_POINTS if name != "amplitude_v" for s in _NON_FINITE]
+    + [("amplitude_v", math.nan), ("amplitude_v", math.inf)],
+)
+def test_every_evaluation_refuses_a_non_finite_point_by_one_rule(name, s):
+    # arc lengths of V are real; the other functions take complex points
+    message = f"argument must have finite components, got {complex(s)!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        _AT_POINTS[name](s)
 
 
 def test_strip_S_delta():

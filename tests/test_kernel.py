@@ -87,19 +87,21 @@ def test_overflow_raises():
 
 def test_nan_raises_naming_the_point():
     # the Faddeeva Package returns nan+nanj at a NaN
-    with pytest.raises(DomainError, match=r"z = \(nan\+0j\)"):
+    with pytest.raises(DomainError, match=r"got \(nan\+0j\)"):
         faddeeva_w(math.nan)
-    with pytest.raises(DomainError, match=r"z = \(nan\+1j\)"):
+    with pytest.raises(DomainError, match=r"got \(nan\+1j\)"):
         faddeeva_w(complex(math.nan, 1.0))
     pts = np.array([1.0 + 1.0j, complex(2.0, math.nan), complex(math.nan, 0.0)])
-    with pytest.raises(DomainError, match=r"z = \(2\+nanj\)"):
+    with pytest.raises(DomainError, match=r"got \(2\+nanj\)"):
         faddeeva_w(pts)
     # a NaN is named before an overflow elsewhere in the array
     with pytest.raises(DomainError):
         faddeeva_w(np.array([0.0 - 30.0j, complex(math.nan, 0.0)]).reshape(2, 1))
-    # infinite components keep their limits
-    assert faddeeva_w(complex(math.inf, 1.0)) == 0j
-    assert faddeeva_w(np.array([complex(math.inf, 1.0)]))[0] == 0j
+    # infinite components are refused too, though wofz has a limit there
+    with pytest.raises(DomainError, match=r"got \(inf\+1j\)"):
+        faddeeva_w(complex(math.inf, 1.0))
+    with pytest.raises(DomainError, match=r"got \(inf\+1j\)"):
+        faddeeva_w(np.array([complex(math.inf, 1.0)]))
     with pytest.raises(OverflowError):
         faddeeva_w(complex(0.0, -30.0))
 
@@ -270,7 +272,7 @@ def test_split_reads_the_usable_cores(monkeypatch, split_chunks):
 
 
 @pytest.mark.parametrize("bad, error, message", [
-    (complex(2.0, math.nan), DomainError, r"z = \(2\+nanj\)"),
+    (complex(2.0, math.nan), DomainError, r"got \(2\+nanj\)"),
     (complex(0.5, -31.0), OverflowError, r"z = \(0\.5-31j\)"),
 ])
 def test_split_array_names_a_bad_point_in_its_last_chunk(monkeypatch, bad, error, message):
