@@ -174,8 +174,9 @@ def e_remainder_check(p: FieldPoint, k: float) -> float:
     return abs(e_field(p, k) - rhs)
 
 
-def gtd_far_field(p: FieldPoint, k: float, include_plane_wave: bool = True) -> complex:
-    """Far-field diffraction approximation with coefficient
+def gtd_far_field(p: FieldPoint, k: float) -> complex:
+    """Far-field approximation of E: the incident plane wave e^{-i k r cos psi}
+    plus the diffracted wave d(psi) e^{i k r} / sqrt(k r) with coefficient
     d(psi) = -e^{i pi/4} / (2 sqrt(2 pi) cos(psi/2)); invalid near odd
     multiples of pi where the coefficient blows up.
     """
@@ -189,9 +190,7 @@ def gtd_far_field(p: FieldPoint, k: float, include_plane_wave: bool = True) -> c
         )
     d = -cmath.exp(0.25j * math.pi) / (2.0 * math.sqrt(2.0 * math.pi) * c_half)
     out = d * cmath.exp(_finite_phase(1j * k * p.r, k=k, r=p.r)) / math.sqrt(k * p.r)
-    if include_plane_wave:
-        out += cmath.exp(_finite_phase(-1j * k * p.r * math.cos(p.psi), k=k, r=p.r, psi=p.psi))
-    return out
+    return out + cmath.exp(_finite_phase(-1j * k * p.r * math.cos(p.psi), k=k, r=p.r, psi=p.psi))
 
 
 def _h_mu(s, r, geo: KnifeGeometry, k: float):

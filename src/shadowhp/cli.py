@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import math
 import re
 import sys
@@ -27,7 +26,7 @@ from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from shadowhp.errors import CertificationError, ConfigError, DomainError
-from shadowhp.regions import KnifeGeometry, RegionLabel, region_label
+from shadowhp.regions import _LABELS, KnifeGeometry, region_label
 from shadowhp.runio import MAX_SAMPLES, _fmt, check_output, open_output
 
 if TYPE_CHECKING:
@@ -103,10 +102,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 #: each region label's four flags as the end of a CSV line, in the
 #: header's column order in_cut, in_R, in_ellipse, in_S
-_FLAG_TEXT = {
-    RegionLabel(*flags): ",".join(str(int(f)) for f in flags) + "\n"
-    for flags in itertools.product((False, True), repeat=4)
-}
+_FLAG_TEXT = {lab: ",".join(str(int(f)) for f in lab) + "\n" for lab in _LABELS}
 
 
 def _axis(lo: float, hi: float, n: int) -> list[float]:

@@ -345,8 +345,7 @@ def best_approx_error(
         PiecewisePolySpace(mesh=shadow_mesh(cfg, layers, sigma), degree=degree)
         for layers, degree in zip(ns, ps)
     ]
-    results = l2_project(lambda s: amplitude_v(s, cfg), spaces, quad_order)
-    return results[0] if scalar else results
+    return l2_project(lambda s: amplitude_v(s, cfg), spaces[0] if scalar else spaces, quad_order)
 
 
 def bernstein_rho(eps: float) -> float:

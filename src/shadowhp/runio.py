@@ -28,6 +28,10 @@ from shadowhp.errors import ConfigError
 #: about 80 MB at the ~80 bytes a sample costs
 MAX_SAMPLES = 1_000_000
 
+#: links check_output follows in a chain before refusing it as a loop
+#: (Linux's own limit)
+_MAX_LINKS = 40
+
 __all__ = ["MAX_SAMPLES", "check_output", "open_output"]
 
 
@@ -49,13 +53,22 @@ def check_output(path: str) -> None:
     directory and must be writable; a new one needs a writable parent
     directory. A path with a NUL byte, which no file can have, is refused too.
     A dangling symlink's parent is that of its target, where open(O_CREAT)
-    would create the file.
+    would create the file: each link's text is joined to the link's own
+    directory, through a chain of links, and a chain of more than _MAX_LINKS
+    is refused as a loop. Nothing is normalized, so the filesystem resolves
+    "..", as open does: a link to nodir/../out.csv is refused.
     """
     try:
         try:
             st = os.stat(path)
         except FileNotFoundError:
-            real = os.path.realpath(path) if os.path.islink(path) else path
+            real = path
+            for _ in range(_MAX_LINKS + 1):
+                if not os.path.islink(real):
+                    break
+                real = os.path.join(os.path.dirname(real), os.readlink(real))
+            else:
+                raise OSError(errno.ELOOP, os.strerror(errno.ELOOP), path)
             parent = os.path.dirname(real) or "."
             if not path or not os.path.isdir(parent):
                 raise

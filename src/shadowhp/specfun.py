@@ -4,7 +4,8 @@ Fr(z) = (1/2) erfc(e^{-i pi/4} z) is entire; F(z) = e^{-i z^2} Fr(z) equals
 half the Faddeeva function at the rotated argument, (1/2) w(e^{i pi/4} z),
 so it stays bounded for arg z in [-pi/2, pi] and grows like
 exp(|z|^2 sin(2 arg z)) in the remaining sector. big_f is one kernel call;
-scipy's Faddeeva code reflects and faddeeva_w alone checks for overflow.
+scipy's Faddeeva code reflects and faddeeva_w alone checks the reflection
+for overflow.
 
 Two independent evaluation routes are kept deliberately separate:
 fresnel_fr / big_f run on the Faddeeva kernel w, while
@@ -47,6 +48,21 @@ def _exp_overflows(iz2):
     return (iz2.real != -np.inf) & ~((iz2.real <= _EXP_MAX) & np.isfinite(iz2.imag))
 
 
+def _rotate(z: np.ndarray) -> np.ndarray:
+    """e^{i pi/4} z for finite points z; OverflowError, naming the first z,
+    where it leaves the double range (|z| near 1.3e308). numpy's overflow
+    flag finds that case without a second pass over the array, and the
+    errstate covers the multiply only, so w runs in the caller's error state.
+    """
+    try:
+        with np.errstate(over="raise"):
+            return _EIPI4 * z
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            bad = ~np.isfinite(_EIPI4 * z)
+        raise OverflowError(f"e^(i pi/4) z overflows at z = {first(z, bad)!r}") from None
+
+
 def fresnel_fr(z):
     """Fresnel integral Fr(z) = (1/2) erfc(e^{-i pi/4} z), entire in z.
 
@@ -54,12 +70,13 @@ def fresnel_fr(z):
     point, when the factor e^{i z^2} exceeds the double range (only
     possible in the half-plane handled by the symmetry reflection) or
     i z^2 itself does (|z| beyond about 1.3e154), except where Re(i z^2)
-    is -inf and the factor is 0.
+    is -inf and the factor is 0; and, as big_f does, where e^{i pi/4} z
+    leaves the double range.
     """
     z, scalar = as_points(z)
     # Fr(z) = 1 - Fr(-z) carries the half-plane Im(e^{i pi/4} z) < 0 into
     # the one where e^{i z^2} w(e^{i pi/4} z) is computed directly
-    flip = (_EIPI4 * z).imag < 0.0
+    flip = _rotate(z).imag < 0.0
     zz = np.where(flip, -z, z)
     # an overflow here is reported by the check below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -78,13 +95,15 @@ def big_f(z):
     growth sector arg z in (-pi, -pi/2) it equals e^{-i z^2} - F(-z), a
     reflection that scipy's Faddeeva code applies. faddeeva_w raises
     OverflowError, naming the first rotated point e^{i pi/4} z, once
-    Re(-i z^2) exceeds its bound of 708.
+    Re(-i z^2) exceeds its bound of 708. Where the rotation itself leaves
+    the double range (|z| near 1.3e308), the OverflowError names the first
+    such z instead.
     """
     z, scalar = as_points(z)
-    return unwrap(0.5 * faddeeva_w(_EIPI4 * z), scalar)
+    return unwrap(0.5 * faddeeva_w(_rotate(z)), scalar)
 
 
-def fresnel_oracle(z: complex, tol: float = 1e-13) -> complex:
+def fresnel_oracle(z: complex) -> complex:
     """Independent Fr(z) via adaptive quadrature, kernel-free.
 
     Substituting t = z + e^{i pi/4} u into the defining improper integral
@@ -97,9 +116,9 @@ def fresnel_oracle(z: complex, tol: float = 1e-13) -> complex:
     integrand decays from u = 0 on; the integral is then truncated where
     the envelope falls below exp(-746) and handed to adaptive quadrature.
     Raises OverflowError where fresnel_fr does, before any quadrature;
-    OracleError when the declared quadrature error exceeds tol; DomainError,
-    naming tol, unless it is finite and at least 1e-14, and, naming its
-    shape, for an array of more than one point.
+    OracleError when the declared quadrature error exceeds the relative
+    tolerance _ORACLE_TOL; DomainError, naming its shape, for an array of
+    more than one point.
     """
     # imported here, not at module level: scipy.integrate costs every process
     # ~0.25 s and ~26 MB of start-up, and only this oracle uses it
@@ -109,15 +128,12 @@ def fresnel_oracle(z: complex, tol: float = 1e-13) -> complex:
     if pts.size != 1:
         raise DomainError(f"fresnel_oracle takes one point, got an array of shape {pts.shape}")
     z = complex(pts.item())
-    # a NaN or infinite tol would pass the declared-error check below unchecked
-    if not (math.isfinite(tol) and tol >= 1e-14):
-        raise DomainError(f"oracle tolerance must be finite and >= 1e-14, got {tol}")
     iz2 = 1j * z * z
     if _exp_overflows(iz2):
         raise OverflowError(f"exp(i z^2) overflows at z = {z!r}")
     b = 2j * _EIPI4 * z
     if b.real > 0.0:
-        return 1.0 - fresnel_oracle(-z, tol)
+        return 1.0 - fresnel_oracle(-z)
     c = b.real
     upper = 0.5 * (c + math.sqrt(c * c + 4.0 * 746.0))
 
@@ -129,13 +145,14 @@ def fresnel_oracle(z: complex, tol: float = 1e-13) -> complex:
 
     # full_output=1 silences the roundoff warning; the declared error is
     # checked explicitly below instead
-    out_re = quad(f_re, 0.0, upper, epsabs=1e-15, epsrel=tol / 4, limit=400, full_output=1)
-    out_im = quad(f_im, 0.0, upper, epsabs=1e-15, epsrel=tol / 4, limit=400, full_output=1)
+    opts = dict(epsabs=1e-15, epsrel=_ORACLE_TOL / 4, limit=400, full_output=1)
+    out_re = quad(f_re, 0.0, upper, **opts)
+    out_im = quad(f_im, 0.0, upper, **opts)
     integral = complex(out_re[0], out_im[0])
     declared = math.hypot(out_re[1], out_im[1])
-    if declared > tol * max(abs(integral), 1e-300):
+    if declared > _ORACLE_TOL * max(abs(integral), 1e-300):
         raise OracleError(
-            f"quadrature declared error {declared:.3e} exceeds tol {tol:.3e} at z = {z!r}"
+            f"quadrature declared error {declared:.3e} exceeds tol {_ORACLE_TOL:.3e} at z = {z!r}"
         )
     return cmath.exp(iz2) * integral / _SQRTPI
 
@@ -165,6 +182,8 @@ class SectorBoundCert:
 
 
 _C_UPPER = 1.59
+#: relative tolerance to which fresnel_oracle certifies its quadrature
+_ORACLE_TOL = 1e-13
 
 
 @functools.lru_cache(maxsize=4)
@@ -172,7 +191,8 @@ def _sector_sample(n_samples: int) -> np.ndarray:
     """The points of the bounded-sector check: the 25 x 40 polar grid
     (angle-major), then seeded (angle, radius) draws up to n_samples from one
     Generator.uniform call on [-pi/2, pi) x [1e-3, 40), angle first in each
-    row: the values of as many per-draw uniform calls.
+    row: the values of as many per-draw uniform calls. n_samples is at least
+    the grid's 1000 points; sector_bound_cert admits no fewer.
 
     Cached per n_samples like gauss_legendre_rule, so the array is shared
     between callers and therefore read-only.
@@ -180,9 +200,9 @@ def _sector_sample(n_samples: int) -> np.ndarray:
     thetas = np.linspace(-0.5 * math.pi, math.pi, 25)
     radii = np.geomspace(0.05, 40.0, 40)
     grid = (radii * np.exp(1j * thetas)[:, None]).ravel()
-    m = max(n_samples - grid.size, 0)
+    m = n_samples - grid.size
     th, rad = np.random.default_rng(0).uniform((-0.5 * math.pi, 1e-3), (math.pi, 40.0), (m, 2)).T
-    points = np.concatenate((grid, rad * np.exp(1j * th)))[:n_samples]
+    points = np.concatenate((grid, rad * np.exp(1j * th)))
     points.flags.writeable = False
     return points
 

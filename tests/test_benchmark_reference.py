@@ -38,6 +38,14 @@ def bench():
     return workloads, checks.load_reference()
 
 
+@pytest.fixture(scope="module")
+def tracer():
+    """perfbench's tracer module, loaded as bench loads the others."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "dont_write_bytecode", True)
+        return _load("tracer", mp)
+
+
 def _ops(workload, workloads, ref, workdir):
     # built one at a time, each just before it runs: every sweep operation
     # rewrites the same config file
@@ -61,3 +69,31 @@ def test_every_benchmark_input_passes_the_benchmark_checks(bench, tmp_path, work
         n_ops += 1
     assert n_ops == POOL_SIZES[workload]
     assert problems == []
+
+
+#: spans a traced run (perfbench/run.py --trace 1) divides by or takes the
+#: quantiles of, per workload; a span never called would divide by zero
+TRACED_SPANS = {
+    "sweep": ("kernel.w", "amplitudes.g_of_s", "amplitudes.amplitude_v",
+              "hpspace.best_approx_error"),
+    "cert": ("kernel.w",),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(TRACED_SPANS))
+def test_a_traced_command_calls_every_span_the_traced_run_divides_by(
+    bench, tracer, tmp_path, workload
+):
+    workloads, ref = bench
+    if workload == "sweep":
+        k, alpha = ref["sweep"]["k_values"][0], ref["sweep"]["alpha_values"][0]
+        # one worker, so that every call runs in this process, under the tracer
+        op = workloads.sweep_op(ref, k, alpha, tmp_path, 1)
+    else:
+        op = workloads.cert_op(ref)
+    tr = tracer.Tracer()
+    with tracer.traced(tr):
+        result = workloads.run_op(op, ref)
+    assert result.problems == ()
+    summary = tr.summary()
+    assert [name for name in TRACED_SPANS[workload] if summary[name]["calls"] == 0] == []

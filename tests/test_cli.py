@@ -170,6 +170,13 @@ def test_eval_overflow_is_a_domain_error(capsys, argv, named):
     assert "Traceback" not in err
 
 
+def test_eval_f_where_the_rotation_overflows_is_one_line(capsys):
+    # numpy's overflow warning came first, then a DomainError naming e^{i pi/4} z
+    code, out, err = run_cli(["eval", "F", "1.7e308", "1.7e308"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "domain error: e^(i pi/4) z overflows at z = (1.7e+308+1.7e+308j)\n"
+
+
 def test_eval_v_negative_s_exit_code(capsys):
     code, out, err = run_cli(
         ["eval", "V", "--s", "-0.5", "--k", "16", "--alpha", "2.4",
@@ -547,6 +554,27 @@ def test_experiment_output_through_a_dangling_symlink_exits_2_before_any_row(
     assert (code, out) == (2, "")
     assert err == "config error: cannot write output 'link.csv': No such file or directory\n"
     assert calls == []
+
+
+def test_experiment_output_through_a_link_to_dotdot_past_a_missing_dir_exits_2(
+    tmp_path, capsys, monkeypatch
+):
+    # os.path.realpath folded "nodir/.." away, and the write failed after the last row
+    import shadowhp.experiments
+
+    calls = []
+    monkeypatch.setattr(
+        shadowhp.experiments, "best_approx_error", lambda *a, **kw: calls.append(a)
+    )
+    (tmp_path / "dl").symlink_to("nodir/../out.csv")
+    cfg = tmp_path / "a.conf"
+    cfg.write_text(CONFIG_OK.format(out="dl"), encoding="ascii")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["experiment", str(cfg)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "config error: cannot write output 'dl': No such file or directory\n"
+    assert calls == []
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_experiment_output_with_a_nul_byte_exits_2_before_any_row(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Convergence-sweep harness: grids, rate fits, dip location, CSV."""
 
 import concurrent.futures
+import errno
 import hashlib
 import itertools
 import math
@@ -503,6 +504,38 @@ def test_check_output_follows_a_dangling_symlink(tmp_path):
     for name in ("into-missing", "relative"):
         with pytest.raises(ConfigError, match="cannot write output .*No such file or directory"):
             check_output(str(tmp_path / name))
+
+
+def test_check_output_reads_each_link_against_its_own_directory(tmp_path):
+    # a chain of relative links, each text read from the link's directory
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "inner").symlink_to("../dir/out.csv")
+    (tmp_path / "outer").symlink_to("sub/inner")
+    check_output(str(tmp_path / "outer"))
+    assert not (tmp_path / "dir" / "out.csv").exists()
+    # open resolves ".." after the missing directory, so the link cannot be
+    # written through; os.path.realpath folded "nodir/.." away
+    (tmp_path / "dotdot").symlink_to("nodir/../out.csv")
+    (tmp_path / "to-dotdot").symlink_to("dotdot")
+    for name in ("dotdot", "to-dotdot"):
+        with pytest.raises(ConfigError, match="No such file or directory"):
+            check_output(str(tmp_path / name))
+
+
+def test_check_output_refuses_a_link_loop(tmp_path, monkeypatch):
+    (tmp_path / "a").symlink_to("b")
+    (tmp_path / "b").symlink_to("a")
+    with pytest.raises(ConfigError, match="cannot write output .*symbolic links"):
+        check_output(str(tmp_path / "a"))
+
+    # a loop made between the stat and the walk along the chain is refused too
+    def missing(path, *args, **kwargs):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+    monkeypatch.setattr(os, "stat", missing)
+    with pytest.raises(ConfigError, match="cannot write output .*symbolic links"):
+        check_output(str(tmp_path / "a"))
 
 
 def _fresh_bytes(tmp_path, text):

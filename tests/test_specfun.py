@@ -23,7 +23,7 @@ def test_fr_symmetry_point():
 
 def test_fr_matches_oracle_at_two():
     a = fresnel_fr(2.0)
-    b = fresnel_oracle(2.0, 1e-13)
+    b = fresnel_oracle(2.0)
     assert abs(a - b) <= 1e-13 * abs(b)
 
 
@@ -90,6 +90,18 @@ def test_fr_raises_where_i_z2_overflows():
     assert fresnel_fr(complex(1e300, 1e300)) == 0.0
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_rotation_overflow_names_the_callers_z(sign):
+    # e^{i pi/4} z leaves the double range though z is finite: numpy warned
+    # "overflow encountered in multiply" and w named the rotated point
+    z = sign * complex(1.7e308, 1.7e308)
+    for f in (big_f, fresnel_fr):
+        with pytest.raises(OverflowError, match=re.escape(f"overflows at z = {z!r}")):
+            f(z)
+        with pytest.raises(OverflowError, match=re.escape(f"at z = {z!r}")):
+            f(np.array([0.5, 2.0 + 1.0j, z, -z]))
+
+
 def test_big_f_growth_sector_overflow_raises():
     with pytest.raises(OverflowError):
         big_f(40.0 * cmath.exp(-0.75j * math.pi))
@@ -103,20 +115,13 @@ def test_big_f_growth_sector_value():
 
 
 def test_oracle_at_zero():
-    assert abs(fresnel_oracle(0.0, 1e-13) - 0.5) <= 1e-13
+    assert abs(fresnel_oracle(0.0) - 0.5) <= 1e-13
 
 
 def test_oracle_symmetry():
-    a = fresnel_oracle(1 + 1j, 1e-13)
-    b = fresnel_oracle(-1 - 1j, 1e-13)
+    a = fresnel_oracle(1 + 1j)
+    b = fresnel_oracle(-1 - 1j)
     assert abs(a + b - 1.0) <= 1e-12
-
-
-def test_oracle_rejects_too_tight_tolerance():
-    # a NaN or infinite tol would pass the declared-error check and certify nothing
-    for tol in (1e-15, math.nan, math.inf):
-        with pytest.raises(DomainError, match=f"got {tol}$"):
-            fresnel_oracle(1.0, tol)
 
 
 @pytest.mark.parametrize("z", [1e155, 1e200])
@@ -141,7 +146,7 @@ def test_oracle_rejects_an_array_naming_its_shape():
         with pytest.raises(DomainError, match=f"takes one point.*shape {shape}"):
             fresnel_oracle(z)
     # one point as an array of one element is still one point
-    assert fresnel_oracle(np.array([2.0]), 1e-13) == fresnel_oracle(2.0, 1e-13)
+    assert fresnel_oracle(np.array([2.0])) == fresnel_oracle(2.0)
 
 
 def test_sector_cert_requires_min_samples():
