@@ -23,11 +23,11 @@ import math
 import re
 import sys
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, TextIO
 
 from shadowhp.errors import CertificationError, ConfigError, DomainError
 from shadowhp.regions import _LABELS, KnifeGeometry, region_label
-from shadowhp.runio import MAX_SAMPLES, _fmt, check_output, open_output
+from shadowhp.runio import MAX_SAMPLES, _fmt, open_output
 
 if TYPE_CHECKING:
     from shadowhp.amplitudes import ShadowConfig
@@ -44,11 +44,11 @@ def run_grid(grid: ExperimentGrid, parallelism: int = 1) -> list[GridRow]:
     return experiments.run_grid(grid, parallelism)
 
 
-def write_csv(rows: list[GridRow], path: str) -> None:
+def write_csv(rows: list[GridRow], out: TextIO) -> None:
     """experiments.write_csv, imported at the first call."""
     from shadowhp import experiments
 
-    experiments.write_csv(rows, path)
+    experiments.write_csv(rows, out)
 
 
 def sector_bound_cert(n_samples: int) -> SectorBoundCert:
@@ -208,7 +208,7 @@ def parse_config(text: str) -> dict:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from shadowhp.experiments import ExperimentGrid
+    from shadowhp.experiments import ExperimentGrid, check_parallelism
 
     try:
         # utf-8-sig: a byte order mark some editors write is not part of a key
@@ -221,11 +221,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     output = values.pop("output")
     parallelism = values.pop("parallelism", 1)
     grid = ExperimentGrid(**values)
+    check_parallelism(parallelism)
     out = args.output if args.output is not None else output
-    # the CSV is written only after the last row, so check its path first
-    check_output(out)
-    rows = run_grid(grid, parallelism=parallelism)
-    write_csv(rows, out)
+    # every option is checked: opening the output checks its path before any row
+    with open_output(out) as fh:
+        rows = run_grid(grid, parallelism=parallelism)
+        write_csv(rows, fh)
     n_failed = sum(1 for r in rows if r.status != "ok")
     print(f"wrote {len(rows)} rows to {out}" + (f" ({n_failed} failed)" if n_failed else ""))
     return 0

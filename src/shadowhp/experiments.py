@@ -14,9 +14,9 @@ rows) runs in-process. Results are always merged back in canonical
 (k, alpha, p) order and the output is bit-identical regardless of the
 parallelism degree.
 
-The CSV is written by runio.open_output, which overwrites an existing
-file in place. The writer and check_output have their one home in runio,
-which needs no numpy.
+write_csv writes the CSV to an open text stream; the command line opens
+it with runio.open_output, which overwrites an existing file in place and
+has its one home in runio, which needs no numpy.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
+from typing import TextIO
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from shadowhp.hpspace import (
     check_grading,
     check_quad_order,
 )
-from shadowhp.runio import _fmt, open_output
+from shadowhp.runio import _fmt
 
 CSV_HEADER = "k,alpha,p,n_layers,dof,error_l2,relative_error,status"
 
@@ -55,6 +56,7 @@ __all__ = [
     "ExperimentGrid",
     "GridRow",
     "RateFit",
+    "check_parallelism",
     "dip_scan",
     "fit_rate",
     "format_csv",
@@ -180,6 +182,12 @@ def _pair_task(grid: ExperimentGrid, pair: tuple, ps: list[int] | None = None) -
     ]
 
 
+def check_parallelism(parallelism: int) -> None:
+    """Raise ConfigError, naming it, unless parallelism is an integer >= 1."""
+    if not (is_count(parallelism) and parallelism >= 1):
+        raise ConfigError(f"parallelism must be an integer >= 1, got {parallelism}")
+
+
 def run_grid(grid: ExperimentGrid, parallelism: int = 1) -> list[GridRow]:
     """One row per (k, alpha, p), in canonical sorted order. A row that
     fails with a domain or overflow error records its reason in the
@@ -194,8 +202,7 @@ def run_grid(grid: ExperimentGrid, parallelism: int = 1) -> list[GridRow]:
     _MIN_ROWS_PER_WORKER rows per worker; below two workers the pairs run
     in-process.
     """
-    if not (is_count(parallelism) and parallelism >= 1):
-        raise ConfigError(f"parallelism must be an integer >= 1, got {parallelism}")
+    check_parallelism(parallelism)
     pairs = list(itertools.product(sorted(grid.k_values), sorted(grid.alpha_values)))
     n_rows = len(pairs) * len(grid.p_values)
     task = functools.partial(_pair_task, grid)
@@ -286,9 +293,6 @@ def format_csv(rows: list[GridRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_csv(rows: list[GridRow], path: str) -> None:
-    """Emit the canonical CSV; bit-identical across reruns of the same grid.
-    An output that cannot be opened raises ConfigError (see runio.open_output).
-    """
-    with open_output(path) as fh:
-        fh.write(format_csv(rows))
+def write_csv(rows: list[GridRow], out: TextIO) -> None:
+    """Write the canonical CSV, bit-identical across reruns, to the stream out."""
+    out.write(format_csv(rows))

@@ -22,8 +22,14 @@ from shadowhp.errors import ConfigError, DomainError
 #: relative tolerance below which neighbouring mesh candidates are merged
 MERGE_RTOL = 1e-12
 
+#: largest Gauss-Legendre rule, per element, that a projection may use
+_MAX_RULE = 256
+
+#: smallest normal double; a squared norm or error below it has lost digits
+_TINY = float(np.finfo(float).tiny)
+
 #: Most layers a geometric mesh may have, checked before any point is
-#: built. A mesh of n layers has at most 2n + 1 elements of at most 256
+#: built. A mesh of n layers has at most 2n + 1 elements of at most _MAX_RULE
 #: rule nodes, so the cap bounds the V nodes of one row: `project --p 120
 #: --n 1024 --sigma 0.999` peaks at 110 MB resident, where `--p 4
 #: --n 80000 --sigma 0.99999` reached 329 MB. The cap lies above the 400
@@ -69,9 +75,11 @@ def check_quad_order(p: int, quad_order: int | None) -> int:
     the default p is at most 120.
     """
     m = 2 * p + 16 if quad_order is None else quad_order
-    if not (is_count(m) and p + 1 <= m <= 256):
+    if not (is_count(m) and p + 1 <= m <= _MAX_RULE):
         name = "quad_order (the default 2p + 16)" if quad_order is None else "quad_order"
-        raise ConfigError(f"{name} for degree {p} must be an integer in [{p + 1}, 256], got {m}")
+        raise ConfigError(
+            f"{name} for degree {p} must be an integer in [{p + 1}, {_MAX_RULE}], got {m}"
+        )
     return m
 
 
@@ -206,8 +214,10 @@ def gauss_legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     Cached per m (typed, so 2.0 is still rejected after 2 was cached); the
     arrays are shared between callers and therefore read-only.
     """
-    if not (is_count(m) and 1 <= m <= 256):
-        raise ConfigError(f"quad_order (rule size) must be an integer in [1, 256], got {m}")
+    if not (is_count(m) and 1 <= m <= _MAX_RULE):
+        raise ConfigError(
+            f"quad_order (rule size) must be an integer in [1, {_MAX_RULE}], got {m}"
+        )
     x, w = np.polynomial.legendre.leggauss(m)
     x.flags.writeable = False
     w.flags.writeable = False
@@ -246,7 +256,8 @@ def _project_values(
 ) -> ProjectionResult:
     """Projection of the values f (n_elements, m) at the m Gauss nodes of
     every element, all elements in one batched step. Raises OverflowError
-    when the squared L2 error or norm leaves the double range.
+    when the squared L2 error or norm leaves the double range, DomainError
+    when the norm is 0 or either square is subnormal.
     """
     _, w = gauss_legendre_rule(m)
     van = _orthonormal_vandermonde(m, space.degree)
@@ -263,10 +274,15 @@ def _project_values(
         raise OverflowError(
             f"squared L2 error {err2!r} or norm {norm2!r} of the target is not finite"
         )
-    norm = math.sqrt(norm2)
-    if norm == 0.0:
+    if norm2 == 0.0:
         what = "the target's squared L2 norm underflows to 0" if f.any() else "zero-norm target"
         raise DomainError(f"{what}: relative error undefined")
+    if norm2 < _TINY or 0.0 < err2 < _TINY:
+        raise DomainError(
+            f"squared L2 error {err2!r} or norm {norm2!r} of the target is subnormal: "
+            "digits lost"
+        )
+    norm = math.sqrt(norm2)
     error = math.sqrt(err2)
     element_err2 = half * rows
     element_err2.flags.writeable = False
@@ -294,8 +310,9 @@ def l2_project(
     which the doubling self-test in the suite confirms. Raises DomainError
     on quad_order <= p (the coefficients would alias), on target values that
     are not finite (None reads as NaN) or of another shape, naming the first
-    such node or both shapes, and on a target whose squared norm is 0 (the
-    relative error would be undefined).
+    such node or both shapes, on a target whose squared norm is 0 (the
+    relative error would be undefined), and where the squared norm, or a
+    nonzero squared error, is subnormal (its digits are lost).
     """
     scalar = isinstance(space_or_spaces, PiecewisePolySpace)
     spaces = [space_or_spaces] if scalar else list(space_or_spaces)

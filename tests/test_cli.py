@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -454,6 +455,14 @@ def test_project_says_a_tiny_target_underflows(capsys):
     )
 
 
+def test_project_refuses_a_target_whose_squares_are_subnormal(capsys):
+    # at k = 1e-320 the squared norm of V has lost its digits; it printed 0,0,12
+    argv = ["project", "--k", "1e-320", "--alpha", "2.5", "--p", "2"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("domain error: squared L2 error 0.0 or norm 6.1e-322 ")
+
+
 def test_config_errors_are_domain_errors():
     # library callers that catch DomainError also catch a bad run option
     assert issubclass(ConfigError, DomainError)
@@ -626,8 +635,15 @@ def test_experiment_output_without_write_permission_exits_2_before_any_row(
     cfg = tmp_path / "a.conf"
     old = tmp_path / "old.csv"
     old.write_bytes(b"previous run\n")
-    # the answer os.access gives an unprivileged user; root may write anywhere
-    monkeypatch.setattr(os, "access", lambda *a, **kw: False)
+    # the error an unprivileged user gets; root may open any file for writing
+    real_open = os.open
+
+    def denied(path, *args, **kwargs):
+        if os.fspath(path).startswith(str(tmp_path)):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", denied)
     for target in (old, tmp_path / "new.csv"):
         cfg.write_text(CONFIG_OK.format(out=target), encoding="ascii")
         code, out, err = run_cli(["experiment", str(cfg)], capsys)
@@ -639,7 +655,8 @@ def test_experiment_output_without_write_permission_exits_2_before_any_row(
 
 
 def test_experiment_output_is_written_only_after_the_sweep(tmp_path, capsys, monkeypatch):
-    # the early check neither creates a new output nor truncates an old one
+    # the output is opened before the sweep: a new one exists, empty, and an
+    # old one keeps its bytes until the CSV is written over them
     import shadowhp.cli
 
     seen = []
@@ -657,8 +674,48 @@ def test_experiment_output_is_written_only_after_the_sweep(tmp_path, capsys, mon
         cfg.write_text(CONFIG_OK.format(out=target), encoding="ascii")
         code, _, err = run_cli(["experiment", str(cfg)], capsys)
         assert code == 0, err
-    assert seen == [None, b"previous run\n"]
+    assert seen == [b"", b"previous run\n"]
     assert old.read_bytes() == new.read_bytes()
+
+
+def test_experiment_whose_sweep_raises_leaves_its_output_unwritten(tmp_path, monkeypatch):
+    import shadowhp.cli
+
+    def broken(*args, **kwargs):
+        raise KeyError("a bug in the sweep")
+
+    monkeypatch.setattr(shadowhp.cli, "run_grid", broken)
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_bytes(b"previous run\n")
+    cfg = tmp_path / "a.conf"
+    for target in (new, old):
+        cfg.write_text(CONFIG_OK.format(out=target), encoding="ascii")
+        with pytest.raises(KeyError, match="a bug in the sweep"):
+            main(["experiment", str(cfg)])
+    assert new.read_bytes() == b""
+    assert old.read_bytes() == b"previous run\n"
+
+
+def test_experiment_output_through_a_symlink_loop_exits_2_before_any_row(
+    tmp_path, capsys, monkeypatch
+):
+    import shadowhp.experiments
+
+    calls = []
+    monkeypatch.setattr(
+        shadowhp.experiments, "best_approx_error", lambda *a, **kw: calls.append(a)
+    )
+    (tmp_path / "a.csv").symlink_to("b.csv")
+    (tmp_path / "b.csv").symlink_to("a.csv")
+    cfg = tmp_path / "a.conf"
+    cfg.write_text(CONFIG_OK.format(out="a.csv"), encoding="ascii")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["experiment", str(cfg)], capsys)
+    assert (code, out) == (2, "")
+    assert err == (
+        "config error: cannot write output 'a.csv': Too many levels of symbolic links\n"
+    )
+    assert calls == []
 
 
 def test_experiment_records_a_mesh_underflow_as_a_failed_row(tmp_path, capsys):

@@ -1,7 +1,6 @@
 """Convergence-sweep harness: grids, rate fits, dip location, CSV."""
 
 import concurrent.futures
-import errno
 import hashlib
 import itertools
 import math
@@ -30,7 +29,7 @@ from shadowhp.experiments import (
     write_csv,
 )
 from shadowhp.hpspace import MAX_LAYERS
-from shadowhp.runio import check_output, open_output
+from shadowhp.runio import open_output
 
 SMALL = ExperimentGrid(k_values=(16.0,), alpha_values=(0.75 * math.pi,), p_values=(2, 3, 4))
 # 2 k x 16 alpha x 9 p = 288 rows: enough rows for a 2-worker pool, not for 3
@@ -258,6 +257,19 @@ def test_run_grid_subnormal_row_names_k_and_s():
     assert "for k = 5e-324" in row.status
 
 
+def test_run_grid_records_a_subnormal_square_as_a_failed_row():
+    # at k = 1e-320 the squared norm of V is subnormal and its digits are lost
+    grid = ExperimentGrid(k_values=(1e-320, 1e-300), alpha_values=(2.5,), p_values=(2,))
+    tiny, small = run_grid(grid)
+    assert tiny.status == (
+        "failed: DomainError: squared L2 error 0.0 or norm 6.1e-322 of the target "
+        "is subnormal: digits lost"
+    )
+    assert math.isnan(tiny.error_l2) and tiny.dof == 0
+    assert small.status == "ok"
+    assert small.relative_error == pytest.approx(1.10582240197763e-3, rel=1e-12)
+
+
 # no sweep row reaches the quadrature oracle, so an OracleError in a row is a bug
 @pytest.mark.parametrize("error", [TypeError, OracleError])
 def test_run_grid_propagates_bugs(monkeypatch, error):
@@ -416,8 +428,10 @@ def test_csv_round_trip(tmp_path):
     rows = run_grid(SMALL)
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
-    write_csv(rows, str(out_a))
-    write_csv(run_grid(SMALL), str(out_b))
+    with open_output(str(out_a)) as fh:
+        write_csv(rows, fh)
+    with open_output(str(out_b)) as fh:
+        write_csv(run_grid(SMALL), fh)
     assert out_a.read_bytes() == out_b.read_bytes()
 
     lines = out_a.read_text(encoding="ascii").splitlines()
@@ -471,73 +485,6 @@ def test_reference_grid_csv_bytes_are_pinned(parallelism):
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == REFERENCE_GRID_SHA256
 
 
-def test_check_output_touches_nothing(tmp_path):
-    new = tmp_path / "new.csv"
-    check_output(str(new))
-    assert not new.exists()
-    old = tmp_path / "old.csv"
-    old.write_bytes(b"kept\n")
-    check_output(str(old))
-    assert old.read_bytes() == b"kept\n"
-    # open() fails on a new name with a trailing slash and resolves ".."
-    # through the missing directory before it: os.path.realpath would not
-    bad_paths = (str(new) + "/", str(tmp_path / "missing-dir") + "/../x.csv")
-    for bad in (tmp_path / "missing-dir" / "x.csv", *bad_paths, old / "x.csv", tmp_path, ""):
-        with pytest.raises(ConfigError, match="cannot write output"):
-            check_output(str(bad))
-    # os.path.exists reads a path with a NUL byte as absent, not as invalid
-    for path in (str(tmp_path / "a\0b.csv"), "\0"):
-        with pytest.raises(ConfigError, match="embedded null byte"):
-            check_output(path)
-        with pytest.raises(ConfigError, match="embedded null byte"):
-            open_output(path)
-
-
-def test_check_output_follows_a_dangling_symlink(tmp_path):
-    # open(O_CREAT) creates a dangling link's target, so its directory counts
-    (tmp_path / "dir").mkdir()
-    for name, target in (("into-dir", "dir/out.csv"), ("into-missing", "nodir/out.csv")):
-        (tmp_path / name).symlink_to(tmp_path / target)
-    (tmp_path / "relative").symlink_to("nodir/out.csv")
-    check_output(str(tmp_path / "into-dir"))
-    assert not (tmp_path / "dir" / "out.csv").exists()
-    for name in ("into-missing", "relative"):
-        with pytest.raises(ConfigError, match="cannot write output .*No such file or directory"):
-            check_output(str(tmp_path / name))
-
-
-def test_check_output_reads_each_link_against_its_own_directory(tmp_path):
-    # a chain of relative links, each text read from the link's directory
-    (tmp_path / "dir").mkdir()
-    (tmp_path / "sub").mkdir()
-    (tmp_path / "sub" / "inner").symlink_to("../dir/out.csv")
-    (tmp_path / "outer").symlink_to("sub/inner")
-    check_output(str(tmp_path / "outer"))
-    assert not (tmp_path / "dir" / "out.csv").exists()
-    # open resolves ".." after the missing directory, so the link cannot be
-    # written through; os.path.realpath folded "nodir/.." away
-    (tmp_path / "dotdot").symlink_to("nodir/../out.csv")
-    (tmp_path / "to-dotdot").symlink_to("dotdot")
-    for name in ("dotdot", "to-dotdot"):
-        with pytest.raises(ConfigError, match="No such file or directory"):
-            check_output(str(tmp_path / name))
-
-
-def test_check_output_refuses_a_link_loop(tmp_path, monkeypatch):
-    (tmp_path / "a").symlink_to("b")
-    (tmp_path / "b").symlink_to("a")
-    with pytest.raises(ConfigError, match="cannot write output .*symbolic links"):
-        check_output(str(tmp_path / "a"))
-
-    # a loop made between the stat and the walk along the chain is refused too
-    def missing(path, *args, **kwargs):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-
-    monkeypatch.setattr(os, "stat", missing)
-    with pytest.raises(ConfigError, match="cannot write output .*symbolic links"):
-        check_output(str(tmp_path / "a"))
-
-
 def _fresh_bytes(tmp_path, text):
     fresh = tmp_path / "fresh.out"
     with open(fresh, "w", encoding="ascii", newline="\n") as fh:
@@ -554,7 +501,8 @@ def test_open_output_overwrites_in_place(tmp_path, old):
     path = tmp_path / "out.csv"
     path.write_bytes(old)
     inode = path.stat().st_ino
-    write_csv(rows, str(path))
+    with open_output(str(path)) as fh:
+        write_csv(rows, fh)
     assert path.read_bytes() == _fresh_bytes(tmp_path, format_csv(rows))
     assert path.stat().st_ino == inode
 
@@ -587,6 +535,19 @@ def test_open_output_keeps_what_was_written_before_an_exception(tmp_path):
             raise KeyError("mid-write")
     assert fh.closed
     assert path.read_bytes() == _fresh_bytes(tmp_path, "header\nrow 1\n")
+
+
+def test_open_output_closed_unwritten_keeps_an_old_file(tmp_path):
+    # a run that raises before its first write leaves the old output as it was
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"previous run\n")
+    with pytest.raises(KeyError):
+        with open_output(str(path)):
+            raise KeyError("before the write")
+    assert path.read_bytes() == b"previous run\n"
+    with open_output(str(tmp_path / "new.csv")):
+        pass
+    assert (tmp_path / "new.csv").read_bytes() == b""
 
 
 def test_open_output_creates_a_file_as_open_does(tmp_path):
@@ -651,16 +612,3 @@ def test_experiment_to_a_fifo_is_one_writer_session(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"wrote 3 rows to {fifo}\n"
     assert got == format_csv(run_grid(SMALL)).encode("ascii")
-
-
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
-def test_check_output_on_a_fifo_without_a_reader_returns(tmp_path):
-    # opening a FIFO for writing blocks until a reader comes; the check
-    # must not open it
-    fifo = tmp_path / "out.fifo"
-    os.mkfifo(fifo)
-    code = "import sys; from shadowhp.runio import check_output; check_output(sys.argv[1])"
-    proc = subprocess.run(
-        [sys.executable, "-c", code, str(fifo)], capture_output=True, text=True, timeout=30
-    )
-    assert proc.returncode == 0, proc.stderr

@@ -345,6 +345,14 @@ def test_a_tiny_target_underflows_where_a_zero_one_has_zero_norm():
         l2_project(lambda s: 0.0, space)
 
 
+def test_a_subnormal_squared_norm_is_refused():
+    # the squared norm 1.5 * 1e-320 reads 1.501e-320: its digits are lost
+    space = _space((0.0, 1.5), 2)
+    with pytest.raises(DomainError, match=r"or norm 1\.501e-320 of the target is subnormal"):
+        l2_project(lambda s: 1e-160, space)
+    assert l2_project(lambda s: 1e-150, space).relative_error == 0.0
+
+
 def test_l2_project_calls_the_target_once_on_every_node():
     spaces = [_space((0.0, 0.4, 1.5), 3), _space((0.0, 1.5), 5), _space((0.0, 0.5, 1.0, 1.5), 2)]
     seen = []

@@ -171,6 +171,23 @@ def test_sector_cert_passes_and_sees_the_true_maximum():
     assert cert.z_max.real == pytest.approx(0.0, abs=1e-14) and cert.z_max.imag < 0.0
 
 
+def test_sector_bound_holds_as_proved_from_tiny_to_huge_radii():
+    # SectorBoundCert's proof: |F| <= 1/2 where Im(e^{i pi/4} z) >= 0, that is
+    # arg z in [-pi/4, 3 pi/4], and |F| <= 1 + 1/2 on the rest of the sector
+    radii = np.geomspace(1e-6, 1e6, 25)
+    half_plane = np.linspace(-0.25 * math.pi, 0.75 * math.pi, 17)
+    rest = np.concatenate(
+        (
+            np.linspace(-0.5 * math.pi, -0.25 * math.pi, 8, endpoint=False),
+            np.linspace(math.pi, 0.75 * math.pi, 8, endpoint=False),
+        )
+    )
+    for thetas, bound in ((half_plane, 0.5), (rest, 1.5)):
+        z = radii * np.exp(1j * thetas)[:, None]
+        assert np.abs(big_f(z)).max() <= bound
+    assert 1.5 < sector_bound_cert(1000).c_upper
+
+
 def test_sector_cert_dataclass_enforces_invariant():
     from shadowhp.specfun import SectorBoundCert
 
