@@ -3,10 +3,13 @@
 Subcommands: eval (point values), region (membership point cloud), project
 (one best-approximation run), experiment (full sweep from a config file),
 cert (sector bound certification). Exit codes: 0 success, 1 domain error,
-2 configuration error, 3 certification failure. The error's type picks the
+2 configuration error, 3 certification failure, 141 (128 + SIGPIPE) when
+the reader of an output closed it early. The error's type picks the
 code: each range rule raises ConfigError (a run option or config value,
 exit 2) or DomainError (a model value, exit 1) where it lives, and the
-commands restate none of them.
+commands restate none of them. Every write to an output or to standard
+output goes through runio.open_output, so a failed one raises WriteError
+naming it; any other OSError is a bug and propagates.
 
 Loading this module imports no numpy: region, --help and a usage error
 run on the standard library and the numpy-free modules regions and runio.
@@ -17,9 +20,9 @@ write_csv and sector_bound_cert here load theirs at their first call.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import math
+import os
 import re
 import sys
 from collections.abc import Sequence
@@ -27,7 +30,7 @@ from typing import TYPE_CHECKING, TextIO
 
 from shadowhp.errors import CertificationError, ConfigError, DomainError
 from shadowhp.regions import _LABELS, KnifeGeometry, region_label
-from shadowhp.runio import MAX_SAMPLES, _fmt, open_output
+from shadowhp.runio import MAX_SAMPLES, STDOUT, WriteError, _fmt, open_output
 
 if TYPE_CHECKING:
     from shadowhp.amplitudes import ShadowConfig
@@ -58,8 +61,15 @@ def sector_bound_cert(n_samples: int) -> SectorBoundCert:
     return specfun.sector_bound_cert(n_samples)
 
 
+def _print(*lines: str) -> None:
+    """Write lines to standard output and flush it, so that a failed write
+    raises WriteError here and leaves nothing for the flush at exit."""
+    with open_output(None) as out:
+        out.write("".join(f"{line}\n" for line in lines))
+
+
 def _print_complex(v: complex) -> None:
-    print(f"{_fmt(v.real)},{_fmt(v.imag)}")
+    _print(f"{_fmt(v.real)},{_fmt(v.imag)}")
 
 
 def _rad(value: float, degrees: bool) -> float:
@@ -126,8 +136,7 @@ def _cmd_region(args: argparse.Namespace) -> int:
     # point; every input is checked above, so the rows can be written as
     # they are labelled and only one row's text is held at a time
     columns = [(re, _fmt(re)) for re in res]
-    sink = open_output(args.output) if args.output else contextlib.nullcontext(sys.stdout)
-    with sink as out:
+    with open_output(args.output) as out:
         out.write("re,im,in_cut,in_R,in_ellipse,in_S\n")
         for im in ims:
             im_text = "," + _fmt(im) + ","
@@ -153,12 +162,13 @@ def _cmd_project(args: argparse.Namespace) -> int:
     cfg = _shadow_config(args)
     n = args.n if args.n is not None else layers_for_degree(args.p, args.c)
     res = best_approx_error(cfg, n, args.sigma, args.p, args.quad_order)
-    print(f"{_fmt(res.error_l2)},{_fmt(res.relative_error)},{res.dof}")
+    lines = [f"{_fmt(res.error_l2)},{_fmt(res.relative_error)},{res.dof}"]
     if args.elements:
         for i, ((a, b), err2, share) in enumerate(
             zip(res.space.mesh.elements(), res.element_err2, res.element_shares)
         ):
-            print(f"{i},{_fmt(a)},{_fmt(b)},{_fmt(err2)},{_fmt(share)}")
+            lines.append(f"{i},{_fmt(a)},{_fmt(b)},{_fmt(err2)},{_fmt(share)}")
+    _print(*lines)
     return 0
 
 
@@ -178,10 +188,12 @@ _CONFIG_SCHEMA = {
 _CONFIG_REQUIRED = ("k_values", "alpha_values", "p_values", "output")
 
 
-def parse_config(text: str) -> dict:
+def parse_config(text: str, output: str | None = None) -> dict:
     """Parse the flat key=value experiment config; `#` starts a comment.
     Unknown keys, duplicate keys, unparsable values and missing required
-    keys all raise ConfigError before any computation starts.
+    keys all raise ConfigError before any computation starts. An output
+    given here (`experiment --output`) replaces the config's, which is then
+    not required.
     """
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -201,6 +213,8 @@ def parse_config(text: str) -> dict:
             values[key] = _CONFIG_SCHEMA[key](val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
+    if output is not None:
+        values["output"] = output
     missing = [k for k in _CONFIG_REQUIRED if k not in values]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
@@ -217,24 +231,25 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     # ValueError: a NUL byte in the path or (UnicodeDecodeError) a non-UTF-8 file
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
-    values = parse_config(text)
-    output = values.pop("output")
+    values = parse_config(text, args.output)
+    out = values.pop("output")
     parallelism = values.pop("parallelism", 1)
     grid = ExperimentGrid(**values)
     check_parallelism(parallelism)
-    out = args.output if args.output is not None else output
     # every option is checked: opening the output checks its path before any row
     with open_output(out) as fh:
         rows = run_grid(grid, parallelism=parallelism)
         write_csv(rows, fh)
     n_failed = sum(1 for r in rows if r.status != "ok")
-    print(f"wrote {len(rows)} rows to {out}" + (f" ({n_failed} failed)" if n_failed else ""))
+    # on stderr, so that an output of /dev/stdout carries the CSV alone
+    summary = f"wrote {len(rows)} rows to {out}" + (f" ({n_failed} failed)" if n_failed else "")
+    print(summary, file=sys.stderr)
     return 0
 
 
 def _cmd_cert(args: argparse.Namespace) -> int:
     cert = sector_bound_cert(args.n_samples)
-    print(
+    _print(
         f"max_observed={_fmt(cert.max_observed)},c_upper={_fmt(cert.c_upper)},"
         f"n_samples={cert.n_samples}"
     )
@@ -342,6 +357,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except WriteError as exc:
+        if exc.path == STDOUT:
+            # the interpreter flushes stdout at exit: what the failed write
+            # left in its buffer goes to os.devnull, not to a second error
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        if exc.reader_closed:
+            return 141
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -22,6 +22,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -161,10 +162,10 @@ def fresnel_oracle(z: complex) -> complex:
 class SectorBoundCert:
     """Certificate for the boundedness of F on arg z in [-pi/2, pi].
 
-    c_upper is a proved constant; max_observed is the sampled maximum of
-    |F| (the sharp value is about 1.17), reached at the sample point z_max.
-    Construction fails, naming z_max, rather than recording a violated
-    bound.
+    c_upper is the proved constant, the same in every record; max_observed
+    is the sampled maximum of |F| (the sharp value is about 1.17), reached at
+    the sample point z_max. Construction fails, naming z_max, rather than
+    recording a violated bound.
 
     Proof that |F| <= 3/2 < c_upper = 1.59 there. For Im zeta >= 0,
 
@@ -178,7 +179,7 @@ class SectorBoundCert:
     |F(z)| <= exp(|z|^2 sin(2 arg z)) + 1/2 <= 3/2.
     """
 
-    c_upper: float
+    c_upper: ClassVar[float] = 1.59
     n_samples: int
     max_observed: float
     z_max: complex
@@ -192,44 +193,33 @@ class SectorBoundCert:
             )
 
 
-_C_UPPER = 1.59
 #: relative tolerance to which fresnel_oracle certifies its quadrature
 _ORACLE_TOL = 1e-13
 
 
 @functools.lru_cache(maxsize=4)
-def _sector_sample(n_samples: int) -> np.ndarray:
-    """The points of the bounded-sector check: the 25 x 40 polar grid
-    (angle-major), then seeded (angle, radius) draws up to n_samples from one
-    Generator.uniform call on [-pi/2, pi) x [1e-3, 40), angle first in each
-    row: the values of as many per-draw uniform calls. n_samples is at least
-    the grid's 1000 points; sector_bound_cert admits no fewer.
-
-    Cached per n_samples like gauss_legendre_rule, so the array is shared
-    between callers and therefore read-only.
+def _cert_sample(n_samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cert's points and the growth envelopes of its last 420, cached
+    per n_samples, so shared and read-only. First the n_samples points of the
+    bounded-sector check: the 25 x 40 polar grid (angle-major), then seeded
+    (angle, radius) draws from one Generator.uniform call on [-pi/2, pi) x
+    [1e-3, 40), angle first in each row: the values of as many per-draw
+    uniform calls. Then the 21 x 20 growth-sector points (angles open at both
+    ends, angle-major), with envelopes e^X, X = |z|^2 sin(2 arg z) <= 693.
     """
     thetas = np.linspace(-0.5 * math.pi, math.pi, 25)
-    radii = np.geomspace(0.05, 40.0, 40)
-    grid = (radii * np.exp(1j * thetas)[:, None]).ravel()
+    grid = np.geomspace(0.05, 40.0, 40) * np.exp(1j * thetas)[:, None]
     m = n_samples - grid.size
     th, rad = np.random.default_rng(0).uniform((-0.5 * math.pi, 1e-3), (math.pi, 40.0), (m, 2)).T
-    points = np.concatenate((grid, rad * np.exp(1j * th)))
-    points.flags.writeable = False
-    return points
-
-
-@functools.cache
-def _growth_sample() -> tuple[np.ndarray, np.ndarray]:
-    """Growth-sector points z (21 angles, open at both ends, x 20 radii) and
-    envelopes e^X, X = |z|^2 sin(2 arg z) <= 693; cached, so read-only."""
     thetas = np.linspace(-math.pi + 0.02, -0.5 * math.pi - 0.02, 21)
     growth = np.sin(2.0 * thetas)
     r_cap = np.minimum(40.0, np.sqrt(693.0 / np.maximum(growth, 1e-6)))
     radii = np.geomspace(0.05, r_cap, 20, axis=1)
     zp = radii * np.exp(1j * thetas)[:, None]
-    envelope = np.exp(radii * radii * growth[:, None])
-    zp.flags.writeable = envelope.flags.writeable = False
-    return zp, envelope
+    envelope = np.exp(radii * radii * growth[:, None]).ravel()
+    points = np.concatenate((grid.ravel(), rad * np.exp(1j * th), zp.ravel()))
+    points.flags.writeable = envelope.flags.writeable = False
+    return points, envelope
 
 
 def sector_bound_cert(n_samples: int) -> SectorBoundCert:
@@ -242,25 +232,24 @@ def sector_bound_cert(n_samples: int) -> SectorBoundCert:
 
         e^X - 1/2 <= |F(z)| <= e^X + 1/2,   X = |z|^2 sin(2 arg z),
 
-    on the growth-sector grid of _growth_sample. Any violation raises
-    CertificationError naming the point. n_samples must be an integer in
-    [1000, MAX_SAMPLES]: the sample holds at least the 1000 points of its
-    grid, and the cap bounds its memory.
+    on a growth-sector grid; one big_f call evaluates both (_cert_sample).
+    Any violation raises CertificationError naming the point. n_samples
+    must be an integer in [1000, MAX_SAMPLES]: the sample holds at least the
+    1000 points of its grid, and the cap bounds its memory.
     """
     if not (is_count(n_samples) and 1000 <= n_samples <= MAX_SAMPLES):
         raise ConfigError(
             f"n_samples must be an integer in [1000, {MAX_SAMPLES}], got {n_samples}"
         )
-    points = _sector_sample(n_samples)
+    points, envelope = _cert_sample(n_samples)
     mags = np.abs(big_f(points))
-    i_max = int(np.argmax(mags))
+    i_max = int(np.argmax(mags[:n_samples]))
     # the record's own check is the bound check
-    cert = SectorBoundCert(_C_UPPER, len(points), float(mags[i_max]), complex(points[i_max]))
+    cert = SectorBoundCert(n_samples, float(mags[i_max]), complex(points[i_max]))
 
     # the +-1/2 corridor is widened by a relative slack because once e^X
     # exceeds ~1e16 the corridor is narrower than one ulp of either side
-    zp, envelope = _growth_sample()
-    mag = np.abs(big_f(zp))
+    zp, mag = points[n_samples:], mags[n_samples:]
     violated = np.abs(mag - envelope) > 0.5 + 1e-10 * envelope
     if violated.any():
         raise CertificationError(

@@ -492,9 +492,9 @@ def test_experiment_run_and_determinism(tmp_path, capsys):
     out_a = tmp_path / "a.csv"
     cfg_a = tmp_path / "a.conf"
     cfg_a.write_text(CONFIG_OK.format(out=out_a), encoding="ascii")
-    code, out, _ = run_cli(["experiment", str(cfg_a)], capsys)
+    code, out, err = run_cli(["experiment", str(cfg_a)], capsys)
     assert code == 0
-    assert out == f"wrote 4 rows to {out_a}\n"
+    assert (out, err) == ("", f"wrote 4 rows to {out_a}\n")
     lines = out_a.read_text(encoding="ascii").strip().split("\n")
     assert len(lines) == 5
 
@@ -727,9 +727,9 @@ def test_experiment_records_a_mesh_underflow_as_a_failed_row(tmp_path, capsys):
         f"k_values = 16\nalpha_values = 2.4\np_values = 2, 8\nc = 50\noutput = {out_file}\n",
         encoding="ascii",
     )
-    code, out, _ = run_cli(["experiment", str(cfg)], capsys)
+    code, out, err = run_cli(["experiment", str(cfg)], capsys)
     assert code == 0
-    assert out == f"wrote 2 rows to {out_file} (1 failed)\n"
+    assert (out, err) == ("", f"wrote 2 rows to {out_file} (1 failed)\n")
     rows = out_file.read_text(encoding="ascii").splitlines()[1:]
     assert rows[0].endswith(",ok")
     assert rows[1].endswith(
@@ -938,13 +938,15 @@ def test_cert_reports_bound(capsys):
 
 
 def test_cert_failure_exits_3(capsys, monkeypatch):
+    import numpy as np
+
     import shadowhp.specfun
 
-    monkeypatch.setattr(shadowhp.specfun, "_C_UPPER", 1.0)
+    monkeypatch.setattr(shadowhp.specfun, "big_f", lambda z: np.full(np.shape(z), 1.6 + 0j))
     code, out, err = run_cli(["cert", "--n-samples", "1000"], capsys)
     assert (code, out) == (3, "")
     assert err.startswith("certification failure: |F(")
-    assert err.endswith("exceeds the sector bound 1.0\n")
+    assert err.endswith("| = 1.6 exceeds the sector bound 1.59\n")
 
 
 @pytest.mark.parametrize(
@@ -1192,3 +1194,157 @@ def test_module_entry_point():
     re, im = (float(x) for x in proc.stdout.strip().split(","))
     want = fresnel_fr(1.5)
     assert (re, im) == (want.real, want.imag)
+
+
+def test_parse_config_takes_the_output_flag_in_place_of_the_key():
+    grid = "k_values=4\nalpha_values=2.0\np_values=2\n"
+    assert parse_config(grid, "flag.csv")["output"] == "flag.csv"
+    assert parse_config(grid + "output=key.csv\n", "flag.csv")["output"] == "flag.csv"
+    assert parse_config(grid + "output=key.csv\n")["output"] == "key.csv"
+    with pytest.raises(ConfigError, match="^missing required keys: output$"):
+        parse_config(grid)
+
+
+def test_experiment_output_flag_needs_no_output_key(tmp_path, capsys):
+    cfg = tmp_path / "no-output.conf"
+    cfg.write_text("k_values = 16\nalpha_values = 2.4\np_values = 2\n", encoding="ascii")
+    code, out, err = run_cli(["experiment", str(cfg)], capsys)
+    assert (code, out, err) == (2, "", "config error: missing required keys: output\n")
+    csv = tmp_path / "flag.csv"
+    code, out, err = run_cli(["experiment", str(cfg), "--output", str(csv)], capsys)
+    assert (code, out, err) == (0, "", f"wrote 1 rows to {csv}\n")
+    assert csv.read_text(encoding="ascii").startswith("k,alpha,p,")
+
+
+def _shadowhp(*argv, stdout=subprocess.PIPE, buffered=True):
+    # standard output is buffered unless PYTHONUNBUFFERED is set; buffered, what a
+    # failed write leaves behind is flushed once more at exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "shadowhp", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=env,
+        timeout=120,
+    )
+
+
+def test_experiment_to_dev_stdout_writes_the_csv_alone(tmp_path, capsys):
+    cfg = tmp_path / "stdout.conf"
+    cfg.write_text(
+        "k_values = 16\nalpha_values = 2.4\np_values = 2, 3\noutput = /dev/stdout\n",
+        encoding="ascii",
+    )
+    proc = _shadowhp("experiment", str(cfg))
+    assert proc.returncode == 0, proc.stderr
+    csv = tmp_path / "file.csv"
+    assert run_cli(["experiment", str(cfg), "--output", str(csv)], capsys)[0] == 0
+    assert proc.stdout == csv.read_bytes()
+    assert proc.stderr == b"wrote 2 rows to /dev/stdout\n"
+
+
+def _reader_closes_early(argv):
+    """Run shadowhp with argv, read one line of its stdout and close the pipe."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with subprocess.Popen(
+        [sys.executable, "-m", "shadowhp", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        first_line = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    return code, first_line, err
+
+
+def test_a_reader_that_closes_early_ends_the_command_quietly():
+    # 160 000 rows overfill the pipe, so the writer meets the closed end
+    code, first_line, err = _reader_closes_early(
+        ["region", "--R", "1", "--beta", "2", "--nx", "400", "--ny", "400"]
+    )
+    assert (code, first_line, err) == (141, b"re,im,in_cut,in_R,in_ellipse,in_S\n", b"")
+
+
+def test_an_experiment_whose_output_reader_is_gone_exits_141(tmp_path):
+    cfg = tmp_path / "pipe.conf"
+    cfg.write_text(
+        "k_values = 16\nalpha_values = 2.4\np_values = 2\noutput = /dev/stdout\n",
+        encoding="ascii",
+    )
+    with subprocess.Popen(
+        [sys.executable, "-m", "shadowhp", "experiment", str(cfg)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert (code, err) == (141, b"")
+
+
+_FULL = "/dev/full"
+needs_dev_full = pytest.mark.skipif(not os.path.exists(_FULL), reason="needs /dev/full")
+
+
+@needs_dev_full
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["region", "--R", "1", "--beta", "2", "--nx", "400", "--ny", "400", "--output", _FULL],
+        ["region", "--R", "1", "--beta", "2", "--nx", "4", "--ny", "4", "--output", _FULL],
+        ["experiment", "{cfg}"],
+    ],
+    ids=["region-large", "region-small", "experiment"],
+)
+def test_a_failed_write_to_an_output_file_exits_2(tmp_path, argv):
+    cfg = tmp_path / "full.conf"
+    cfg.write_text(
+        f"k_values = 16\nalpha_values = 2.4\np_values = 2\noutput = {_FULL}\n", encoding="ascii"
+    )
+    proc = _shadowhp(*(a.format(cfg=cfg) for a in argv))
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"config error: cannot write output '{_FULL}': No space left on device\n".encode()
+    )
+
+
+@needs_dev_full
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["project", "--k", "16", "--alpha", "2.4", "--p", "2"],
+        ["project", "--k", "16", "--alpha", "2.4", "--p", "2", "--elements"],
+        ["region", "--R", "1", "--beta", "2", "--nx", "400", "--ny", "400"],
+        ["eval", "fr", "0", "0"],
+        ["cert", "--n-samples", "1000"],
+    ],
+    ids=["project", "project-elements", "region", "eval", "cert"],
+)
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_a_failed_write_to_standard_output_exits_2(argv, buffered):
+    with open(_FULL, "wb") as full:
+        proc = _shadowhp(*argv, stdout=full, buffered=buffered)
+    assert proc.returncode == 2
+    # one line, and no second error from the interpreter's flush at exit
+    assert proc.stderr == b"config error: cannot write output '<stdout>': No space left on device\n"
+
+
+def test_an_os_error_that_is_no_write_propagates(tmp_path, monkeypatch):
+    import shadowhp.cli
+
+    cfg = tmp_path / "a.conf"
+    cfg.write_text(
+        f"k_values = 16\nalpha_values = 2.4\np_values = 2\noutput = {tmp_path / 'a.csv'}\n",
+        encoding="ascii",
+    )
+
+    def broken(grid, parallelism=1):
+        raise OSError(errno.EIO, "not a write")
+
+    monkeypatch.setattr(shadowhp.cli, "run_grid", broken)
+    with pytest.raises(OSError, match="not a write"):
+        main(["experiment", str(cfg)])

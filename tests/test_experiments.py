@@ -29,7 +29,7 @@ from shadowhp.experiments import (
     write_csv,
 )
 from shadowhp.hpspace import MAX_LAYERS
-from shadowhp.runio import open_output
+from shadowhp.runio import WriteError, open_output
 
 SMALL = ExperimentGrid(k_values=(16.0,), alpha_values=(0.75 * math.pi,), p_values=(2, 3, 4))
 # 2 k x 16 alpha x 9 p = 288 rows: enough rows for a 2-worker pool, not for 3
@@ -583,6 +583,29 @@ def test_open_output_never_truncates_a_pipe():
         fh.write("discarded\n")
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_open_output_names_its_path_when_a_write_fails():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    path = f"/dev/fd/{write_end}"
+    try:
+        with pytest.raises(WriteError, match=re.escape(f"cannot write output {path!r}: ")) as info:
+            with open_output(path) as fh:
+                fh.write("nobody reads this\n")
+    finally:
+        os.close(write_end)
+    assert info.value.path == path and info.value.reader_closed
+    assert isinstance(info.value, ConfigError)
+    # the file is closed although its last flush failed, so nothing is left to fail at exit
+    assert fh.closed
+
+
+def test_open_output_of_none_is_standard_output(capsys):
+    with open_output(None) as out:
+        out.write("to stdout\n")
+    assert capsys.readouterr().out == "to stdout\n"
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
 def test_experiment_to_a_fifo_is_one_writer_session(tmp_path):
     # the early check must not open the FIFO: the reader's EOF comes only
@@ -610,5 +633,5 @@ def test_experiment_to_a_fifo_is_one_writer_session(tmp_path):
         finally:
             reader.kill()
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"wrote 3 rows to {fifo}\n"
+    assert (proc.stdout, proc.stderr) == ("", f"wrote 3 rows to {fifo}\n")
     assert got == format_csv(run_grid(SMALL)).encode("ascii")

@@ -1,8 +1,10 @@
 """Kernel-level checks: accuracy, scalar/array parity, crossovers, reflections."""
 
 import cmath
+import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 import threading
@@ -200,7 +202,8 @@ def test_load_wofz_loads_only_the_compiled_module():
 
 
 _FALLBACK_PROBE = """
-import json, sys
+import hashlib, json, sys
+import numpy as np
 from shadowhp import kernel
 
 
@@ -211,18 +214,36 @@ class NoModule:
 
 
 kernel.PathFinder = NoModule
-wofz = kernel.load_wofz.__wrapped__()
+re, im = np.random.default_rng(30).uniform(-6.0, 6.0, (2, 3000))
+w = kernel.faddeeva_w(re + 1j * im)
 loaded = "scipy.special" in sys.modules
+wofz = kernel.load_wofz()
 import scipy.special
-print(json.dumps([loaded, wofz is scipy.special.wofz, float(wofz(1j).real)]))
+digest = hashlib.sha256(w.tobytes()).hexdigest()
+print(json.dumps([loaded, wofz is scipy.special.wofz, float(wofz(1j).real), digest]))
 """
 
 
 def test_load_wofz_falls_back_to_scipy_special():
-    # a scipy without the compiled module: the loader imports the package
-    loaded, same, value = _run(_FALLBACK_PROBE)
+    # a scipy without the compiled module: the loader imports the package,
+    # and faddeeva_w gives the bits of the compiled module's ufunc
+    loaded, same, value, digest = _run(_FALLBACK_PROBE)
     assert loaded and same
     assert value == pytest.approx(0.42758357615580705, rel=1e-15)
+    # the probe's seeded sample: both half-planes, where nothing overflows
+    re, im = np.random.default_rng(30).uniform(-6.0, 6.0, (2, 3000))
+    want = faddeeva_w(re + 1j * im)
+    assert (im < 0).sum() > 1000 and (im > 0).sum() > 1000
+    assert digest == hashlib.sha256(want.tobytes()).hexdigest()
+
+
+def test_usable_cores_falls_back_to_the_cpu_count(monkeypatch):
+    # a platform without affinity masks counts the machine's cores
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert kernel._usable_cores() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert kernel._usable_cores() == 1
 
 
 FLOOR = kernel._MIN_POINTS_PER_THREAD

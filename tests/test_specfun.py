@@ -194,11 +194,28 @@ def test_sector_cert_dataclass_enforces_invariant():
     with pytest.raises(
         CertificationError, match=re.escape("|F((0.5-2j))| = 1.6 exceeds the sector bound 1.59")
     ):
-        SectorBoundCert(c_upper=1.59, n_samples=1000, max_observed=1.60, z_max=0.5 - 2j)
-    assert SectorBoundCert(1.59, 1000, 1.59, 0.5 - 2j).z_max == 0.5 - 2j
+        SectorBoundCert(n_samples=1000, max_observed=1.60, z_max=0.5 - 2j)
+    assert SectorBoundCert(1000, 1.59, 0.5 - 2j).z_max == 0.5 - 2j
     # a NaN maximum certifies nothing
     with pytest.raises(CertificationError, match=r"\|F\(0j\)\| = nan exceeds"):
-        SectorBoundCert(1.59, 10, math.nan, 0j)
+        SectorBoundCert(10, math.nan, 0j)
+
+
+def test_sector_cert_record_cannot_state_another_bound():
+    import dataclasses
+
+    from shadowhp.specfun import SectorBoundCert
+
+    assert [f.name for f in dataclasses.fields(SectorBoundCert)] == [
+        "n_samples",
+        "max_observed",
+        "z_max",
+    ]
+    assert SectorBoundCert(1000, 1.0, 0j).c_upper == SectorBoundCert.c_upper == 1.59
+    with pytest.raises(TypeError):
+        SectorBoundCert(1000, 1.0, 0j, c_upper=2.0)
+    with pytest.raises(TypeError):
+        SectorBoundCert(2.0, 1000, 1.0, 0j)
 
 
 def _plane_points(n: int, seed: int) -> np.ndarray:
@@ -229,8 +246,8 @@ def test_array_input_rejects_one_bad_point():
             fn(np.append(fine, complex(0.5, math.nan)))
 
 
-def test_sector_sample_matches_the_per_draw_loop():
-    from shadowhp.specfun import _sector_sample
+def test_cert_sample_matches_the_per_draw_loop():
+    from shadowhp.specfun import _cert_sample
 
     points = []
     for th in np.linspace(-0.5 * math.pi, math.pi, 25):
@@ -241,30 +258,48 @@ def test_sector_sample_matches_the_per_draw_loop():
         th = rng.uniform(-0.5 * math.pi, math.pi)
         rad = rng.uniform(1e-3, 40.0)
         points.append(rad * cmath.exp(1j * th))
-    np.testing.assert_array_equal(_sector_sample(10000), np.array(points))
-    assert _sector_sample(1000).size == 1000
+    # then the growth grid: 21 angles open at both ends, 20 radii each
+    envelopes = []
+    for th in np.linspace(-math.pi + 0.02, -0.5 * math.pi - 0.02, 21):
+        growth = math.sin(2.0 * th)
+        r_cap = min(40.0, math.sqrt(693.0 / max(growth, 1e-6)))
+        for rad in np.geomspace(0.05, r_cap, 20):
+            points.append(rad * cmath.exp(1j * th))
+            envelopes.append(math.exp(rad * rad * growth))
+    got, envelope = _cert_sample(10000)
+    np.testing.assert_array_equal(got, np.array(points))
+    np.testing.assert_allclose(envelope, envelopes, rtol=1e-12, atol=0.0)
+    assert envelope.max() <= math.exp(693.0) * (1 + 1e-12)
+    assert _cert_sample(1000)[0].size == 1000 + 21 * 20
 
 
-def test_sector_sample_is_shared_and_read_only():
-    from shadowhp.specfun import _sector_sample
+def test_cert_sample_is_shared_and_read_only():
+    from shadowhp.specfun import _cert_sample
 
-    points = _sector_sample(2000)
-    assert _sector_sample(2000) is points
-    with pytest.raises(ValueError):
-        points[0] = 0.0
-    np.testing.assert_array_equal(points, _sector_sample.__wrapped__(2000))
-
-
-def test_growth_sample_is_shared_and_read_only():
-    from shadowhp.specfun import _growth_sample
-
-    zp, envelope = _growth_sample()
-    assert _growth_sample()[0] is zp and zp.shape == envelope.shape == (21, 20)
-    for arr in (zp, envelope):
+    sample = _cert_sample(2000)
+    assert _cert_sample(2000) is sample
+    points, envelope = sample
+    assert points.shape == (2000 + 420,) and envelope.shape == (420,)
+    for arr in sample:
         with pytest.raises(ValueError):
-            arr[0, 0] = 0.0
-    for cached, fresh in zip(_growth_sample(), _growth_sample.__wrapped__()):
+            arr[0] = 0.0
+    for cached, fresh in zip(sample, _cert_sample.__wrapped__(2000)):
         np.testing.assert_array_equal(cached, fresh)
+
+
+def test_sector_cert_evaluates_f_once(monkeypatch):
+    import shadowhp.specfun as specfun
+
+    want = sector_bound_cert(1000)
+    calls = []
+
+    def counted(z):
+        calls.append(np.shape(z))
+        return big_f(z)
+
+    monkeypatch.setattr(specfun, "big_f", counted)
+    assert specfun.sector_bound_cert(1000) == want
+    assert calls == [(1000 + 420,)]
 
 
 def test_sector_cert_growth_check_names_the_violating_point(monkeypatch):
