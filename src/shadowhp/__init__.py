@@ -5,8 +5,9 @@ knife-edge diffraction.
 Importing the package loads none of its modules. Each public name is
 imported from its module at its first access (PEP 562's module
 __getattr__), so a process loads only the layers it uses: `shadowhp.cli`
-and `shadowhp.KnifeGeometry` need no numpy, `shadowhp.KERNEL_BACKEND`
-needs no scipy. `from shadowhp import *` loads every module.
+and `shadowhp.KnifeGeometry` need neither numpy nor dataclasses,
+`shadowhp.KERNEL_BACKEND` needs no scipy. `from shadowhp import *` loads
+every module.
 """
 
 from importlib import import_module

@@ -7,12 +7,15 @@ cert (sector bound certification). Exit codes: 0 success, 1 domain error,
 the reader of an output closed it early. The error's type picks the
 code: each range rule raises ConfigError (a run option or config value,
 exit 2) or DomainError (a model value, exit 1) where it lives, and the
-commands restate none of them. Every write to an output or to standard
-output goes through runio.open_output, so a failed one raises WriteError
-naming it; any other OSError is a bug and propagates.
+commands restate none of them. Every write to an output, to standard
+output or to standard error goes through runio, so a failed one raises
+WriteError naming it: exit 141 where its reader closed early, else 2, or
+the code of the error whose report failed. Any other OSError is a bug and
+propagates.
 
-Loading this module imports no numpy: region, --help and a usage error
-run on the standard library and the numpy-free modules regions and runio.
+Loading this module imports neither numpy nor dataclasses: region, --help
+and a usage error run on the standard library and the numpy-free modules
+regions and runio.
 The other commands import their layers when they run, and run_grid,
 write_csv and sector_bound_cert here load theirs at their first call.
 """
@@ -30,7 +33,7 @@ from typing import TYPE_CHECKING, TextIO
 
 from shadowhp.errors import CertificationError, ConfigError, DomainError
 from shadowhp.regions import _LABELS, KnifeGeometry, region_label
-from shadowhp.runio import MAX_SAMPLES, STDOUT, WriteError, _fmt, open_output
+from shadowhp.runio import MAX_SAMPLES, STDERR, STDOUT, WriteError, _fmt, _StdText, open_output
 
 if TYPE_CHECKING:
     from shadowhp.amplitudes import ShadowConfig
@@ -61,10 +64,11 @@ def sector_bound_cert(n_samples: int) -> SectorBoundCert:
     return specfun.sector_bound_cert(n_samples)
 
 
-def _print(*lines: str) -> None:
-    """Write lines to standard output and flush it, so that a failed write
-    raises WriteError here and leaves nothing for the flush at exit."""
-    with open_output(None) as out:
+def _print(*lines: str, stream: str = "stdout") -> None:
+    """Write lines to standard output (or error) and flush it, so that a
+    failed write raises WriteError here and leaves nothing for the flush at
+    exit."""
+    with _StdText(stream) as out:
         out.write("".join(f"{line}\n" for line in lines))
 
 
@@ -243,7 +247,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     n_failed = sum(1 for r in rows if r.status != "ok")
     # on stderr, so that an output of /dev/stdout carries the CSV alone
     summary = f"wrote {len(rows)} rows to {out}" + (f" ({n_failed} failed)" if n_failed else "")
-    print(summary, file=sys.stderr)
+    _print(summary, stream="stderr")
     return 0
 
 
@@ -353,30 +357,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the standard stream a failed write names, by WriteError.path
+_STREAMS = {STDOUT: "stdout", STDERR: "stderr"}
+
+
+def _detach(exc: WriteError) -> None:
+    # the interpreter flushes stdout and stderr at exit: what a failed write
+    # left in the stream's buffer goes to os.devnull, not to a second error
+    name = _STREAMS.get(exc.path)
+    if name is not None:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, getattr(sys, name).fileno())
+        os.close(devnull)
+
+
+def _report(message: str, code: int) -> int:
+    """Print message to standard error and return code; where that write
+    fails, 141 if its reader closed early and code otherwise."""
+    try:
+        _print(message, stream="stderr")
+    except WriteError as exc:
+        _detach(exc)
+        return 141 if exc.reader_closed else code
+    return code
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except WriteError as exc:
-        if exc.path == STDOUT:
-            # the interpreter flushes stdout at exit: what the failed write
-            # left in its buffer goes to os.devnull, not to a second error
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
+        _detach(exc)
         if exc.reader_closed:
             return 141
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _report(f"config error: {exc}", 2)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _report(f"config error: {exc}", 2)
     except CertificationError as exc:
-        print(f"certification failure: {exc}", file=sys.stderr)
-        return 3
+        return _report(f"certification failure: {exc}", 3)
     except (DomainError, OverflowError) as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return 1
+        return _report(f"domain error: {exc}", 1)
 
 
 if __name__ == "__main__":

@@ -8,8 +8,10 @@ cut_distance are the contracted strip and the distance to the cuts. All
 predicates classify boundary points as outside (the regions are open sets).
 
 Each predicate takes one point and uses only the standard library, so
-`shadowhp region` runs without numpy. r(s) and mu(s), which take arrays,
-live in geometry.
+`shadowhp region` runs without numpy. KnifeGeometry is a checked named
+tuple, not a dataclass, so the module loads no dataclasses either (nor
+the inspect, ast and dis that it imports). r(s) and mu(s), which take
+arrays, live in geometry.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import cmath
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from shadowhp.errors import DomainError
@@ -48,20 +49,25 @@ def _finite_point(s: complex) -> complex:
     return s
 
 
-@dataclass(frozen=True)
-class KnifeGeometry:
+class KnifeGeometry(NamedTuple("_KnifeFields", [("R", float), ("beta", float)])):
     """Half-line edge at the origin, observation line at distance R from it
     with inclination beta; points on the line are (-R + s cos beta, s sin beta).
+
+    A named tuple, so importing it needs no dataclasses. The constructor,
+    _make and _replace check R and beta.
     """
 
-    R: float
-    beta: float
+    def __new__(cls, R: float, beta: float) -> KnifeGeometry:
+        if not (R > 0.0 and math.isfinite(R)):
+            raise DomainError(f"R must be a positive finite length, got {R}")
+        if not (0.0 < beta < math.pi):
+            raise DomainError(f"beta must lie in (0, pi), got {beta}")
+        return super().__new__(cls, R, beta)
 
-    def __post_init__(self) -> None:
-        if not (self.R > 0.0 and math.isfinite(self.R)):
-            raise DomainError(f"R must be a positive finite length, got {self.R}")
-        if not (0.0 < self.beta < math.pi):
-            raise DomainError(f"beta must lie in (0, pi), got {self.beta}")
+    @classmethod
+    def _make(cls, iterable) -> KnifeGeometry:
+        # the tuple base's _make (and _replace, which calls it) skips __new__
+        return cls(*iterable)
 
     @functools.cached_property
     def _region_constants(self) -> tuple[float, float, float, float, float, bool]:

@@ -13,7 +13,8 @@ Neither design fsyncs, and only a hard kill between the last write and
 the cut can leave the old file's tail. A command opens its output once,
 after its options are checked and before its work, so the open is the
 check of the path and a FIFO's reader sees one writer. A failed write to
-an output, or to standard output, raises WriteError naming it.
+an output, or to standard output or standard error, raises WriteError
+naming it.
 """
 
 from __future__ import annotations
@@ -30,10 +31,11 @@ from shadowhp.errors import ConfigError
 #: about 80 MB at the ~80 bytes a sample costs
 MAX_SAMPLES = 1_000_000
 
-#: the name a failed write gives standard output
+#: the names a failed write gives standard output and standard error
 STDOUT = "<stdout>"
+STDERR = "<stderr>"
 
-__all__ = ["MAX_SAMPLES", "STDOUT", "WriteError", "open_output"]
+__all__ = ["MAX_SAMPLES", "STDERR", "STDOUT", "WriteError", "open_output"]
 
 
 def _fmt(x: float) -> str:
@@ -90,25 +92,30 @@ class _OverwriteText(io.TextIOWrapper):
                 super().close()
 
 
-class _StdoutText:
-    """sys.stdout, looked up at each call so that a redirection is seen, as
-    an output: a failed write raises WriteError naming STDOUT, and leaving
-    a `with` block flushes it and leaves it open.
+class _StdText:
+    """sys.stdout or sys.stderr, looked up at each call so that a
+    redirection is seen, as an output: a failed write raises WriteError
+    naming STDOUT or STDERR, and leaving a `with` block flushes it and
+    leaves it open.
     """
 
-    def write(self, text: str) -> int:
-        with _writing(STDOUT):
-            return sys.stdout.write(text)
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.path = f"<{name}>"
 
-    def __enter__(self) -> _StdoutText:
+    def write(self, text: str) -> int:
+        with _writing(self.path):
+            return getattr(sys, self.name).write(text)
+
+    def __enter__(self) -> _StdText:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        with _writing(STDOUT):
-            sys.stdout.flush()
+        with _writing(self.path):
+            getattr(sys, self.name).flush()
 
 
-def open_output(path: str | None) -> io.TextIOWrapper | _StdoutText:
+def open_output(path: str | None) -> io.TextIOWrapper | _StdText:
     """Open a run's output file for writing ASCII text, or standard output
     where path is None. Raise ConfigError, naming the path, when it cannot be
     opened: the path is a run option.
@@ -127,7 +134,7 @@ def open_output(path: str | None) -> io.TextIOWrapper | _StdoutText:
     leave the old file's tail.
     """
     if path is None:
-        return _StdoutText()
+        return _StdText("stdout")
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     except (OSError, ValueError) as exc:

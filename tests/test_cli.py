@@ -1087,7 +1087,7 @@ _LAYER_PROBE = """
 import contextlib, io, json, sys
 import shadowhp.cli
 
-ARRAYS = ("numpy", "scipy")
+HEAVY = ("numpy", "scipy", "dataclasses")
 LAYERS = ("shadowhp.experiments", "shadowhp.hpspace", "shadowhp.amplitudes")
 
 
@@ -1096,18 +1096,18 @@ def loaded(modules):
 
 
 region, usage_error = json.loads(sys.argv[1])
-report = {"on_import": loaded(ARRAYS)}
+report = {"on_import": loaded(HEAVY)}
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     report["region"] = shadowhp.cli.main(region)
-    report["after_region"] = loaded(ARRAYS)
+    report["after_region"] = loaded(HEAVY)
     for step, argv in (("help", ["--help"]), ("usage", usage_error)):
         try:
             shadowhp.cli.main(argv)
         except SystemExit as exc:
             report[step] = exc.code
-        report["after_" + step] = loaded(ARRAYS)
+        report["after_" + step] = loaded(HEAVY)
     report["cert"] = shadowhp.cli.main(["cert", "--n-samples", "1000"])
-report["after_cert"] = loaded(ARRAYS)
+report["after_cert"] = loaded(HEAVY)
 report["cert_layers"] = loaded(LAYERS)
 print(json.dumps(report))
 """
@@ -1115,8 +1115,9 @@ print(json.dumps(report))
 
 def test_each_command_loads_only_the_layers_it_runs(tmp_path):
     # region, --help and a usage error never build an array, and numpy's
-    # import alone is most of their start-up; cert runs specfun and the
-    # kernel, not the sweep's layers
+    # import alone is most of their start-up; dataclasses (with the inspect,
+    # ast and dis it loads) was a third of what is left. cert runs specfun
+    # and the kernel, not the sweep's layers
     out = tmp_path / "region.csv"
     region = ["region", "--R", "1", "--beta", "2", "--nx", "4", "--ny", "3", "--output", str(out)]
     proc = subprocess.run(
@@ -1135,7 +1136,7 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
         "usage": 2,
         "after_usage": [],
         "cert": 0,
-        "after_cert": ["numpy", "scipy"],
+        "after_cert": ["numpy", "scipy", "dataclasses"],
         "cert_layers": [],
     }
     assert len(out.read_text().splitlines()) == 1 + 4 * 3
@@ -1216,7 +1217,7 @@ def test_experiment_output_flag_needs_no_output_key(tmp_path, capsys):
     assert csv.read_text(encoding="ascii").startswith("k,alpha,p,")
 
 
-def _shadowhp(*argv, stdout=subprocess.PIPE, buffered=True):
+def _shadowhp(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, buffered=True):
     # standard output is buffered unless PYTHONUNBUFFERED is set; buffered, what a
     # failed write leaves behind is flushed once more at exit
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
@@ -1225,7 +1226,7 @@ def _shadowhp(*argv, stdout=subprocess.PIPE, buffered=True):
     return subprocess.run(
         [sys.executable, "-m", "shadowhp", *argv],
         stdout=stdout,
-        stderr=subprocess.PIPE,
+        stderr=stderr,
         env=env,
         timeout=120,
     )
@@ -1331,6 +1332,80 @@ def test_a_failed_write_to_standard_output_exits_2(argv, buffered):
     assert proc.returncode == 2
     # one line, and no second error from the interpreter's flush at exit
     assert proc.stderr == b"config error: cannot write output '<stdout>': No space left on device\n"
+
+
+#: a cert whose sample exceeds the bound, run as `python -c` with the argv
+_FAILING_CERT = """
+import sys
+import shadowhp.cli
+from shadowhp.errors import CertificationError
+
+
+def failing(n_samples):
+    raise CertificationError("|F| exceeds the sector bound")
+
+
+shadowhp.cli.sector_bound_cert = failing
+sys.exit(shadowhp.cli.main(sys.argv[1:]))
+"""
+
+#: (argv, the exit code when standard error fails); "{cfg}" is a config
+#: whose output is a file, "{cert}" runs _FAILING_CERT
+_STDERR_CASES = [
+    (["experiment", "{cfg}"], 2),
+    (["project", "--k", "4", "--alpha", "2.5", "--p", "2", "--quad-order", "0"], 2),
+    (["eval", "fr", "inf"], 1),
+    (["{cert}", "cert", "--n-samples", "1000"], 3),
+]
+_STDERR_IDS = ["experiment-summary", "config-error", "domain-error", "cert-failure"]
+
+
+def _stderr_case(tmp_path, argv, stderr):
+    """Run one of _STDERR_CASES with its standard error set."""
+    csv = tmp_path / "sweep.csv"
+    cfg = tmp_path / "sweep.conf"
+    cfg.write_text(f"k_values = 16\nalpha_values = 2.4\np_values = 2\noutput = {csv}\n")
+    if argv[0] == "{cert}":
+        cmd = [sys.executable, "-c", _FAILING_CERT, *argv[1:]]
+    else:
+        cmd = [sys.executable, "-m", "shadowhp", *(a.format(cfg=cfg) for a in argv)]
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=stderr) as proc:
+        if stderr is subprocess.PIPE:
+            # a reader that is gone before the first write
+            proc.stderr.close()
+        out = proc.stdout.read()
+        code = proc.wait(timeout=120)
+    return code, out, csv
+
+
+@needs_dev_full
+@pytest.mark.parametrize("argv, code", _STDERR_CASES, ids=_STDERR_IDS)
+def test_a_failed_write_to_standard_error_keeps_the_exit_code(tmp_path, argv, code):
+    # a summary line has no error to report and exits 2; the report of an
+    # error keeps that error's code
+    with open(_FULL, "wb") as full:
+        got, out, csv = _stderr_case(tmp_path, argv, full)
+    assert (got, out) == (code, b"")
+    if argv[0] == "experiment":
+        # the whole CSV was written before the summary failed
+        assert csv.read_text().count("\n") == 2
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in _STDERR_CASES], ids=_STDERR_IDS)
+def test_a_closed_reader_of_standard_error_exits_141(tmp_path, argv):
+    got, out, csv = _stderr_case(tmp_path, argv, subprocess.PIPE)
+    assert (got, out) == (141, b"")
+    if argv[0] == "experiment":
+        assert csv.read_text().count("\n") == 2
+
+
+@needs_dev_full
+def test_failed_writes_to_both_standard_streams_exit_2():
+    with open(_FULL, "wb") as full:
+        proc = _shadowhp(
+            "project", "--k", "16", "--alpha", "2.4", "--p", "2", stdout=full, stderr=full
+        )
+    assert proc.returncode == 2
 
 
 def test_an_os_error_that_is_no_write_propagates(tmp_path, monkeypatch):

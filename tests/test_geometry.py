@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import pickle
 import re
 import tempfile
 
@@ -36,11 +37,73 @@ def random_off_cut_points(geo, n, seed, box=6.0):
     return pts
 
 
-def test_geometry_validation():
-    with pytest.raises(DomainError):
-        KnifeGeometry(R=0.0, beta=1.0)
-    with pytest.raises(DomainError):
-        KnifeGeometry(R=1.0, beta=math.pi)
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: KnifeGeometry(0.0, 1.0), "R must be a positive finite length, got 0.0"),
+        (lambda: KnifeGeometry(R=-1.0, beta=1.0), "R must be a positive finite length, got -1.0"),
+        (lambda: KnifeGeometry(math.inf, 1.0), "R must be a positive finite length, got inf"),
+        (lambda: KnifeGeometry(R=math.nan, beta=1), "R must be a positive finite length, got nan"),
+        (lambda: KnifeGeometry(1.0, math.pi), f"beta must lie in (0, pi), got {math.pi}"),
+        (lambda: KnifeGeometry(R=1.0, beta=0.0), "beta must lie in (0, pi), got 0.0"),
+        (lambda: KnifeGeometry(R=1.0, beta=math.nan), "beta must lie in (0, pi), got nan"),
+        (lambda: _GEO._replace(R=-1.0), "R must be a positive finite length, got -1.0"),
+        (lambda: _GEO._replace(beta=4.0), "beta must lie in (0, pi), got 4.0"),
+        (lambda: KnifeGeometry._make([-1.0, 2.0]), "R must be a positive finite length, got -1.0"),
+        (lambda: KnifeGeometry._make((1.0, -2.0)), "beta must lie in (0, pi), got -2.0"),
+    ],
+    ids=[
+        "R-zero", "R-negative-keyword", "R-inf", "R-nan-keyword",
+        "beta-pi", "beta-zero-keyword", "beta-nan-keyword",
+        "replace-R", "replace-beta", "make-R", "make-beta",
+    ],
+)
+def test_geometry_validation(build, message):
+    # no way of building a geometry skips the checks
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_geometry_is_an_immutable_value():
+    geo = KnifeGeometry(R=1.0, beta=2.0)
+    for field in ("R", "beta"):
+        with pytest.raises(AttributeError):
+            setattr(geo, field, 3.0)
+    assert (geo.R, geo.beta) == (1.0, 2.0)
+    assert geo == _GEO and hash(geo) == hash(_GEO)
+    assert geo != KnifeGeometry(1.0, 2.5)
+    # a named tuple: equal to the plain tuple of its fields
+    assert geo == (1.0, 2.0)
+    assert geo._replace(beta=2.5) == KnifeGeometry(1.0, 2.5)
+    assert type(KnifeGeometry._make([1.0, 2.0])) is KnifeGeometry
+    # as the branch-cut and overflow messages of geometry print it
+    assert repr(geo) == str(geo) == "KnifeGeometry(R=1.0, beta=2.0)"
+    # the cached constants travel with a pickle and still match
+    constants = geo._region_constants
+    copy = pickle.loads(pickle.dumps(geo))
+    assert type(copy) is KnifeGeometry and copy == geo
+    assert copy._region_constants == constants == KnifeGeometry(1.0, 2.0)._region_constants
+
+
+@pytest.mark.parametrize(
+    "R, beta, constants",
+    [
+        (1.0, 2.0, ("-0x1.aa22657537205p-2", "-0x1.aa22657537205p-2", "0x1.d18f6ead1b446p-1",
+                    "0x1.6849b86a12b9bp-47", "0x1.62ab3f249b67fp-3", False)),
+        (2.3, 1.1, ("0x1.d07b806c76111p-2", "0x1.0b13d03e5d7d0p+0", "0x1.065f17233b2a6p+1",
+                    "0x1.9e54c746c8bbep-46", "0x1.16a255eaa9aa0p+0", True)),
+        (1.0, 0.5 * math.pi, ("0x1.1a62633145c07p-54", "0x1.1a62633145c07p-54", "0x1.0p+0",
+                              "0x1.6849b86a12b9bp-47", "0x1.377ce858a5d48p-108", True)),
+        (0.6395080848042881, 8.97898823953947e-12, (
+            "0x1.0p+0", "0x1.476d9a8b86267p-1", "0x1.94111e55f942ep-38",
+            "0x1.ccd06b73b8d8dp-48", "0x1.a2c92fbd68d2ap-2", True)),
+    ],
+)
+def test_region_constants_are_pinned(R, beta, constants):
+    # cos(beta), R cos(beta), R sin(beta), the cut tolerance, R^2 cos(beta)^2
+    # and beta <= pi/2, bit for bit as the region pins were made with
+    want = tuple(c if isinstance(c, bool) else float.fromhex(c) for c in constants)
+    assert KnifeGeometry(R, beta)._region_constants == want
 
 
 def test_r_at_zero_is_R():
