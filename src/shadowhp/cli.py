@@ -8,10 +8,10 @@ the reader of an output closed it early. The error's type picks the
 code: each range rule raises ConfigError (a run option or config value,
 exit 2) or DomainError (a model value, exit 1) where it lives, and the
 commands restate none of them. Every write to an output, to standard
-output or to standard error goes through runio, so a failed one raises
-WriteError naming it: exit 141 where its reader closed early, else 2, or
-the code of the error whose report failed. Any other OSError is a bug and
-propagates.
+output or to standard error goes through runio, argparse's help, usage
+and error text included, so a failed one raises WriteError naming it:
+exit 141 where its reader closed early, else 2, or the code of the error
+whose report failed. Any other OSError is a bug and propagates.
 
 Loading this module imports neither numpy nor dataclasses: region, --help
 and a usage error run on the standard library and the numpy-free modules
@@ -119,6 +119,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 _FLAG_TEXT = {lab: ",".join(str(int(f)) for f in lab) + "\n" for lab in _LABELS}
 
 
+#: fewest points in a row for which region joins each row's im to the 16
+#: flag texts first: those 16 joins cost about what a second join at each
+#: of 50 points does
+_WIDE_ROW = 64
+
+
 def _axis(lo: float, hi: float, n: int) -> list[float]:
     return [lo + (hi - lo) * i / max(n - 1, 1) for i in range(n)]
 
@@ -140,14 +146,23 @@ def _cmd_region(args: argparse.Namespace) -> int:
     # point; every input is checked above, so the rows can be written as
     # they are labelled and only one row's text is held at a time
     columns = [(re, _fmt(re)) for re in res]
+    wide = len(columns) >= _WIDE_ROW
     with open_output(args.output) as out:
         out.write("re,im,in_cut,in_R,in_ellipse,in_S\n")
         for im in ims:
             im_text = "," + _fmt(im) + ","
-            line = []
-            for re, re_text in columns:
-                lab = region_label(complex(re, im), geo)
-                line.append(re_text + im_text + _FLAG_TEXT[lab])
+            if wide:
+                # one concatenation per point: the row's im, joined to each label's flags
+                tails = {lab: im_text + flags for lab, flags in _FLAG_TEXT.items()}
+                line = [
+                    re_text + tails[region_label(complex(re, im), geo)] for re, re_text in columns
+                ]
+            else:
+                # a loop: a comprehension's set-up costs more than a short row's points
+                line = []
+                for re, re_text in columns:
+                    lab = region_label(complex(re, im), geo)
+                    line.append(re_text + im_text + _FLAG_TEXT[lab])
             out.write("".join(line))
     return 0
 
@@ -260,12 +275,24 @@ def _cmd_cert(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser (and, as their class, its subparsers) that writes
+    its help, usage and error text through runio: a failed write raises
+    WriteError, where argparse's own _print_message drops it. argparse
+    passes sys.stdout for the help and sys.stderr for the rest."""
+
+    def _print_message(self, message: str, file: TextIO | None = None) -> None:
+        if message:
+            with _StdText("stdout" if file is sys.stdout else "stderr") as out:
+                out.write(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: `parse_args` returns
     a fresh Namespace and leaves the parser as it was.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shadowhp",
         description="Shadow-boundary amplitudes, analyticity regions and hp best approximation.",
     )
@@ -383,8 +410,9 @@ def _report(message: str, code: int) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        # --help and a usage error end in SystemExit, unless their write fails
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except WriteError as exc:
         _detach(exc)

@@ -12,13 +12,14 @@ The ufunc is loaded at the first evaluation of w, not with this module,
 and only from scipy's compiled module scipy.special._special_ufuncs: the
 scipy.special package itself is never imported. Its __init__ pulls in
 scipy's array-API layer (array_api_compat, numpy.f2py, unittest), about
-0.3 s and 16 MB, none of which w needs. The compiled module is registered
-in sys.modules under its own name, so a later `import scipy.special`
-reuses it and scipy.special.wofz is the same ufunc object. A scipy without
-that module, or whose module has no wofz, gets w from scipy.special
-instead. A process that never evaluates w (`shadowhp region`, `--help`, a
-command that exits 2 on a bad option) loads no scipy at all. Reading
-KERNEL_BACKEND loads nothing.
+0.3 s and 16 MB, none of which w needs. Nor is scipy's own __init__ run
+(about 10 ms): the module's directory is read from scipy's package spec.
+The compiled module is registered in sys.modules under its own name, so a
+later `import scipy.special` reuses it and scipy.special.wofz is the same
+ufunc object. A scipy without that module, or whose module fails to load
+or has no wofz, gets w from scipy.special instead. A process that never
+evaluates w (`shadowhp region`, `--help`, a command that exits 2 on a bad
+option) loads no scipy at all. Reading KERNEL_BACKEND loads nothing.
 
 An array of at least 2 * _MIN_POINTS_PER_THREAD points is evaluated in
 contiguous chunks, one per usable core (_usable_cores, the rule run_grid
@@ -129,23 +130,29 @@ def load_wofz():
     """scipy's wofz ufunc, loaded on the first call.
 
     It comes from the compiled module _UFUNC_MODULE: from sys.modules if it
-    is there, else loaded from scipy's special directory and registered in
-    sys.modules under its own name. scipy.special supplies it only where
-    scipy has no such module or the module has no wofz. A module loaded
-    here before its package is not bound as an attribute of a later
-    scipy.special; scipy imports from it only by name, which resolves
+    is there, else loaded from the special directory of scipy's package
+    directory (which PathFinder finds without running scipy's __init__) and
+    registered in sys.modules under its own name. scipy.special supplies it
+    only where that module cannot be found or loaded, or has no wofz. A
+    module loaded here before its package is not bound as an attribute of a
+    later scipy.special; scipy imports from it only by name, which resolves
     through sys.modules.
     """
-    import scipy
-
     module = sys.modules.get(_UFUNC_MODULE)
     if module is None:
-        dirs = [os.path.join(path, "special") for path in scipy.__path__]
-        spec = PathFinder.find_spec(_UFUNC_MODULE, dirs)
+        scipy_spec = PathFinder.find_spec("scipy")
+        spec = None
+        if scipy_spec is not None and scipy_spec.submodule_search_locations:
+            dirs = [os.path.join(p, "special") for p in scipy_spec.submodule_search_locations]
+            spec = PathFinder.find_spec(_UFUNC_MODULE, dirs)
         if spec is not None:
             module = module_from_spec(spec)
-            spec.loader.exec_module(module)
-            sys.modules[_UFUNC_MODULE] = module
+            try:
+                spec.loader.exec_module(module)
+            except ImportError:
+                module = None
+            else:
+                sys.modules[_UFUNC_MODULE] = module
     wofz = getattr(module, "wofz", None)
     if wofz is None:
         from scipy.special import wofz

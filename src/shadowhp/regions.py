@@ -8,10 +8,12 @@ cut_distance are the contracted strip and the distance to the cuts. All
 predicates classify boundary points as outside (the regions are open sets).
 
 Each predicate takes one point and uses only the standard library, so
-`shadowhp region` runs without numpy. KnifeGeometry is a checked named
-tuple, not a dataclass, so the module loads no dataclasses either (nor
-the inspect, ast and dis that it imports). r(s) and mu(s), which take
-arrays, live in geometry.
+`shadowhp region` runs without numpy. region_label, called once per point
+of a region command, makes one pass over the point's offsets from the cut
+line and tests the cuts inline, by the same formula as cut_distance.
+KnifeGeometry is a checked named tuple, not a dataclass, so the module
+loads no dataclasses either (nor the inspect, ast and dis that it
+imports). r(s) and mu(s), which take arrays, live in geometry.
 """
 
 from __future__ import annotations
@@ -97,30 +99,31 @@ class RegionLabel(NamedTuple):
 _LABELS = tuple(RegionLabel(*flags) for flags in itertools.product((False, True), repeat=4))
 
 
-def _cut_distance(x: float, y: float, r_cos_beta: float, r_sin_beta: float) -> float:
-    # distance from x + iy to the cuts {R cos(beta) + i v : |v| >= R sin(beta)}
-    dx = abs(x - r_cos_beta)
-    dy = r_sin_beta - abs(y)
-    if dy <= 0.0:
-        return dx
-    return math.hypot(dx, dy)
-
-
 def cut_distance(s: complex, geo: KnifeGeometry) -> float:
     """Euclidean distance from s to the two vertical branch cuts, also for
     the cut check of r(s) (geometry). Raises DomainError for a non-finite s.
     """
     s = _finite_point(s)
     _, r_cb, r_sb, *_ = geo._region_constants
-    return _cut_distance(s.real, s.imag, r_cb, r_sb)
+    # region_label tests the same offsets from the cut line inline
+    dx = abs(s.real - r_cb)
+    dy = r_sb - abs(s.imag)
+    if dy <= 0.0:
+        return dx
+    return math.hypot(dx, dy)
 
 
 def region_label(s: complex, geo: KnifeGeometry) -> RegionLabel:
     """Classify s against the cut plane, the analyticity region, the ellipse
     and the sector-strip. Total function; boundary points count as outside.
 
-    Labels one point per call; the per-geometry constants are computed once
-    per KnifeGeometry and the result is one of 16 shared, frozen labels.
+    Labels one point per call, in one pass over its offsets from the cut
+    line, dx = Re s - R cos(beta) and dy = R sin(beta) - |Im s|: where
+    dy <= 0 the nearest cut point is level with s and the cut test is |dx|
+    alone; where dy > 0 (exactly |Im s| < R sin(beta), the strip's height)
+    it is hypot(dx, dy) and the sector test runs. cut_distance computes the
+    same distance. The per-geometry constants are computed once per
+    KnifeGeometry and the result is one of 16 shared, frozen labels.
     """
     s = complex(s)
     x, y = s.real, s.imag
@@ -128,24 +131,29 @@ def region_label(s: complex, geo: KnifeGeometry) -> RegionLabel:
         _finite_point(s)
     cb, r_cb, r_sb, cut_tol, r2_cb2, acute = geo._region_constants
 
-    in_cut_plane = _cut_distance(x, y, r_cb, r_sb) > cut_tol
+    dx = x - r_cb
+    dy = r_sb - abs(y)
+    if dy <= 0.0:
+        in_cut_plane = abs(dx) > cut_tol
+        in_S = False
+    else:
+        in_cut_plane = math.hypot(dx, dy) > cut_tol
+        in_S = s != 0.0 and abs(cmath.phase(s)) < THETA_STAR
 
     # multiplied-out ellipse membership: degenerates to the empty set at
     # beta = pi/2 without a division by cos(beta)
-    dx = x - r_cb
     in_ellipse = y * y * cb * cb + dx * dx < r2_cb2
 
-    upper = y > 0.0
-    right = x > r_cb
-    if acute:
-        in_region = upper or right or in_ellipse
+    if not in_cut_plane:
+        in_R = False
+    elif y > 0.0:
+        in_R = True
+    elif acute:
+        in_R = x > r_cb or in_ellipse
     else:
-        in_region = upper or (right and not in_ellipse)
-    in_region = in_region and in_cut_plane
+        in_R = x > r_cb and not in_ellipse
 
-    in_S = s != 0.0 and abs(y) < r_sb and abs(cmath.phase(s)) < THETA_STAR
-
-    return _LABELS[8 * in_cut_plane + 4 * in_region + 2 * in_ellipse + in_S]
+    return _LABELS[8 * in_cut_plane + 4 * in_R + 2 * in_ellipse + in_S]
 
 
 def strip_S_delta(s: complex, geo: KnifeGeometry, delta: float) -> bool:

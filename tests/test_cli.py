@@ -325,9 +325,10 @@ def test_region_csv_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
-def test_region_labels_each_point_with_one_call(monkeypatch, capsys):
+@pytest.mark.parametrize("nx", [7, 70], ids=["narrow", "wide"])
+def test_region_labels_each_point_with_one_call(monkeypatch, capsys, nx):
     # the benchmark traces region_label where the command looks it up, and
-    # counts one call per point
+    # counts one call per point, on rows narrower and wider than _WIDE_ROW
     import shadowhp.cli
 
     calls = []
@@ -338,11 +339,28 @@ def test_region_labels_each_point_with_one_call(monkeypatch, capsys):
         return label(s, geo)
 
     monkeypatch.setattr(shadowhp.cli, "region_label", counted)
-    code, out, _ = run_cli(["region", "--R", "1", "--beta", "2", "--nx", "7", "--ny", "5"], capsys)
+    argv = ["region", "--R", "1", "--beta", "2", "--nx", str(nx), "--ny", "5"]
+    code, out, _ = run_cli(argv, capsys)
     assert code == 0
-    assert len(calls) == 35
-    assert len(set(calls)) == 35
-    assert len(out.splitlines()) == 1 + 35
+    assert len(calls) == 5 * nx
+    assert len(set(calls)) == 5 * nx
+    assert len(out.splitlines()) == 1 + 5 * nx
+
+
+def test_region_rows_are_the_same_bytes_either_way(monkeypatch, capsys):
+    # a row of _WIDE_ROW points or more is built from per-row flag texts; it
+    # must read as the plain build does, point for point
+    import shadowhp.cli
+
+    argv = ["region", "--R", "1.3", "--beta", "2", "--nx", "70", "--ny", "9"]
+    outs = []
+    for wide_row in (1, 10**9):
+        monkeypatch.setattr(shadowhp.cli, "_WIDE_ROW", wide_row)
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert len(set(outs[0].splitlines()[1:])) == 70 * 9
 
 
 def test_region_output_file(tmp_path, capsys):
@@ -1117,7 +1135,8 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
     # region, --help and a usage error never build an array, and numpy's
     # import alone is most of their start-up; dataclasses (with the inspect,
     # ast and dis it loads) was a third of what is left. cert runs specfun
-    # and the kernel, not the sweep's layers
+    # and the kernel, not the sweep's layers, and loads w's compiled module
+    # without running scipy's package __init__
     out = tmp_path / "region.csv"
     region = ["region", "--R", "1", "--beta", "2", "--nx", "4", "--ny", "3", "--output", str(out)]
     proc = subprocess.run(
@@ -1136,7 +1155,7 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
         "usage": 2,
         "after_usage": [],
         "cert": 0,
-        "after_cert": ["numpy", "scipy", "dataclasses"],
+        "after_cert": ["numpy", "dataclasses"],
         "cert_layers": [],
     }
     assert len(out.read_text().splitlines()) == 1 + 4 * 3
@@ -1356,8 +1375,10 @@ _STDERR_CASES = [
     (["project", "--k", "4", "--alpha", "2.5", "--p", "2", "--quad-order", "0"], 2),
     (["eval", "fr", "inf"], 1),
     (["{cert}", "cert", "--n-samples", "1000"], 3),
+    # argparse's usage and error text, which argparse itself writes
+    (["region", "--R", "1"], 2),
 ]
-_STDERR_IDS = ["experiment-summary", "config-error", "domain-error", "cert-failure"]
+_STDERR_IDS = ["experiment-summary", "config-error", "domain-error", "cert-failure", "usage-error"]
 
 
 def _stderr_case(tmp_path, argv, stderr):
@@ -1397,6 +1418,29 @@ def test_a_closed_reader_of_standard_error_exits_141(tmp_path, argv):
     assert (got, out) == (141, b"")
     if argv[0] == "experiment":
         assert csv.read_text().count("\n") == 2
+
+
+@needs_dev_full
+@pytest.mark.parametrize("argv", [["--help"], ["region", "--help"]], ids=["help", "region-help"])
+def test_a_failed_write_of_the_help_exits_2(argv):
+    # argparse drops a failed write of its own; the help goes through runio
+    with open(_FULL, "wb") as full:
+        proc = _shadowhp(*argv, stdout=full)
+    assert proc.returncode == 2
+    assert proc.stderr == b"config error: cannot write output '<stdout>': No space left on device\n"
+
+
+def test_a_closed_reader_of_the_help_exits_141():
+    with subprocess.Popen(
+        [sys.executable, "-m", "shadowhp", "--help"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        # a reader that is gone before the first write
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert (code, err) == (141, b"")
 
 
 @needs_dev_full

@@ -294,8 +294,26 @@ def _geometry_and_point(draw):
         complex(u, R * sb),
         complex(u, -R * sb),
     ]
+    # 0.5, 1 or 2 cut tolerances (or any distance between) from either cut
+    # end, in any direction
+    d = draw(st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.5, 2.0))) * CUT_RTOL * R
+    near_ends = [
+        complex(R * cb + d * math.cos(t), R * sb + d * math.sin(t)),
+        complex(R * cb + d * math.cos(t), -R * sb + d * math.sin(t)),
+        # level with a cut end, and beside the cut line above and below it
+        complex(R * cb + d, R * sb),
+        complex(R * cb - d, -R * sb),
+        complex(R * cb + math.copysign(d, t), u),
+    ]
+    signed_zeros = [
+        complex(-0.0, 0.0),
+        complex(0.0, -0.0),
+        complex(-0.0, -0.0),
+        complex(-0.0, u),
+        complex(u, -0.0),
+    ]
     random = complex(draw(st.floats(-4.0, 4.0)) * R, draw(st.floats(-4.0, 4.0)) * R)
-    return geo, draw(st.sampled_from([random, *boundary]))
+    return geo, draw(st.sampled_from([random, *boundary, *near_ends, *signed_zeros]))
 
 
 @settings(derandomize=True, database=None, max_examples=600, deadline=None)
@@ -307,6 +325,13 @@ def _check_region_label_matches_seed(case):
     got = (lab.in_cut_plane, lab.in_R, lab.in_ellipse, lab.in_S)
     assert all(type(flag) is bool for flag in got)
     assert got == _seed_flags(s, geo), f"s={s!r}, {geo}"
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(case=_geometry_and_point())
+def _check_cut_test_is_cut_distance(case):
+    geo, s = case
+    assert region_label(s, geo).in_cut_plane == (cut_distance(s, geo) > CUT_RTOL * geo.R)
 
 
 def test_region_label_is_a_frozen_value():
@@ -327,6 +352,17 @@ def test_region_label_matches_the_seed_formula():
         configuration.set_hypothesis_home_dir(home)
         try:
             _check_region_label_matches_seed()
+        finally:
+            configuration.set_hypothesis_home_dir(None)
+
+
+def test_region_cut_test_is_cut_distance():
+    # region_label tests the cuts inline; its test and cut_distance (which
+    # r(s) refuses points by) must not drift apart, also at the cut ends
+    with tempfile.TemporaryDirectory() as home:
+        configuration.set_hypothesis_home_dir(home)
+        try:
+            _check_cut_test_is_cut_distance()
         finally:
             configuration.set_hypothesis_home_dir(None)
 

@@ -162,9 +162,9 @@ def test_kernel_values_are_scipy_special_wofz_bitwise():
     assert load_wofz.__wrapped__() is scipy.special.wofz
 
 
-def _run(code: str):
+def _run(code: str, *argv: str):
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -202,7 +202,8 @@ def test_load_wofz_loads_only_the_compiled_module():
 
 
 _FALLBACK_PROBE = """
-import hashlib, json, sys
+import hashlib, importlib.util, json, sys
+from importlib.machinery import PathFinder
 import numpy as np
 from shadowhp import kernel
 
@@ -213,7 +214,23 @@ class NoModule:
         return None
 
 
-kernel.PathFinder = NoModule
+class FailingLoader:
+    def create_module(self, spec):
+        return None
+
+    def exec_module(self, module):
+        raise ImportError("cannot load the compiled module")
+
+
+class FailingModule:
+    @staticmethod
+    def find_spec(name, path=None):
+        if name == "scipy":
+            return PathFinder.find_spec(name)
+        return importlib.util.spec_from_loader(name, FailingLoader())
+
+
+kernel.PathFinder = {"missing": NoModule, "failing": FailingModule}[sys.argv[1]]
 re, im = np.random.default_rng(30).uniform(-6.0, 6.0, (2, 3000))
 w = kernel.faddeeva_w(re + 1j * im)
 loaded = "scipy.special" in sys.modules
@@ -224,10 +241,12 @@ print(json.dumps([loaded, wofz is scipy.special.wofz, float(wofz(1j).real), dige
 """
 
 
-def test_load_wofz_falls_back_to_scipy_special():
-    # a scipy without the compiled module: the loader imports the package,
-    # and faddeeva_w gives the bits of the compiled module's ufunc
-    loaded, same, value, digest = _run(_FALLBACK_PROBE)
+@pytest.mark.parametrize("module", ["missing", "failing"])
+def test_load_wofz_falls_back_to_scipy_special(module):
+    # a scipy without the compiled module, or whose module fails to load: the
+    # loader imports the package, and faddeeva_w gives the bits of the
+    # compiled module's ufunc
+    loaded, same, value, digest = _run(_FALLBACK_PROBE, module)
     assert loaded and same
     assert value == pytest.approx(0.42758357615580705, rel=1e-15)
     # the probe's seeded sample: both half-planes, where nothing overflows
