@@ -119,12 +119,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 _FLAG_TEXT = {lab: ",".join(str(int(f)) for f in lab) + "\n" for lab in _LABELS}
 
 
-#: fewest points in a row for which region joins each row's im to the 16
-#: flag texts first: those 16 joins cost about what a second join at each
-#: of 50 points does
-_WIDE_ROW = 64
-
-
 def _axis(lo: float, hi: float, n: int) -> list[float]:
     return [lo + (hi - lo) * i / max(n - 1, 1) for i in range(n)]
 
@@ -146,23 +140,14 @@ def _cmd_region(args: argparse.Namespace) -> int:
     # point; every input is checked above, so the rows can be written as
     # they are labelled and only one row's text is held at a time
     columns = [(re, _fmt(re)) for re in res]
-    wide = len(columns) >= _WIDE_ROW
     with open_output(args.output) as out:
         out.write("re,im,in_cut,in_R,in_ellipse,in_S\n")
         for im in ims:
             im_text = "," + _fmt(im) + ","
-            if wide:
-                # one concatenation per point: the row's im, joined to each label's flags
-                tails = {lab: im_text + flags for lab, flags in _FLAG_TEXT.items()}
-                line = [
-                    re_text + tails[region_label(complex(re, im), geo)] for re, re_text in columns
-                ]
-            else:
-                # a loop: a comprehension's set-up costs more than a short row's points
-                line = []
-                for re, re_text in columns:
-                    lab = region_label(complex(re, im), geo)
-                    line.append(re_text + im_text + _FLAG_TEXT[lab])
+            line = []
+            for re, re_text in columns:
+                lab = region_label(complex(re, im), geo)
+                line.append(re_text + im_text + _FLAG_TEXT[lab])
             out.write("".join(line))
     return 0
 
@@ -277,12 +262,15 @@ def _cmd_cert(args: argparse.Namespace) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser (and, as their class, its subparsers) that writes
-    its help, usage and error text through runio: a failed write raises
-    WriteError, where argparse's own _print_message drops it. argparse
-    passes sys.stdout for the help and sys.stderr for the rest."""
+    its help, usage and error text for the standard streams through runio:
+    a failed write raises WriteError, where argparse's own _print_message
+    drops it. argparse passes sys.stdout for the help and sys.stderr (or
+    None) for the rest; any other file is written as argparse writes it."""
 
     def _print_message(self, message: str, file: TextIO | None = None) -> None:
-        if message:
+        if file is not None and file is not sys.stdout and file is not sys.stderr:
+            super()._print_message(message, file)
+        elif message:
             with _StdText("stdout" if file is sys.stdout else "stderr") as out:
                 out.write(message)
 

@@ -146,8 +146,10 @@ def load_wofz():
             dirs = [os.path.join(p, "special") for p in scipy_spec.submodule_search_locations]
             spec = PathFinder.find_spec(_UFUNC_MODULE, dirs)
         if spec is not None:
-            module = module_from_spec(spec)
             try:
+                # an extension module is loaded (and its init run) by
+                # module_from_spec; exec_module runs a multi-phase init
+                module = module_from_spec(spec)
                 spec.loader.exec_module(module)
             except ImportError:
                 module = None

@@ -325,10 +325,9 @@ def test_region_csv_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
 
-@pytest.mark.parametrize("nx", [7, 70], ids=["narrow", "wide"])
-def test_region_labels_each_point_with_one_call(monkeypatch, capsys, nx):
+def test_region_labels_each_point_with_one_call(monkeypatch, capsys):
     # the benchmark traces region_label where the command looks it up, and
-    # counts one call per point, on rows narrower and wider than _WIDE_ROW
+    # counts one call per point
     import shadowhp.cli
 
     calls = []
@@ -339,28 +338,11 @@ def test_region_labels_each_point_with_one_call(monkeypatch, capsys, nx):
         return label(s, geo)
 
     monkeypatch.setattr(shadowhp.cli, "region_label", counted)
-    argv = ["region", "--R", "1", "--beta", "2", "--nx", str(nx), "--ny", "5"]
-    code, out, _ = run_cli(argv, capsys)
+    code, out, _ = run_cli(["region", "--R", "1", "--beta", "2", "--nx", "7", "--ny", "5"], capsys)
     assert code == 0
-    assert len(calls) == 5 * nx
-    assert len(set(calls)) == 5 * nx
-    assert len(out.splitlines()) == 1 + 5 * nx
-
-
-def test_region_rows_are_the_same_bytes_either_way(monkeypatch, capsys):
-    # a row of _WIDE_ROW points or more is built from per-row flag texts; it
-    # must read as the plain build does, point for point
-    import shadowhp.cli
-
-    argv = ["region", "--R", "1.3", "--beta", "2", "--nx", "70", "--ny", "9"]
-    outs = []
-    for wide_row in (1, 10**9):
-        monkeypatch.setattr(shadowhp.cli, "_WIDE_ROW", wide_row)
-        code, out, _ = run_cli(argv, capsys)
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1]
-    assert len(set(outs[0].splitlines()[1:])) == 70 * 9
+    assert len(calls) == 35
+    assert len(set(calls)) == 35
+    assert len(out.splitlines()) == 1 + 35
 
 
 def test_region_output_file(tmp_path, capsys):
@@ -1428,6 +1410,18 @@ def test_a_failed_write_of_the_help_exits_2(argv):
         proc = _shadowhp(*argv, stdout=full)
     assert proc.returncode == 2
     assert proc.stderr == b"config error: cannot write output '<stdout>': No space left on device\n"
+
+
+def test_the_parser_writes_to_a_file_it_is_given(capsys):
+    # only the standard streams go through runio; a file handed to
+    # print_help or print_usage gets the text, as from argparse
+    parser = build_parser()
+    help_buf, usage_buf = io.StringIO(), io.StringIO()
+    parser.print_help(help_buf)
+    parser.print_usage(usage_buf)
+    assert help_buf.getvalue() == parser.format_help()
+    assert usage_buf.getvalue() == parser.format_usage()
+    assert capsys.readouterr() == ("", "")
 
 
 def test_a_closed_reader_of_the_help_exits_141():

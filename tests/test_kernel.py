@@ -215,22 +215,33 @@ class NoModule:
 
 
 class FailingLoader:
+    # an extension module's loader opens it and runs its init in
+    # create_module, as a numpy ABI mismatch fails; a multi-phase init
+    # fails in exec_module
+    def __init__(self, step):
+        self.step = step
+
     def create_module(self, spec):
+        if self.step == "create":
+            raise ImportError("cannot open the compiled module")
         return None
 
     def exec_module(self, module):
-        raise ImportError("cannot load the compiled module")
+        raise ImportError("cannot initialise the compiled module")
 
 
 class FailingModule:
-    @staticmethod
-    def find_spec(name, path=None):
+    def __init__(self, step):
+        self.step = step
+
+    def find_spec(self, name, path=None):
         if name == "scipy":
             return PathFinder.find_spec(name)
-        return importlib.util.spec_from_loader(name, FailingLoader())
+        return importlib.util.spec_from_loader(name, FailingLoader(self.step))
 
 
-kernel.PathFinder = {"missing": NoModule, "failing": FailingModule}[sys.argv[1]]
+finders = {"missing": NoModule, "create": FailingModule("create"), "exec": FailingModule("exec")}
+kernel.PathFinder = finders[sys.argv[1]]
 re, im = np.random.default_rng(30).uniform(-6.0, 6.0, (2, 3000))
 w = kernel.faddeeva_w(re + 1j * im)
 loaded = "scipy.special" in sys.modules
@@ -241,11 +252,11 @@ print(json.dumps([loaded, wofz is scipy.special.wofz, float(wofz(1j).real), dige
 """
 
 
-@pytest.mark.parametrize("module", ["missing", "failing"])
+@pytest.mark.parametrize("module", ["missing", "create", "exec"])
 def test_load_wofz_falls_back_to_scipy_special(module):
-    # a scipy without the compiled module, or whose module fails to load: the
-    # loader imports the package, and faddeeva_w gives the bits of the
-    # compiled module's ufunc
+    # a scipy without the compiled module, or whose module fails to load as
+    # it is created or as it is run: the loader imports the package, and
+    # faddeeva_w gives the bits of the compiled module's ufunc
     loaded, same, value, digest = _run(_FALLBACK_PROBE, module)
     assert loaded and same
     assert value == pytest.approx(0.42758357615580705, rel=1e-15)
