@@ -5,14 +5,11 @@ deterministic CSV emission.
 Rows are pure functions of their parameters. The unit of work is a
 (k, alpha) pair: one batched best_approx_error call evaluates V once for
 all of the pair's degrees, and a pair whose batch fails reruns each
-degree as a one-row batch, so each row keeps its own status. Pairs may
-fan out to worker processes. `parallelism` is an upper bound on the
-worker count, not an exact count: the pool never has more workers than
-the process may run on cores or than there are pairs, and a grid too
-small to repay a pool's start-up (fewer than 2 * _MIN_ROWS_PER_WORKER
-rows) runs in-process. Results are always merged back in canonical
-(k, alpha, p) order and the output is bit-identical regardless of the
-parallelism degree.
+degree as a one-row batch, so each row keeps its own status. The pairs
+run one after another in this process, in canonical (k, alpha, p) order,
+so the output is bit-identical across reruns. `parallelism` is an upper
+bound on the worker processes a sweep may use, and a sweep meets it with
+one: it is checked and changes no number.
 
 write_csv writes the CSV to an open text stream; the command line opens
 it with runio.open_output, which overwrites an existing file in place and
@@ -21,7 +18,6 @@ has its one home in runio, which needs no numpy.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -29,7 +25,6 @@ from typing import TextIO
 
 import numpy as np
 
-from shadowhp import kernel
 from shadowhp._arrays import is_count
 from shadowhp.amplitudes import ShadowConfig
 from shadowhp.errors import ConfigError, DomainError
@@ -43,12 +38,6 @@ from shadowhp.hpspace import (
 from shadowhp.runio import _fmt
 
 CSV_HEADER = "k,alpha,p,n_layers,dof,error_l2,relative_error,status"
-
-#: Rows a pool worker needs to repay its share of the pool's start-up and
-#: teardown. On a 2-core VM, with rows batched per (k, alpha), a 2-worker
-#: pool lost to the serial loop up to 216 rows and won from 252 rows on
-#: (figures in CHANGES.md).
-_MIN_ROWS_PER_WORKER = 128
 
 __all__ = [
     "CSV_HEADER",
@@ -195,28 +184,14 @@ def run_grid(grid: ExperimentGrid, parallelism: int = 1) -> list[GridRow]:
     A bad `parallelism` raises ConfigError before any row.
 
     The unit of work is a (k, alpha) pair: V is evaluated once for all of
-    its degrees (see _pair_task), and the pairs' rows are concatenated in
-    sorted pair order. At most `parallelism` worker processes are used,
-    never more than the usable cores (kernel._usable_cores, which also
-    sizes faddeeva_w's thread split) or the pairs, and never fewer than
-    _MIN_ROWS_PER_WORKER rows per worker; below two workers the pairs run
-    in-process.
+    its degrees (see _pair_task), and the pairs run in this process in
+    sorted pair order. `parallelism` is an upper bound on the worker
+    processes, which the sweep meets with one; only w's thread split
+    (kernel.faddeeva_w), on an array large enough, uses a second core.
     """
     check_parallelism(parallelism)
-    pairs = list(itertools.product(sorted(grid.k_values), sorted(grid.alpha_values)))
-    n_rows = len(pairs) * len(grid.p_values)
-    task = functools.partial(_pair_task, grid)
-    workers = min(parallelism, kernel._usable_cores(), len(pairs), n_rows // _MIN_ROWS_PER_WORKER)
-    if workers < 2:
-        return [row for pair in pairs for row in task(pair)]
-    chunksize = math.ceil(len(pairs) / (4 * workers))
-    # forked workers inherit the kernel from here instead of each loading it
-    kernel.load_wofz()
-    # the pool machinery (multiprocessing) is loaded only by a run that uses it
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [row for rows in pool.map(task, pairs, chunksize=chunksize) for row in rows]
+    pairs = itertools.product(sorted(grid.k_values), sorted(grid.alpha_values))
+    return [row for pair in pairs for row in _pair_task(grid, pair)]
 
 
 def fit_rate(pairs: list[tuple[float, float]]) -> RateFit:

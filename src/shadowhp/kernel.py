@@ -22,19 +22,19 @@ evaluates w (`shadowhp region`, `--help`, a command that exits 2 on a bad
 option) loads no scipy at all. Reading KERNEL_BACKEND loads nothing.
 
 An array of at least 2 * _MIN_POINTS_PER_THREAD points is evaluated in
-contiguous chunks, one per usable core (_usable_cores, the rule run_grid
-also sizes its process pool by) and never fewer than
-_MIN_POINTS_PER_THREAD points each. The finiteness and overflow checks run
-on the whole array first. The calling thread evaluates the first chunk and a
-thread pool, started at the first split, the others, each writing into its
-slice of one output array. wofz releases the GIL and works point by point,
-so every value is the bits of one serial call. Each chunk runs under a copy
-of the caller's context, which carries numpy's error state. The chunks call
-the ufunc itself, never a module attribute, so a tracer that wraps
-faddeeva_w sees one call. Before a fork the pool is shut down and dropped,
-so a forked child never inherits an executor without threads; the next
-split starts a new one. Scalars, smaller arrays and one-core processes make
-one ufunc call, and concurrent.futures is imported only at the first split.
+contiguous chunks, one per usable core (_usable_cores) and never fewer
+than _MIN_POINTS_PER_THREAD points each. The finiteness and overflow
+checks run on the whole array first. The calling thread evaluates the
+first chunk and a thread pool, started at the first split, the others,
+each writing into its slice of one output array. wofz releases the GIL and
+works point by point, so every value is the bits of one serial call. Each
+chunk runs under a copy of the caller's context, which carries numpy's
+error state. The chunks call the ufunc itself, never a module attribute,
+so a tracer that wraps faddeeva_w sees one call. Before a fork the pool is
+shut down and dropped, so a forked child never inherits an executor
+without threads; the next split starts a new one. Scalars, smaller arrays
+and one-core processes make one ufunc call, and concurrent.futures is
+imported only at the first split.
 """
 
 from __future__ import annotations

@@ -171,9 +171,10 @@ class SectorBoundCert:
 
         w(zeta) = pi^(-1/2) int_0^inf exp(-t^2/4 + i zeta t) dt,
 
-    whose integrand is at most exp(-t^2/4) in modulus, so |w(zeta)| <= 1.
-    Hence |F(z)| = |w(e^{i pi/4} z)| / 2 <= 1/2 where Im(e^{i pi/4} z) >= 0,
-    that is on arg z in [-pi/4, 3 pi/4]. On the rest of the sector, arg z
+    an integral representation in DLMF section 7.7, whose integrand is at
+    most exp(-t^2/4) in modulus, so |w(zeta)| <= 1. Hence |F(z)| =
+    |w(e^{i pi/4} z)| / 2 <= 1/2 where Im(e^{i pi/4} z) >= 0, that is on
+    arg z in [-pi/4, 3 pi/4]. On the rest of the sector, arg z
     in [-pi/2, -pi/4) or (3 pi/4, pi], -z lies in that half-plane and
     sin(2 arg z) <= 0, so F(z) = e^{-i z^2} - F(-z) gives
     |F(z)| <= exp(|z|^2 sin(2 arg z)) + 1/2 <= 3/2.

@@ -1078,8 +1078,8 @@ def test_commands_load_the_wofz_module_and_never_scipy_special(startup_report):
 
 
 def test_cli_commands_do_not_load_the_process_pool(startup_report):
-    # the probe's sweep is too small to repay a pool, and only a pool needs
-    # concurrent.futures.process and the multiprocessing it pulls in
+    # a sweep runs in one process, so no command needs
+    # concurrent.futures.process or the multiprocessing it pulls in
     assert "concurrent.futures.process" not in startup_report["after_commands"]
 
 
@@ -1141,49 +1141,6 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
         "cert_layers": [],
     }
     assert len(out.read_text().splitlines()) == 1 + 4 * 3
-
-
-_POOL_PROBE = """
-import concurrent.futures, json, sys
-from shadowhp import experiments, kernel
-
-KERNEL = ("scipy.special._special_ufuncs", "scipy.special")
-
-
-def loaded():
-    return [m in sys.modules for m in KERNEL]
-
-
-at_pool = []
-
-
-class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-    def __init__(self, *args, **kwargs):
-        at_pool.append(loaded())
-        super().__init__(*args, **kwargs)
-
-
-concurrent.futures.ProcessPoolExecutor = RecordingPool
-kernel._usable_cores = lambda: 2
-experiments._MIN_ROWS_PER_WORKER = 1
-before = loaded()
-grid = experiments.ExperimentGrid(k_values=(4.0, 16.0), alpha_values=(2.4,), p_values=(2,))
-rows = experiments.run_grid(grid, parallelism=2)
-print(json.dumps([before, at_pool, [r.status for r in rows]]))
-"""
-
-
-def test_pooled_grid_loads_the_kernel_before_forking():
-    # forked workers inherit the parent's modules; without the preload each
-    # worker would load the kernel module on its first row
-    proc = subprocess.run(
-        [sys.executable, "-c", _POOL_PROBE], capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    before, at_pool, statuses = json.loads(proc.stdout)
-    assert before == [False, False]
-    assert at_pool == [[True, False]]
-    assert statuses == ["ok", "ok"]
 
 
 def test_module_entry_point():

@@ -1,8 +1,8 @@
 """Convergence-sweep harness: grids, rate fits, dip location, CSV."""
 
-import concurrent.futures
 import hashlib
 import itertools
+import json
 import math
 import os
 import re
@@ -16,7 +16,6 @@ import pytest
 
 import shadowhp.experiments as experiments
 import shadowhp.hpspace as hpspace
-import shadowhp.kernel as kernel
 from shadowhp.errors import ConfigError, DomainError, OracleError
 from shadowhp.experiments import (
     CSV_HEADER,
@@ -32,12 +31,6 @@ from shadowhp.hpspace import MAX_LAYERS
 from shadowhp.runio import WriteError, open_output
 
 SMALL = ExperimentGrid(k_values=(16.0,), alpha_values=(0.75 * math.pi,), p_values=(2, 3, 4))
-# 2 k x 16 alpha x 9 p = 288 rows: enough rows for a 2-worker pool, not for 3
-POOLED = ExperimentGrid(
-    k_values=(4.0, 64.0),
-    alpha_values=tuple(float(a) for a in np.linspace(0.5 * math.pi, math.pi, 17)[1:]),
-    p_values=tuple(range(2, 11)),
-)
 
 
 def test_layers_for_degree():
@@ -281,60 +274,22 @@ def test_run_grid_propagates_bugs(monkeypatch, error):
         run_grid(SMALL)
 
 
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Worker count of every pool run_grid builds."""
-    sizes = []
-
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers, **kwargs)
-
-    # run_grid imports the pool class from concurrent.futures when it starts one
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return sizes
-
-
-def test_run_grid_pool_output_identical_across_parallelism(monkeypatch, pool_sizes):
-    assert 2 * experiments._MIN_ROWS_PER_WORKER <= 288 < 3 * experiments._MIN_ROWS_PER_WORKER
-    monkeypatch.setattr(kernel, "_usable_cores", lambda: 8)
-    csv = {par: format_csv(run_grid(POOLED, parallelism=par)) for par in (1, 2, 4)}
-    assert csv[1] == csv[2] == csv[4]
-    assert csv[1].count("\n") == 289
-    assert pool_sizes == [2, 2]
-
-
-def test_run_grid_runs_in_process_when_a_pool_cannot_pay(monkeypatch, pool_sizes):
-    # a small grid, however many cores and workers are allowed
-    monkeypatch.setattr(kernel, "_usable_cores", lambda: 8)
-    assert run_grid(SMALL, parallelism=4) == run_grid(SMALL)
-    # a grid large enough for a pool, on one usable core
-    monkeypatch.setattr(kernel, "_usable_cores", lambda: 1)
-    assert len(run_grid(POOLED, parallelism=4)) == 288
-    assert pool_sizes == []
-
-
-def test_run_grid_never_starts_more_workers_than_pairs(monkeypatch, pool_sizes):
-    monkeypatch.setattr(kernel, "_usable_cores", lambda: 8)
-    monkeypatch.setattr(experiments, "_MIN_ROWS_PER_WORKER", 1)
-    one_pair = ExperimentGrid(k_values=(16.0,), alpha_values=(2.5,), p_values=(2, 3, 4, 5))
-    assert run_grid(one_pair, parallelism=4) == run_grid(one_pair)
-    assert pool_sizes == []
-    two_pairs = replace(one_pair, alpha_values=(2.5, 3.0))
-    assert run_grid(two_pairs, parallelism=4) == run_grid(two_pairs)
-    assert pool_sizes == [2]
-
-
-def test_run_grid_rejects_bad_parallelism(monkeypatch):
-    # enough cores and rows for a pool, which a non-integer count would reach
-    monkeypatch.setattr(kernel, "_usable_cores", lambda: 4)
-    monkeypatch.setattr(experiments, "_MIN_ROWS_PER_WORKER", 1)
+def test_run_grid_rejects_bad_parallelism():
     for parallelism in (0, 2.5, True):
         with pytest.raises(
             ConfigError, match=f"parallelism must be an integer >= 1, got {parallelism}$"
         ):
-            run_grid(replace(SMALL, alpha_values=(2.0, 2.4, 3.0)), parallelism=parallelism)
+            run_grid(SMALL, parallelism=parallelism)
+
+
+def test_n_layers_is_the_requested_depth_and_dof_the_mesh_built():
+    # the README's caveat: from n = 15 on, a shadow mesh at sigma = 0.15 and
+    # l_nc = 1.5 keeps 15 layers a side, so these rows record depths 16, 20
+    # and 40 for one 30-element mesh
+    grid = ExperimentGrid(k_values=(16.0,), alpha_values=(0.75 * math.pi,), p_values=(8,))
+    rows = [run_grid(replace(grid, c=c))[0] for c in (2.0, 2.5, 5.0)]
+    assert [row.n_layers for row in rows] == [16, 20, 40]
+    assert {(row.dof, row.error_l2) for row in rows} == {(9 * 30, rows[0].error_l2)}
 
 
 @pytest.mark.parametrize(
@@ -459,7 +414,7 @@ README_GRID = ExperimentGrid(
 README_GRID_SHA256 = "873c1e369159a6d4604f9b4598b53698baf15b02f13a26dfb9fc4fa911fba9a9"
 
 
-@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize("parallelism", [1, 2, 64])
 def test_sweep_csv_bytes_are_pinned(parallelism):
     rows = run_grid(README_GRID, parallelism=parallelism)
     assert len(rows) == 84
@@ -467,8 +422,7 @@ def test_sweep_csv_bytes_are_pinned(parallelism):
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == README_GRID_SHA256
 
 
-#: the 1152-row reference grid of the determinism contract; 1152 rows are
-#: enough for a 2-worker pool wherever 2 cores are usable
+#: the 1152-row reference grid of the determinism contract
 REFERENCE_GRID = ExperimentGrid(
     k_values=(4.0, 16.0, 64.0, 256.0),
     alpha_values=tuple(float(a) for a in np.linspace(0.5 * math.pi, math.pi, 33)[1:]),
@@ -483,6 +437,39 @@ def test_reference_grid_csv_bytes_are_pinned(parallelism):
     assert len(rows) == 1152
     text = format_csv(rows)
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == REFERENCE_GRID_SHA256
+
+
+_SWEEP_PROBE = """
+import json, sys
+from shadowhp.cli import main
+
+code = main(["experiment", *sys.argv[1:]])
+pool = ("concurrent.futures.process", "multiprocessing")
+print(json.dumps([code, [m for m in pool if m in sys.modules]]))
+"""
+
+
+def test_experiment_runs_a_large_grid_in_one_process(tmp_path):
+    # the largest grid at parallelism 2 runs in one process: it writes the
+    # pinned bytes and loads no process-pool module
+    conf = tmp_path / "grid.conf"
+    conf.write_text(
+        "".join(
+            f"{key} = {', '.join(map(repr, getattr(REFERENCE_GRID, key)))}\n"
+            for key in ("k_values", "alpha_values", "p_values")
+        )
+        + "parallelism = 2\n"
+    )
+    out = tmp_path / "grid.csv"
+    proc = subprocess.run(
+        [sys.executable, "-c", _SWEEP_PROBE, str(conf), "--output", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, []]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REFERENCE_GRID_SHA256
 
 
 def _fresh_bytes(tmp_path, text):

@@ -137,6 +137,16 @@ def test_shadow_mesh_merges_near_endpoint():
     assert np.all(gaps > MERGE_RTOL * cfg.l_nc)
 
 
+@pytest.mark.parametrize("alpha, n_elements", [(0.75 * math.pi, 30), (math.pi, 15)])
+def test_shadow_mesh_keeps_at_most_15_layers_a_side(alpha, n_elements):
+    # the README's n_layers caveat: at sigma = 0.15 and l_nc = 1.5 the merge
+    # drops every layer finer than MERGE_RTOL * l_nc = 1.5e-12, so each depth
+    # from 15 on builds the same mesh
+    cfg = ShadowConfig(k=16.0, alpha=alpha, l_nc=1.5, l_nc_prime=1.0)
+    meshes = {shadow_mesh(cfg, n, 0.15) for n in (15, 16, 17, 20, 40)}
+    assert [mesh.n_elements for mesh in meshes] == [n_elements]
+
+
 @pytest.mark.parametrize("alpha", [2.2, 0.75 * math.pi, 2.6, 2.9, 3.1])
 def test_shadow_mesh_keeps_the_shadow_point(alpha):
     # V jumps at s_sb, so no element may straddle it however fine the layers
