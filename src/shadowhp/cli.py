@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end: the dispatcher, the exit codes and the region
+command.
 
 Subcommands: eval (point values), region (membership point cloud), project
 (one best-approximation run), experiment (full sweep from a config file),
@@ -13,11 +14,14 @@ and error text included, so a failed one raises WriteError naming it:
 exit 141 where its reader closed early, else 2, or the code of the error
 whose report failed. Any other OSError is a bug and propagates.
 
-Loading this module imports neither numpy nor dataclasses: region, --help
-and a usage error run on the standard library and the numpy-free modules
-regions and runio.
-The other commands import their layers when they run, and run_grid,
-write_csv and sector_bound_cert here load theirs at their first call.
+The parser names every subcommand; a subcommand's parser is made, with its
+arguments, the first time argparse selects it. region's arguments are
+defined here; eval, project, experiment and cert live in shadowhp.commands,
+imported when one of them is first selected. So region, --help and a usage
+error compile and build only what they run, on the standard library and
+the numpy-free modules regions and runio. The other commands import their
+layers when they run, and run_grid, write_csv and sector_bound_cert here
+load theirs at their first call.
 """
 
 from __future__ import annotations
@@ -28,15 +32,15 @@ import math
 import os
 import re
 import sys
-from collections.abc import Sequence
+import threading
+from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING, TextIO
 
 from shadowhp.errors import CertificationError, ConfigError, DomainError
 from shadowhp.regions import _LABELS, KnifeGeometry, region_label
-from shadowhp.runio import MAX_SAMPLES, STDERR, STDOUT, WriteError, _fmt, _StdText, open_output
+from shadowhp.runio import STDERR, STDOUT, WriteError, _fmt, _StdText, open_output
 
 if TYPE_CHECKING:
-    from shadowhp.amplitudes import ShadowConfig
     from shadowhp.experiments import ExperimentGrid, GridRow
     from shadowhp.specfun import SectorBoundCert
 
@@ -72,46 +76,8 @@ def _print(*lines: str, stream: str = "stdout") -> None:
         out.write("".join(f"{line}\n" for line in lines))
 
 
-def _print_complex(v: complex) -> None:
-    _print(f"{_fmt(v.real)},{_fmt(v.imag)}")
-
-
 def _rad(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
-
-
-def _shadow_config(args: argparse.Namespace) -> ShadowConfig:
-    from shadowhp.amplitudes import ShadowConfig
-
-    return ShadowConfig(
-        k=args.k, alpha=_rad(args.alpha, args.degrees), l_nc=args.lnc, l_nc_prime=args.lncp
-    )
-
-
-def _cmd_eval(args: argparse.Namespace) -> int:
-    from shadowhp.amplitudes import FieldPoint, amplitude_v, e_field, g_of_s, h_of_s, psi_go
-    from shadowhp.specfun import big_f, fresnel_fr
-
-    fn = args.function
-    if fn in ("fr", "F"):
-        z = complex(args.re, args.im)
-        _print_complex(fresnel_fr(z) if fn == "fr" else big_f(z))
-        return 0
-    deg = args.degrees
-    if fn == "E":
-        p = FieldPoint(r=args.r, psi=_rad(args.psi, deg))
-        _print_complex(e_field(p, args.k))
-    elif fn in ("g", "h"):
-        if len(args.s) > 2:
-            raise ConfigError(f"--s takes RE [IM], got {len(args.s)} values")
-        geo = KnifeGeometry(R=args.R, beta=_rad(args.beta, deg))
-        s = complex(*args.s)
-        f = g_of_s if fn == "g" else h_of_s
-        _print_complex(f(s, geo, args.k))
-    else:
-        f = amplitude_v if fn == "V" else psi_go
-        _print_complex(f(args.s, _shadow_config(args)))
-    return 0
 
 
 #: each region label's four flags as the end of a CSV line, in the
@@ -152,120 +118,22 @@ def _cmd_region(args: argparse.Namespace) -> int:
     return 0
 
 
-#: project's options whose defaults are the sweep's, and their ExperimentGrid fields
-_GRID_DEFAULTS = {"lnc": "l_nc", "lncp": "l_nc_prime", "sigma": "sigma", "c": "c"}
-
-
-def _cmd_project(args: argparse.Namespace) -> int:
-    from shadowhp.experiments import ExperimentGrid, layers_for_degree
-    from shadowhp.hpspace import best_approx_error
-
-    for option, field in _GRID_DEFAULTS.items():
-        if getattr(args, option) is None:
-            setattr(args, option, getattr(ExperimentGrid, field))
-    cfg = _shadow_config(args)
-    n = args.n if args.n is not None else layers_for_degree(args.p, args.c)
-    res = best_approx_error(cfg, n, args.sigma, args.p, args.quad_order)
-    lines = [f"{_fmt(res.error_l2)},{_fmt(res.relative_error)},{res.dof}"]
-    if args.elements:
-        for i, ((a, b), err2, share) in enumerate(
-            zip(res.space.mesh.elements(), res.element_err2, res.element_shares)
-        ):
-            lines.append(f"{i},{_fmt(a)},{_fmt(b)},{_fmt(err2)},{_fmt(share)}")
-    _print(*lines)
-    return 0
-
-
-_CONFIG_SCHEMA = {
-    "k_values": lambda v: tuple(float(x) for x in v.split(",")),
-    "alpha_values": lambda v: tuple(float(x) for x in v.split(",")),
-    "p_values": lambda v: tuple(int(x) for x in v.split(",")),
-    "l_nc": float,
-    "l_nc_prime": float,
-    "sigma": float,
-    "c": float,
-    "quad_order": int,
-    "parallelism": int,
-    "output": str,
-}
-
-_CONFIG_REQUIRED = ("k_values", "alpha_values", "p_values", "output")
-
-
-def parse_config(text: str, output: str | None = None) -> dict:
-    """Parse the flat key=value experiment config; `#` starts a comment.
-    Unknown keys, duplicate keys, unparsable values and missing required
-    keys all raise ConfigError before any computation starts. An output
-    given here (`experiment --output`) replaces the config's, which is then
-    not required.
-    """
-    values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if key not in _CONFIG_SCHEMA:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in values:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        try:
-            values[key] = _CONFIG_SCHEMA[key](val)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    if output is not None:
-        values["output"] = output
-    missing = [k for k in _CONFIG_REQUIRED if k not in values]
-    if missing:
-        raise ConfigError(f"missing required keys: {', '.join(missing)}")
-    return values
-
-
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    from shadowhp.experiments import ExperimentGrid, check_parallelism
-
-    try:
-        # utf-8-sig: a byte order mark some editors write is not part of a key
-        with open(args.config, "r", encoding="utf-8-sig") as fh:
-            text = fh.read()
-    # ValueError: a NUL byte in the path or (UnicodeDecodeError) a non-UTF-8 file
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
-    values = parse_config(text, args.output)
-    out = values.pop("output")
-    parallelism = values.pop("parallelism", 1)
-    grid = ExperimentGrid(**values)
-    check_parallelism(parallelism)
-    # every option is checked: opening the output checks its path before any row
-    with open_output(out) as fh:
-        rows = run_grid(grid, parallelism=parallelism)
-        write_csv(rows, fh)
-    n_failed = sum(1 for r in rows if r.status != "ok")
-    # on stderr, so that an output of /dev/stdout carries the CSV alone
-    summary = f"wrote {len(rows)} rows to {out}" + (f" ({n_failed} failed)" if n_failed else "")
-    _print(summary, stream="stderr")
-    return 0
-
-
-def _cmd_cert(args: argparse.Namespace) -> int:
-    cert = sector_bound_cert(args.n_samples)
-    _print(
-        f"max_observed={_fmt(cert.max_observed)},c_upper={_fmt(cert.c_upper)},"
-        f"n_samples={cert.n_samples}"
-    )
-    return 0
+#: argparse (before Python 3.13) reads -1 and -1.5 as values but -1e-3 as
+#: an option; every parser here reads any negative float literal as a value
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser (and, as their class, its subparsers) that writes
-    its help, usage and error text for the standard streams through runio:
-    a failed write raises WriteError, where argparse's own _print_message
-    drops it. argparse passes sys.stdout for the help and sys.stderr (or
-    None) for the rest; any other file is written as argparse writes it."""
+    """An ArgumentParser (and, as their class, its subparsers) that reads a
+    negative number with an exponent as a value and writes its help, usage
+    and error text for the standard streams through runio: a failed write
+    raises WriteError, where argparse's own _print_message drops it.
+    argparse passes sys.stdout for the help and sys.stderr (or None) for
+    the rest; any other file is written as argparse writes it."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def _print_message(self, message: str, file: TextIO | None = None) -> None:
         if file is not None and file is not sys.stdout and file is not sys.stderr:
@@ -275,52 +143,37 @@ class _Parser(argparse.ArgumentParser):
                 out.write(message)
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process: `parse_args` returns
-    a fresh Namespace and leaves the parser as it was.
-    """
-    parser = _Parser(
-        prog="shadowhp",
-        description="Shadow-boundary amplitudes, analyticity regions and hp best approximation.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Subcommands(argparse._SubParsersAction):
+    """argparse's subparsers action, except that each subparser is made,
+    and given its arguments, when argparse first selects it: add_parser
+    takes the function that adds them."""
 
-    ev = sub.add_parser("eval", help="evaluate a single function at a point")
-    ev_sub = ev.add_subparsers(dest="function", required=True)
-    for name, doc in (("fr", "Fresnel integral Fr(z)"), ("F", "bounded companion F(z)")):
-        q = ev_sub.add_parser(name, help=doc)
-        q.add_argument("re", type=float)
-        q.add_argument("im", type=float, nargs="?", default=0.0)
-        q.set_defaults(func=_cmd_eval)
-    q = ev_sub.add_parser("E", help="knife-edge field E(r, psi)")
-    q.add_argument("--r", type=float, required=True)
-    q.add_argument("--psi", type=float, required=True)
-    q.add_argument("--k", type=float, required=True)
-    q.add_argument("--degrees", action="store_true", help="psi is given in degrees")
-    q.set_defaults(func=_cmd_eval)
-    for name, doc in (("g", "amplitude g(s; R, beta)"), ("h", "amplitude h(s; R, beta)")):
-        q = ev_sub.add_parser(name, help=doc)
-        q.add_argument("--s", type=float, nargs="+", required=True, metavar="RE [IM]")
-        q.add_argument("--R", type=float, required=True)
-        q.add_argument("--beta", type=float, required=True)
-        q.add_argument("--k", type=float, required=True)
-        q.add_argument("--degrees", action="store_true", help="beta is given in degrees")
-        q.set_defaults(func=_cmd_eval)
-    for name, doc in (
-        ("V", "shadow-boundary amplitude V(s)"),
-        ("psi_go", "geometrical-optics trace Psi_GO(s)"),
-    ):
-        q = ev_sub.add_parser(name, help=doc)
-        q.add_argument("--s", type=float, required=True)
-        q.add_argument("--k", type=float, required=True)
-        q.add_argument("--alpha", type=float, required=True)
-        q.add_argument("--lnc", type=float, required=True)
-        q.add_argument("--lncp", type=float, required=True)
-        q.add_argument("--degrees", action="store_true", help="alpha is given in degrees")
-        q.set_defaults(func=_cmd_eval)
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._lock = threading.Lock()
 
-    rg = sub.add_parser("region", help="emit a CSV point cloud of region labels")
+    def add_parser(
+        self, name: str, *, fill: Callable[[argparse.ArgumentParser], None], help: str
+    ) -> None:
+        # the name and help line that the usage and --help show; choices
+        # maps the name to its fill until the subparser is made
+        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
+        self.choices[name] = fill
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        # argparse has checked the name; a parse in another thread waits
+        # here until the subparser is made
+        name = values[0]
+        with self._lock:
+            fill = self.choices[name]
+            if not isinstance(fill, argparse.ArgumentParser):
+                subparser = self._parser_class(prog=f"{self._prog_prefix} {name}")
+                fill(subparser)
+                self.choices[name] = subparser
+        super().__call__(parser, namespace, values, option_string)
+
+
+def _region_arguments(rg: argparse.ArgumentParser) -> None:
     rg.add_argument("--R", type=float, required=True)
     rg.add_argument("--beta", type=float, required=True)
     rg.add_argument("--re-min", type=float, default=-2.0)
@@ -333,42 +186,39 @@ def build_parser() -> argparse.ArgumentParser:
     rg.add_argument("--degrees", action="store_true", help="beta is given in degrees")
     rg.set_defaults(func=_cmd_region)
 
-    pj = sub.add_parser("project", help="one best-approximation run")
-    pj.add_argument("--k", type=float, required=True)
-    pj.add_argument("--alpha", type=float, required=True)
-    pj.add_argument("--p", type=int, required=True)
-    # None: the ExperimentGrid default (_GRID_DEFAULTS), filled in when the command runs
-    pj.add_argument("--lnc", type=float, default=None)
-    pj.add_argument("--lncp", type=float, default=None)
-    pj.add_argument("--sigma", type=float, default=None)
-    depth = pj.add_mutually_exclusive_group()
-    depth.add_argument("--c", type=float, default=None)
-    depth.add_argument("--n", type=int, default=None, help="override n = max(1, ceil(c p))")
-    pj.add_argument("--quad-order", type=int, default=None)
-    pj.add_argument("--degrees", action="store_true", help="alpha is given in degrees")
-    pj.add_argument(
-        "--elements",
-        action="store_true",
-        help="then print index,a,b,err2,share for each element, in mesh order",
+
+def _commands_arguments(name: str, parser: argparse.ArgumentParser) -> None:
+    """Add the arguments of a command that shadowhp.commands defines."""
+    from shadowhp import commands
+
+    commands._ARGUMENTS[name](parser)
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process. It names every
+    subcommand with its help line; each subcommand's parser is made, with
+    its arguments, the first time a parse selects it. So a parse may add to
+    the parser, but `parse_args` returns a fresh Namespace and leaves no
+    value behind.
+    """
+    parser = _Parser(
+        prog="shadowhp",
+        description="Shadow-boundary amplitudes, analyticity regions and hp best approximation.",
     )
-    pj.set_defaults(func=_cmd_project)
-
-    ex = sub.add_parser("experiment", help="run a sweep from a key=value config file")
-    ex.add_argument("config", type=str)
-    ex.add_argument("--output", type=str, default=None, help="override the config's output path")
-    ex.set_defaults(func=_cmd_experiment)
-
-    ct = sub.add_parser("cert", help="certify the sector bound of F by sampling")
-    ct.add_argument(
-        "--n-samples", type=int, default=10000, help=f"sample size in [1000, {MAX_SAMPLES}]"
-    )
-    ct.set_defaults(func=_cmd_cert)
-
-    # argparse (before Python 3.13) reads -1 and -1.5 as values but -1e-3 as
-    # an option; every parser here reads any negative float literal as a value
-    negative_number = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
-    for p in (parser, *sub.choices.values(), *ev_sub.choices.values()):
-        p._negative_number_matcher = negative_number
+    sub = parser.add_subparsers(dest="command", required=True, action=_Subcommands)
+    for name, help_line in (
+        ("eval", "evaluate a single function at a point"),
+        ("region", "emit a CSV point cloud of region labels"),
+        ("project", "one best-approximation run"),
+        ("experiment", "run a sweep from a key=value config file"),
+        ("cert", "certify the sector bound of F by sampling"),
+    ):
+        if name == "region":
+            fill = _region_arguments
+        else:
+            fill = functools.partial(_commands_arguments, name)
+        sub.add_parser(name, fill=fill, help=help_line)
     return parser
 
 

@@ -11,13 +11,16 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
+import types
 
 import pytest
 from hypothesis import configuration, example, given, settings
 from hypothesis import strategies as st
 
 from shadowhp.amplitudes import ShadowConfig, amplitude_v
-from shadowhp.cli import _CONFIG_SCHEMA, build_parser, main, parse_config
+from shadowhp.cli import build_parser, main
+from shadowhp.commands import _CONFIG_SCHEMA, parse_config
 from shadowhp.errors import ConfigError, DomainError
 from shadowhp.experiments import ExperimentGrid
 from shadowhp.hpspace import MAX_LAYERS, best_approx_error
@@ -35,6 +38,164 @@ def run_cli(argv, capsys):
 
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
+
+
+#: each parser's argument table, --help text and one usage error (a
+#: missing required argument; cert has none, so a missing value), captured
+#: from the parser as it was before each subcommand got its arguments on
+#: first use: a difference here is a change to the command line
+with open(os.path.join(os.path.dirname(__file__), "cli_contract.json"), encoding="utf-8") as _fh:
+    _CONTRACT = json.load(_fh)
+
+#: runs [kind, path, argv] steps in one interpreter: "table" reads the
+#: argument table of the parser at path, any other kind runs main(argv)
+_CONTRACT_PROBE = """
+import argparse, contextlib, io, json, sys
+from shadowhp.cli import build_parser, main
+
+
+def parser_at(path):
+    parser = build_parser()
+    for name in path:
+        sub = next(a for a in parser._actions if a.nargs == argparse.PARSER)
+        parser = sub.choices[name]
+    return parser
+
+
+def table(path):
+    parser = parser_at(path)
+    return {
+        "arguments": [
+            {
+                "option_strings": a.option_strings,
+                "dest": a.dest,
+                "type": getattr(a.type, "__name__", a.type),
+                "default": a.default,
+                "required": a.required,
+                "nargs": a.nargs,
+                "choices": None if a.choices is None else list(a.choices),
+                "help": a.help,
+                "metavar": a.metavar,
+            }
+            for a in parser._actions
+        ],
+        "exclusive": [
+            [a.dest for a in group._group_actions] for group in parser._mutually_exclusive_groups
+        ],
+        "negative_number_is_a_value": bool(parser._negative_number_matcher.match("-1e-3")),
+    }
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return [code, out.getvalue(), err.getvalue()]
+
+
+print(json.dumps([table(path) if kind == "table" else run(argv)
+                  for kind, path, argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_every_parser_keeps_its_arguments_help_and_usage_errors():
+    # one interpreter, interleaved: each parser is first filled by its usage
+    # error, and later steps reuse it filled
+    parsers = _CONTRACT["parsers"]
+    assert all(p["usage_error"][0] == 2 and p["usage_error"][1] == "" for p in parsers)
+    steps, want = [], []
+
+    def step(kind, parser):
+        argv = [*parser["path"], "--help"] if kind == "help" else parser["usage"]
+        steps.append([kind, parser["path"], argv])
+        want.append(parser[kind])
+
+    for parser in parsers:
+        step("usage_error", parser)
+    for parser in reversed(parsers):
+        step("help", parser)
+        step("table", parser)
+    for parser in parsers:
+        step("table", parser)
+        step("usage_error", parser)
+        step("help", parser)
+    proc = subprocess.run(
+        [sys.executable, "-c", _CONTRACT_PROBE, json.dumps(steps)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        # a fixed width: argparse wraps its help to the terminal's
+        env={**os.environ, "COLUMNS": "80"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    if list(sys.version_info[:2]) != _CONTRACT["python"]:
+        # argparse's help and error layout differs between Python versions
+        tables = [i for i, (kind, _, _) in enumerate(steps) if kind == "table"]
+        got, want = [got[i] for i in tables], [want[i] for i in tables]
+    assert got == want
+
+
+def test_each_subparser_is_filled_once_under_concurrent_parses(monkeypatch):
+    import shadowhp.cli
+    import shadowhp.commands
+
+    commands = [
+        ["project", "--k", "16", "--alpha", "2.4", "--p", "4"],
+        ["eval", "V", "--s", "0.5", "--k", "16", "--alpha", "2.4", "--lnc", "1.5", "--lncp", "1"],
+        ["region", "--R", "1", "--beta", "2"],
+        ["cert"],
+        ["experiment", "sweep.conf"],
+        ["eval", "fr", "-1e-3"],
+    ]
+    want = [vars(build_parser().parse_args(argv)) for argv in commands]
+    fills = []
+
+    def counted(name, fill):
+        def add_arguments(parser):
+            fills.append(name)
+            fill(parser)
+
+        return add_arguments
+
+    monkeypatch.setattr(
+        shadowhp.cli, "_region_arguments", counted("region", shadowhp.cli._region_arguments)
+    )
+    for name, fill in list(shadowhp.commands._ARGUMENTS.items()):
+        monkeypatch.setitem(shadowhp.commands._ARGUMENTS, name, counted(name, fill))
+    n_threads, rounds = 8, 20
+    got, errors = [], []
+
+    def parse(parser, barrier):
+        try:
+            barrier.wait(timeout=60)
+            got.extend((i, vars(parser.parse_args(argv))) for i, argv in enumerate(commands))
+        except (Exception, SystemExit) as exc:  # argparse exits on a usage error
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(rounds):
+            # a parser of its own, with no subparser made yet
+            parser, barrier = build_parser.__wrapped__(), threading.Barrier(n_threads)
+            threads = [
+                threading.Thread(target=parse, args=(parser, barrier)) for _ in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert sorted(fills) == sorted(["eval", "region", "project", "experiment", "cert"] * rounds)
+    assert len(got) == rounds * n_threads * len(commands)
+    assert all(ns == want[i] for i, ns in got)
 
 
 def test_commands_repeat_identically_in_one_process(tmp_path, capsys):
@@ -208,6 +369,22 @@ def test_negative_numbers_with_an_exponent_are_values(capsys, command, tail, num
         complex_s = run_cli([*command, "--s", number, "-2e-1", *tail], capsys)
         assert complex_s == run_cli([*command, "--s", decimal, "-0.2", *tail], capsys)
         assert complex_s[0] == 0
+
+
+@pytest.mark.parametrize("number", ["-1e-3", "-1E+2"])
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--alpha", "alpha must lie strictly inside (pi/2, 3pi/2), got "),
+        ("--lnc", "side length l_nc must be finite and positive, got "),
+    ],
+)
+def test_project_takes_a_negative_number_with_an_exponent(capsys, flag, message, number):
+    # read as a value, the number is out of range: a domain error, not usage
+    argv = ["project", "--k", "16", "--alpha", "2.4", "--p", "4", flag, number]
+    want = (1, "", f"domain error: {message}{float(number)!r}\n")
+    assert run_cli(argv, capsys) == want
+    assert run_cli([*argv[:-2], f"{flag}={number}"], capsys) == want
 
 
 def test_eval_fr_and_region_take_a_negative_number_with_an_exponent(capsys):
@@ -1095,6 +1272,10 @@ def loaded(modules):
     return [m for m in modules if m in sys.modules]
 
 
+def package():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "shadowhp")
+
+
 region, usage_error = json.loads(sys.argv[1])
 report = {"on_import": loaded(HEAVY)}
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -1106,9 +1287,11 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         except SystemExit as exc:
             report[step] = exc.code
         report["after_" + step] = loaded(HEAVY)
+    report["package"] = package()
     report["cert"] = shadowhp.cli.main(["cert", "--n-samples", "1000"])
 report["after_cert"] = loaded(HEAVY)
 report["cert_layers"] = loaded(LAYERS)
+report["package_after_cert"] = package()
 print(json.dumps(report))
 """
 
@@ -1116,9 +1299,10 @@ print(json.dumps(report))
 def test_each_command_loads_only_the_layers_it_runs(tmp_path):
     # region, --help and a usage error never build an array, and numpy's
     # import alone is most of their start-up; dataclasses (with the inspect,
-    # ast and dis it loads) was a third of what is left. cert runs specfun
-    # and the kernel, not the sweep's layers, and loads w's compiled module
-    # without running scipy's package __init__
+    # ast and dis it loads) was a third of what is left; nor do they load
+    # the other commands' module. cert runs specfun and the kernel, not the
+    # sweep's layers, and loads w's compiled module without running scipy's
+    # package __init__
     out = tmp_path / "region.csv"
     region = ["region", "--R", "1", "--beta", "2", "--nx", "4", "--ny", "3", "--output", str(out)]
     proc = subprocess.run(
@@ -1136,9 +1320,17 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
         "after_help": [],
         "usage": 2,
         "after_usage": [],
+        "package": [
+            "shadowhp", "shadowhp.cli", "shadowhp.errors", "shadowhp.regions", "shadowhp.runio"
+        ],
         "cert": 0,
         "after_cert": ["numpy", "dataclasses"],
         "cert_layers": [],
+        "package_after_cert": [
+            "shadowhp", "shadowhp._arrays", "shadowhp.cli", "shadowhp.commands",
+            "shadowhp.errors", "shadowhp.kernel", "shadowhp.regions", "shadowhp.runio",
+            "shadowhp.specfun",
+        ],
     }
     assert len(out.read_text().splitlines()) == 1 + 4 * 3
 
@@ -1401,6 +1593,25 @@ def test_failed_writes_to_both_standard_streams_exit_2():
             "project", "--k", "16", "--alpha", "2.4", "--p", "2", stdout=full, stderr=full
         )
     assert proc.returncode == 2
+
+
+def test_cert_and_experiment_call_the_functions_on_the_cli_module(tmp_path, monkeypatch, capsys):
+    # the benchmark's tracer wraps these attributes of shadowhp.cli, so a
+    # command that bound them at its module's import would run past it
+    import shadowhp.cli
+
+    assert run_cli(["eval", "fr", "0"], capsys)[0] == 0  # loads every command
+    cert = types.SimpleNamespace(max_observed=1.25, c_upper=1.5, n_samples=1234)
+    monkeypatch.setattr(shadowhp.cli, "sector_bound_cert", lambda n_samples: cert)
+    assert run_cli(["cert"], capsys) == (0, "max_observed=1.25,c_upper=1.5,n_samples=1234\n", "")
+    rows = [types.SimpleNamespace(status="ok")] * 3
+    monkeypatch.setattr(shadowhp.cli, "run_grid", lambda grid, parallelism=1: rows)
+    monkeypatch.setattr(shadowhp.cli, "write_csv", lambda rows, out: out.write(f"{len(rows)}\n"))
+    cfg = tmp_path / "a.conf"
+    csv = tmp_path / "a.csv"
+    cfg.write_text(f"k_values = 16\nalpha_values = 2.4\np_values = 2\noutput = {csv}\n")
+    assert run_cli(["experiment", str(cfg)], capsys) == (0, "", f"wrote 3 rows to {csv}\n")
+    assert csv.read_text() == "3\n"
 
 
 def test_an_os_error_that_is_no_write_propagates(tmp_path, monkeypatch):

@@ -25,6 +25,7 @@ def test_the_library_modules_declare_their_exports():
     assert declared >= {
         "shadowhp.amplitudes",
         "shadowhp.cli",
+        "shadowhp.commands",
         "shadowhp.errors",
         "shadowhp.experiments",
         "shadowhp.geometry",
