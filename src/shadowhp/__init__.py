@@ -12,7 +12,7 @@ every module.
 
 from importlib import import_module
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 #: the public names of each module, each listed in that module's __all__
 _EXPORTS = {
@@ -20,12 +20,8 @@ _EXPORTS = {
         "FieldPoint",
         "ShadowConfig",
         "amplitude_v",
-        "de_dn_check",
         "e_field",
-        "e_go",
-        "e_remainder_check",
         "g_of_s",
-        "gtd_far_field",
         "h_of_s",
         "psi_go",
     ),
@@ -34,15 +30,10 @@ _EXPORTS = {
         "CertificationError",
         "ConfigError",
         "DomainError",
-        "OracleError",
     ),
     "shadowhp.experiments": (
-        "DipScanResult",
         "ExperimentGrid",
         "GridRow",
-        "RateFit",
-        "dip_scan",
-        "fit_rate",
         "run_grid",
         "write_csv",
     ),
@@ -51,7 +42,6 @@ _EXPORTS = {
         "Mesh",
         "PiecewisePolySpace",
         "ProjectionResult",
-        "bernstein_rho",
         "best_approx_error",
         "gauss_legendre_rule",
         "geometric_mesh",
@@ -70,7 +60,6 @@ _EXPORTS = {
         "SectorBoundCert",
         "big_f",
         "fresnel_fr",
-        "fresnel_oracle",
         "sector_bound_cert",
     ),
 }

@@ -1,9 +1,9 @@
-"""Knife-edge diffraction field, its geometrical-optics decompositions, the
-amplitude functions h and g along a line past the edge, and the
-shadow-boundary amplitude V with its companion GO trace.
+"""Knife-edge diffraction field, the amplitude functions h and g along a
+line past the edge, and the shadow-boundary amplitude V with its
+companion GO trace.
 
-Conventions fixed here and validated by the finite-difference and
-continuity checks below:
+Conventions fixed here, which the tests' decomposition and
+finite-difference checks (tests/oracles.py) validate:
 
 - E(r, psi) = e^{-i k r cos psi} Fr(-sqrt(2 k r) cos(psi/2)); even and
   4 pi-periodic in psi.
@@ -31,19 +31,13 @@ from shadowhp.specfun import big_f, fresnel_fr
 
 _E3IPI4 = cmath.exp(0.75j * math.pi)
 _SQRTPI = math.sqrt(math.pi)
-#: step of de_dn_check's central finite difference
-_FD_STEP = 1e-6
 
 __all__ = [
     "FieldPoint",
     "ShadowConfig",
     "amplitude_v",
-    "de_dn_check",
     "e_field",
-    "e_go",
-    "e_remainder_check",
     "g_of_s",
-    "gtd_far_field",
     "h_of_s",
     "psi_go",
 ]
@@ -53,12 +47,6 @@ def _heaviside(t: float) -> float:
     if t > 0.0:
         return 1.0
     return 0.5 if t == 0.0 else 0.0
-
-
-def _sign(t: float) -> float:
-    if t > 0.0:
-        return 1.0
-    return -1.0 if t < 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -147,52 +135,6 @@ def e_field(p: FieldPoint, k: float) -> complex:
     return cmath.exp(phase) * fresnel_fr(mu)
 
 
-def e_go(p: FieldPoint, k: float) -> complex:
-    """Geometrical-optics part H(pi - psi) e^{-i k r cos psi}, H(0) = 1/2."""
-    check_wavenumber(k)
-    if not 0.0 < p.psi < 2.0 * math.pi:
-        raise DomainError(f"the GO splitting needs psi in (0, 2pi), got {p.psi}")
-    h = _heaviside(math.pi - p.psi)
-    if h == 0.0:
-        return 0j
-    return h * cmath.exp(_finite_phase(-1j * k * p.r * math.cos(p.psi), k=k, r=p.r, psi=p.psi))
-
-
-def e_remainder_check(p: FieldPoint, k: float) -> float:
-    """Residual of the decomposition E = E_GO - sign(pi - psi) F(mu) e^{ikr}
-    with mu = sqrt(kr(1 + cos psi)) >= 0; zero up to roundoff for all
-    admissible points, including psi = pi where sign(0) = 0 and H(0) = 1/2
-    match exactly.
-    """
-    if not p.r > 0.0:
-        raise DomainError(f"decomposition check needs r > 0, got {p.r}")
-    sgn = _sign(math.pi - p.psi)
-    rhs = e_go(p, k)
-    if sgn != 0.0:
-        mu = _finite_phase(math.sqrt(2.0 * k * p.r) * abs(math.cos(0.5 * p.psi)), k=k, r=p.r)
-        rhs -= sgn * big_f(mu) * cmath.exp(_finite_phase(1j * k * p.r, k=k, r=p.r))
-    return abs(e_field(p, k) - rhs)
-
-
-def gtd_far_field(p: FieldPoint, k: float) -> complex:
-    """Far-field approximation of E: the incident plane wave e^{-i k r cos psi}
-    plus the diffracted wave d(psi) e^{i k r} / sqrt(k r) with coefficient
-    d(psi) = -e^{i pi/4} / (2 sqrt(2 pi) cos(psi/2)); invalid near odd
-    multiples of pi where the coefficient blows up.
-    """
-    check_wavenumber(k)
-    if not p.r > 0.0:
-        raise DomainError(f"far-field evaluation needs r > 0, got {p.r}")
-    c_half = math.cos(0.5 * p.psi)
-    if abs(c_half) < 1e-8:
-        raise DomainError(
-            f"psi = {p.psi} is too close to a critical angle (odd multiple of pi)"
-        )
-    d = -cmath.exp(0.25j * math.pi) / (2.0 * math.sqrt(2.0 * math.pi) * c_half)
-    out = d * cmath.exp(_finite_phase(1j * k * p.r, k=k, r=p.r)) / math.sqrt(k * p.r)
-    return out + cmath.exp(_finite_phase(-1j * k * p.r * math.cos(p.psi), k=k, r=p.r, psi=p.psi))
-
-
 def _h_mu(s, r, geo: KnifeGeometry, k: float):
     # h in the rationalized form of h_of_s, and mu, sharing one square root;
     # past about s = 9.5e153 the denominator overflows and h would read 0,
@@ -261,37 +203,6 @@ def g_of_s(s, geo: KnifeGeometry, k: float):
         )
     out[mirror] = _g(-s.real[mirror], KnifeGeometry(geo.R, math.pi - geo.beta), k)
     return unwrap(out, scalar)
-
-
-def de_dn_check(s: float, geo: KnifeGeometry, k: float) -> float:
-    """Residual between the decomposition
-    dE/dn = dE_GO/dn - sign(pi - psi) g(s) e^{i k r}   at x(s)
-    and a central finite difference of E along n = (sin beta, -cos beta).
-
-    The arc length s must be finite and positive and the point off the
-    shadow boundary psi = pi (and implicitly off the screen, which real
-    s > 0 guarantees).
-    """
-    if not (math.isfinite(s) and s > 0.0):
-        raise DomainError(f"arc length must be finite and positive, got {s}")
-    check_wavenumber(k)
-    sb, cb = math.sin(geo.beta), math.cos(geo.beta)
-    x1 = -geo.R + s * cb
-    x2 = s * sb
-    psi = math.atan2(x2, x1)
-    if abs(psi - math.pi) < 1e-8:
-        raise DomainError(f"x({s}) lies on the shadow boundary psi = pi")
-
-    def field_at(t: float) -> complex:
-        y1 = x1 + t * sb
-        y2 = x2 - t * cb
-        return e_field(FieldPoint(math.hypot(y1, y2), math.atan2(y2, y1)), k)
-
-    fd = (field_at(_FD_STEP) - field_at(-_FD_STEP)) / (2.0 * _FD_STEP)
-    r = math.hypot(x1, x2)
-    go = -1j * k * sb * _heaviside(math.pi - psi) * cmath.exp(-1j * k * x1)
-    analytic = go - _sign(math.pi - psi) * g_of_s(s, geo, k) * cmath.exp(1j * k * r)
-    return abs(fd - analytic)
 
 
 def amplitude_v(s, cfg: ShadowConfig):

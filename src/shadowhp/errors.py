@@ -8,7 +8,7 @@ or config value out of range) exits 2, any other DomainError (a model
 value outside its domain) exits 1.
 """
 
-__all__ = ["BranchCutError", "CertificationError", "ConfigError", "DomainError", "OracleError"]
+__all__ = ["BranchCutError", "CertificationError", "ConfigError", "DomainError"]
 
 
 class DomainError(ValueError):
@@ -17,10 +17,6 @@ class DomainError(ValueError):
 
 class BranchCutError(DomainError):
     """A complex argument lies on (or within tolerance of) a branch cut."""
-
-
-class OracleError(RuntimeError):
-    """The adaptive-quadrature oracle could not certify the requested accuracy."""
 
 
 class CertificationError(RuntimeError):

@@ -1,6 +1,5 @@
 """Convergence-study harness: sweeps of the best-approximation error over
-(k, alpha, p), exponential-rate fits, the error-dip locator, and
-deterministic CSV emission.
+(k, alpha, p) and deterministic CSV emission.
 
 Rows are pure functions of their parameters. The unit of work is a
 (k, alpha) pair: one batched best_approx_error call evaluates V once for
@@ -9,7 +8,8 @@ degree as a one-row batch, so each row keeps its own status. The pairs
 run one after another in this process, in canonical (k, alpha, p) order,
 so the output is bit-identical across reruns. `parallelism` is an upper
 bound on the worker processes a sweep may use, and a sweep meets it with
-one: it is checked and changes no number.
+one: it is checked and changes no number. The rate fit and the error-dip
+locator that the tests run on sweeps live with them (tests/oracles.py).
 
 write_csv writes the CSV to an open text stream; the command line opens
 it with runio.open_output, which overwrites an existing file in place and
@@ -20,10 +20,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TextIO
-
-import numpy as np
 
 from shadowhp._arrays import is_count
 from shadowhp.amplitudes import ShadowConfig
@@ -41,13 +39,9 @@ CSV_HEADER = "k,alpha,p,n_layers,dof,error_l2,relative_error,status"
 
 __all__ = [
     "CSV_HEADER",
-    "DipScanResult",
     "ExperimentGrid",
     "GridRow",
-    "RateFit",
     "check_parallelism",
-    "dip_scan",
-    "fit_rate",
     "format_csv",
     "layers_for_degree",
     "run_grid",
@@ -108,23 +102,6 @@ class GridRow:
     error_l2: float
     relative_error: float
     status: str
-
-
-@dataclass(frozen=True)
-class RateFit:
-    """Least-squares fit of log(error) = log(C) - tau * p."""
-
-    tau: float
-    intercept: float
-    r_squared: float
-
-
-@dataclass(frozen=True)
-class DipScanResult:
-    points: tuple[tuple[float, float], ...]
-    alpha_min: float
-    expected_alpha: float
-    within_pi_32: bool
 
 
 def layers_for_degree(p: int, c: float) -> int:
@@ -192,70 +169,6 @@ def run_grid(grid: ExperimentGrid, parallelism: int = 1) -> list[GridRow]:
     check_parallelism(parallelism)
     pairs = itertools.product(sorted(grid.k_values), sorted(grid.alpha_values))
     return [row for pair in pairs for row in _pair_task(grid, pair)]
-
-
-def fit_rate(pairs: list[tuple[float, float]]) -> RateFit:
-    """Fit log(error) = intercept - tau * p over (p, error) pairs.
-
-    Pairs with error <= 1e-14 are dropped (converged-to-roundoff tail);
-    at least 4 must survive, at 2 or more distinct p. A p or error that is
-    not finite (a failed row's NaN error) raises DomainError naming its pair.
-    """
-    for p, e in pairs:
-        if not (math.isfinite(p) and math.isfinite(e)):
-            raise DomainError(f"rate fit needs finite p and error, got p = {p!r}, error = {e!r}")
-    kept = [(float(p), float(e)) for p, e in pairs if e > 1e-14]
-    if len(kept) < 4:
-        raise DomainError(
-            f"rate fit needs >= 4 points above roundoff, got {len(kept)}"
-        )
-    distinct = sorted({p for p, _ in kept})
-    if len(distinct) < 2:
-        raise DomainError(f"rate fit needs >= 2 distinct p above roundoff, got p = {distinct}")
-    ps = np.array([p for p, _ in kept])
-    logs = np.log(np.array([e for _, e in kept]))
-    slope, intercept = np.polyfit(ps, logs, 1)
-    fitted = slope * ps + intercept
-    ss_res = float(np.sum((logs - fitted) ** 2))
-    ss_tot = float(np.sum((logs - logs.mean()) ** 2))
-    r_squared = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
-    return RateFit(tau=float(-slope), intercept=float(intercept), r_squared=r_squared)
-
-
-def dip_scan(grid: ExperimentGrid, p: int = 8, parallelism: int = 1) -> DipScanResult:
-    """Sweep the relative error over the grid's alpha values at fixed degree
-    (k is the grid's smallest wavenumber; the reference setup runs at k = 16)
-    and locate the error dip: the first strict interior local minimum over
-    ascending alpha, falling back to the global minimum when the sampled
-    landscape has no interior one. Reports whether the dip lies within
-    pi/32 of the predicted pi/2 + arctan(4/9). Raises DomainError, naming
-    its alpha and status, when a row of the scan failed.
-    """
-    if p < 6:
-        raise DomainError(f"the dip is resolved only for p >= 6, got {p}")
-    if len(grid.alpha_values) < 3:
-        raise DomainError("dip_scan needs at least 3 alpha values")
-    scan = replace(grid, k_values=(min(grid.k_values),), p_values=(p,))
-    rows = run_grid(scan, parallelism)
-    failed = next((row for row in rows if row.status != "ok"), None)
-    if failed is not None:
-        raise DomainError(f"the dip scan's row at alpha = {failed.alpha!r} {failed.status}")
-    points = tuple((row.alpha, row.relative_error) for row in rows)
-    errs = [e for _, e in points]
-    alpha_min = None
-    for i in range(1, len(points) - 1):
-        if errs[i] < errs[i - 1] and errs[i] < errs[i + 1]:
-            alpha_min = points[i][0]
-            break
-    if alpha_min is None:
-        alpha_min = points[int(np.argmin(errs))][0]
-    expected = 0.5 * math.pi + math.atan(4.0 / 9.0)
-    return DipScanResult(
-        points=points,
-        alpha_min=alpha_min,
-        expected_alpha=expected,
-        within_pi_32=abs(alpha_min - expected) <= math.pi / 32.0,
-    )
 
 
 def format_csv(rows: list[GridRow]) -> str:

@@ -43,7 +43,6 @@ __all__ = [
     "Mesh",
     "PiecewisePolySpace",
     "ProjectionResult",
-    "bernstein_rho",
     "best_approx_error",
     "check_degree",
     "check_grading",
@@ -363,16 +362,3 @@ def best_approx_error(
         for layers, degree in zip(ns, ps)
     ]
     return l2_project(lambda s: amplitude_v(s, cfg), spaces[0] if scalar else spaces, quad_order)
-
-
-def bernstein_rho(eps: float) -> float:
-    """Geometric convergence ratio rho = 1/eps + sqrt(1/eps^2 - 1) of the
-    ellipse (foci at the element endpoints) with eccentricity eps in (0, 1).
-
-    For a target with nearest singularity c relative to an element [a, b],
-    eps = (b - a) / (|c - a| + |c - b|).
-    """
-    if not 0.0 < eps < 1.0:
-        raise DomainError(f"eccentricity must lie in (0, 1), got {eps}")
-    inv = 1.0 / eps
-    return inv + math.sqrt(inv * inv - 1.0)

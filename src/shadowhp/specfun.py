@@ -1,19 +1,17 @@
-"""Complex Fresnel integral Fr, its bounded companion F, and validation oracles.
+"""Complex Fresnel integral Fr, its bounded companion F, and the sector
+bound certificate.
 
 Fr(z) = (1/2) erfc(e^{-i pi/4} z) is entire; F(z) = e^{-i z^2} Fr(z) equals
 half the Faddeeva function at the rotated argument, (1/2) w(e^{i pi/4} z),
 so it stays bounded for arg z in [-pi/2, pi] and grows like
 exp(|z|^2 sin(2 arg z)) in the remaining sector. big_f is one kernel call;
 scipy's Faddeeva code reflects and faddeeva_w alone checks the reflection
-for overflow.
+for overflow. fresnel_fr is e^{i z^2} F(z), taken through the symmetry
+Fr(z) = 1 - Fr(-z) on the half-plane Im(e^{i pi/4} z) < 0.
 
-Two independent evaluation routes are kept deliberately separate:
-fresnel_fr / big_f run on the Faddeeva kernel w, while
-fresnel_oracle integrates the defining improper integral along a rotated
-contour with adaptive quadrature. Their agreement is the primary
-correctness check for both. The oracle imports scipy.integrate when it
-runs, so a process that never calls it (every CLI command) does not load
-that package.
+The independent check of both, Fr by adaptive quadrature of its defining
+integral, lives with the tests (tests/oracles.py), so it shares none of
+this module's arithmetic.
 """
 
 from __future__ import annotations
@@ -27,19 +25,17 @@ from typing import ClassVar
 import numpy as np
 
 from shadowhp._arrays import as_points, first, is_count, unwrap
-from shadowhp.errors import CertificationError, ConfigError, DomainError, OracleError
+from shadowhp.errors import CertificationError, ConfigError
 from shadowhp.kernel import faddeeva_w
 from shadowhp.runio import MAX_SAMPLES
 
 _EIPI4 = cmath.exp(0.25j * math.pi)
-_SQRTPI = math.sqrt(math.pi)
 _EXP_MAX = 709.0  # exp overflows just above this in double precision
 
 __all__ = [
     "SectorBoundCert",
     "big_f",
     "fresnel_fr",
-    "fresnel_oracle",
     "sector_bound_cert",
 ]
 
@@ -104,60 +100,6 @@ def big_f(z):
     return unwrap(0.5 * faddeeva_w(_rotate(z)), scalar)
 
 
-def fresnel_oracle(z: complex) -> complex:
-    """Independent Fr(z) via adaptive quadrature, kernel-free.
-
-    Substituting t = z + e^{i pi/4} u into the defining improper integral
-    rotates the tail onto the steepest-descent direction:
-
-        Fr(z) = e^{i z^2} / sqrt(pi) * int_0^inf exp(-u^2 + b u) du,
-        b = 2 i e^{i pi/4} z.
-
-    When Re b > 0 the symmetry Fr(z) = 1 - Fr(-z) is applied first so the
-    integrand decays from u = 0 on; the integral is then truncated where
-    the envelope falls below exp(-746) and handed to adaptive quadrature.
-    Raises OverflowError where fresnel_fr does, before any quadrature;
-    OracleError when the declared quadrature error exceeds the relative
-    tolerance _ORACLE_TOL; DomainError, naming its shape, for an array of
-    more than one point.
-    """
-    # imported here, not at module level: scipy.integrate costs every process
-    # ~0.25 s and ~26 MB of start-up, and only this oracle uses it
-    from scipy.integrate import quad
-
-    pts, _ = as_points(z)
-    if pts.size != 1:
-        raise DomainError(f"fresnel_oracle takes one point, got an array of shape {pts.shape}")
-    z = complex(pts.item())
-    iz2 = 1j * z * z
-    if _exp_overflows(iz2):
-        raise OverflowError(f"exp(i z^2) overflows at z = {z!r}")
-    b = 2j * _EIPI4 * z
-    if b.real > 0.0:
-        return 1.0 - fresnel_oracle(-z)
-    c = b.real
-    upper = 0.5 * (c + math.sqrt(c * c + 4.0 * 746.0))
-
-    def f_re(u: float) -> float:
-        return cmath.exp(-u * u + b * u).real
-
-    def f_im(u: float) -> float:
-        return cmath.exp(-u * u + b * u).imag
-
-    # full_output=1 silences the roundoff warning; the declared error is
-    # checked explicitly below instead
-    opts = dict(epsabs=1e-15, epsrel=_ORACLE_TOL / 4, limit=400, full_output=1)
-    out_re = quad(f_re, 0.0, upper, **opts)
-    out_im = quad(f_im, 0.0, upper, **opts)
-    integral = complex(out_re[0], out_im[0])
-    declared = math.hypot(out_re[1], out_im[1])
-    if declared > _ORACLE_TOL * max(abs(integral), 1e-300):
-        raise OracleError(
-            f"quadrature declared error {declared:.3e} exceeds tol {_ORACLE_TOL:.3e} at z = {z!r}"
-        )
-    return cmath.exp(iz2) * integral / _SQRTPI
-
-
 @dataclass(frozen=True)
 class SectorBoundCert:
     """Certificate for the boundedness of F on arg z in [-pi/2, pi].
@@ -192,10 +134,6 @@ class SectorBoundCert:
                 f"|F({self.z_max!r})| = {self.max_observed} "
                 f"exceeds the sector bound {self.c_upper}"
             )
-
-
-#: relative tolerance to which fresnel_oracle certifies its quadrature
-_ORACLE_TOL = 1e-13
 
 
 @functools.lru_cache(maxsize=4)

@@ -10,27 +10,25 @@ import math
 import time
 
 import numpy as np
+from oracles import bernstein_rho, de_dn_check, e_remainder_check, fit_rate, fresnel_oracle
 
 from shadowhp.amplitudes import (
     FieldPoint,
     ShadowConfig,
     amplitude_v,
-    de_dn_check,
     e_field,
-    e_remainder_check,
     g_of_s,
     psi_go,
 )
-from shadowhp.experiments import ExperimentGrid, fit_rate, run_grid
+from shadowhp.experiments import ExperimentGrid, run_grid
 from shadowhp.hpspace import (
     Mesh,
     PiecewisePolySpace,
-    bernstein_rho,
     best_approx_error,
     l2_project,
 )
 from shadowhp.regions import KnifeGeometry
-from shadowhp.specfun import big_f, fresnel_fr, fresnel_oracle, sector_bound_cert
+from shadowhp.specfun import big_f, fresnel_fr, sector_bound_cert
 
 PI = math.pi
 BASE = ShadowConfig(k=16.0, alpha=0.75 * PI, l_nc=1.5, l_nc_prime=1.0)

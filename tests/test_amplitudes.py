@@ -6,17 +6,14 @@ import re
 
 import numpy as np
 import pytest
+from oracles import de_dn_check, e_go, e_remainder_check, gtd_far_field
 
 from shadowhp.amplitudes import (
     FieldPoint,
     ShadowConfig,
     amplitude_v,
-    de_dn_check,
     e_field,
-    e_go,
-    e_remainder_check,
     g_of_s,
-    gtd_far_field,
     h_of_s,
     psi_go,
 )

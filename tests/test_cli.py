@@ -1166,10 +1166,6 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     report["after_kernel_free"] = loaded()
     report["codes"] = [main(argv) for argv in commands]
 report["after_commands"] = loaded()
-from shadowhp.specfun import fresnel_fr, fresnel_oracle
-z = 0.5 + 0.5j
-report["oracle_rel"] = abs(fresnel_oracle(z) - fresnel_fr(z)) / abs(fresnel_fr(z))
-report["after_oracle"] = loaded()
 print(json.dumps(report))
 """
 
@@ -1198,8 +1194,7 @@ _KERNEL_FREE = [
 @pytest.fixture(scope="module")
 def startup_report(tmp_path_factory):
     """What a fresh interpreter loads as it imports the package, runs the
-    kernel-free commands, then one of each command (`eval F` first), then
-    the test oracle.
+    kernel-free commands, then one of each command (`eval F` first).
     """
     tmp = tmp_path_factory.mktemp("startup")
     for name, text in _BAD_CONFIGS.items():
@@ -1236,11 +1231,8 @@ def startup_report(tmp_path_factory):
 
 def test_cli_commands_do_not_load_scipy_integrate(startup_report):
     # scipy.integrate is a large share of a command's start-up, and only the
-    # test oracle needs it
+    # tests' quadrature oracle needs it
     assert "scipy.integrate" not in startup_report["after_commands"]
-    # the import is deferred, not removed: the oracle still runs and agrees
-    assert startup_report["oracle_rel"] <= 1e-12
-    assert "scipy.integrate" in startup_report["after_oracle"]
 
 
 def test_commands_load_the_wofz_module_and_never_scipy_special(startup_report):

@@ -12,16 +12,16 @@ import sys
 from dataclasses import replace
 
 import numpy as np
+import oracles
 import pytest
+from oracles import OracleError, dip_scan, fit_rate
 
 import shadowhp.experiments as experiments
 import shadowhp.hpspace as hpspace
-from shadowhp.errors import ConfigError, DomainError, OracleError
+from shadowhp.errors import ConfigError, DomainError
 from shadowhp.experiments import (
     CSV_HEADER,
     ExperimentGrid,
-    dip_scan,
-    fit_rate,
     format_csv,
     layers_for_degree,
     run_grid,
@@ -315,7 +315,7 @@ def test_run_grid_rejects_bad_quad_order_before_any_row(monkeypatch, p_values, q
 def test_dip_scan_locates_the_dip():
     alphas = tuple(float(a) for a in np.linspace(0.5 * math.pi, math.pi, 33)[1:])
     grid = ExperimentGrid(k_values=(16.0,), alpha_values=alphas, p_values=(8,))
-    result = dip_scan(grid, p=8, parallelism=4)
+    result = dip_scan(grid, p=8)
     assert result.expected_alpha == pytest.approx(
         0.5 * math.pi + math.atan(4.0 / 9.0), rel=1e-15
     )
@@ -348,13 +348,13 @@ def test_dip_scan_falls_back_to_the_global_minimum(monkeypatch, errors, expected
     # no strict interior local minimum in the sampled landscape
     alphas = (1.7, 2.0, 2.3, 2.6)
 
-    def fake_run_grid(grid, parallelism):
+    def fake_run_grid(grid):
         assert grid.alpha_values == alphas and grid.p_values == (8,)
         return [
             experiments.GridRow(16.0, a, 8, 8, 72, e, e, "ok") for a, e in zip(alphas, errors)
         ]
 
-    monkeypatch.setattr(experiments, "run_grid", fake_run_grid)
+    monkeypatch.setattr(oracles, "run_grid", fake_run_grid)
     grid = ExperimentGrid(k_values=(16.0,), alpha_values=alphas, p_values=(8,))
     result = dip_scan(grid, p=8)
     assert result.alpha_min == alphas[expected]

@@ -56,18 +56,24 @@ def test_dir_lists_every_export():
     assert set(shadowhp.__all__) <= set(listed)
 
 
-def _imported_names(node: ast.AST) -> set[str]:
-    """Names bound by the imports of a module's top level, including those
-    under an if or a try (a TYPE_CHECKING block), not inside a def or class."""
-    names = set()
+def _imports(node: ast.AST):
+    """(name, statement) for each name bound by an import of a module's top
+    level, including those under an if or a try (a TYPE_CHECKING block), not
+    inside a def or class."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, ast.Import):
-            names |= {alias.asname or alias.name.partition(".")[0] for alias in child.names}
+            for alias in child.names:
+                yield alias.asname or alias.name.partition(".")[0], child
         elif isinstance(child, ast.ImportFrom):
-            names |= {alias.asname or alias.name for alias in child.names}
+            for alias in child.names:
+                yield alias.asname or alias.name, child
         elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names |= _imported_names(child)
-    return names
+            yield from _imports(child)
+
+
+def _imported_names(node: ast.AST) -> set[str]:
+    """Names bound by the imports of a module's top level (see _imports)."""
+    return {name for name, _ in _imports(node)}
 
 
 def test_no_module_exports_a_name_it_imports():
@@ -79,6 +85,72 @@ def test_no_module_exports_a_name_it_imports():
         if names:
             reexported[name] = names
     assert reexported == {}
+
+
+def test_every_top_level_import_is_used():
+    # an import that the module neither uses nor exports is left over; a line
+    # marked `# noqa: F401` is kept on purpose (a benchmark trace target)
+    unused = {}
+    for name in ["shadowhp", *_MODULES]:
+        module = importlib.import_module(name)
+        source = pathlib.Path(module.__file__).read_text(encoding="utf-8")
+        tree = ast.parse(source)
+        lines = source.splitlines()
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= set(getattr(module, "__all__", ()))
+        names = sorted(
+            bound
+            for bound, stmt in _imports(tree)
+            if bound not in used
+            and not (isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__")
+            and not any(
+                "# noqa: F401" in line for line in lines[stmt.lineno - 1 : stmt.end_lineno]
+            )
+        )
+        if names:
+            unused[name] = names
+    assert unused == {}
+
+
+#: import roots that the library never loads: the tests' quadrature oracle
+#: and their high-precision references stay out of every command
+_TEST_ONLY_PACKAGES = ("scipy.integrate", "mpmath")
+
+
+def test_no_library_module_imports_a_test_only_package():
+    found = []
+    for path in sorted(pathlib.Path(shadowhp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                targets = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                targets = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [
+                (path.name, node.lineno, target)
+                for target in targets
+                if any(target == pkg or target.startswith(pkg + ".") for pkg in _TEST_ONLY_PACKAGES)
+            ]
+    assert found == []
+
+
+#: names that moved from the library to the tests' oracles module
+_MOVED_TO_TESTS = {
+    "shadowhp.amplitudes": ("de_dn_check", "e_go", "e_remainder_check", "gtd_far_field"),
+    "shadowhp.errors": ("OracleError",),
+    "shadowhp.experiments": ("DipScanResult", "RateFit", "dip_scan", "fit_rate"),
+    "shadowhp.hpspace": ("bernstein_rho",),
+    "shadowhp.specfun": ("fresnel_oracle",),
+}
+
+
+@pytest.mark.parametrize("module", sorted(_MOVED_TO_TESTS))
+def test_names_moved_to_the_tests_are_gone_from_the_library(module):
+    names = _MOVED_TO_TESTS[module]
+    for owner in (shadowhp, importlib.import_module(module)):
+        assert [name for name in names if hasattr(owner, name)] == []
+    assert set(names).isdisjoint(shadowhp.__all__)
 
 
 def test_every_package_name_is_in_its_modules_all():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import bernstein_rho
 
 import shadowhp.hpspace as hpspace
 from shadowhp.amplitudes import ShadowConfig, amplitude_v
@@ -14,7 +15,6 @@ from shadowhp.hpspace import (
     Mesh,
     PiecewisePolySpace,
     _orthonormal_vandermonde,
-    bernstein_rho,
     best_approx_error,
     check_degree,
     check_quad_order,

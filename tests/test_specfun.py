@@ -6,10 +6,14 @@ import re
 
 import mpmath
 import numpy as np
+import oracles
 import pytest
+from oracles import OracleError, fresnel_oracle
 
-from shadowhp.errors import CertificationError, ConfigError, DomainError, OracleError
-from shadowhp.specfun import _EIPI4, big_f, fresnel_fr, fresnel_oracle, sector_bound_cert
+import shadowhp.kernel
+import shadowhp.specfun
+from shadowhp.errors import CertificationError, ConfigError, DomainError
+from shadowhp.specfun import _EIPI4, big_f, fresnel_fr, sector_bound_cert
 
 
 def test_fr_at_zero():
@@ -128,9 +132,7 @@ def test_oracle_symmetry():
 def test_oracle_overflows_where_fresnel_fr_does(z, monkeypatch):
     # i z^2 is not finite there; fresnel_fr's rule rejects it before either
     # quadrature runs
-    import scipy.integrate
-
-    monkeypatch.setattr(scipy.integrate, "quad", lambda *a, **kw: pytest.fail("quad ran"))
+    monkeypatch.setattr(oracles, "quad", lambda *a, **kw: pytest.fail("quad ran"))
     for f in (fresnel_fr, fresnel_oracle):
         with pytest.raises(OverflowError, match=re.escape(f"overflows at z = {complex(z)!r}")):
             f(z)
@@ -147,6 +149,22 @@ def test_oracle_rejects_an_array_naming_its_shape():
             fresnel_oracle(z)
     # one point as an array of one element is still one point
     assert fresnel_oracle(np.array([2.0])) == fresnel_oracle(2.0)
+
+
+def test_oracle_needs_none_of_the_library_routes_to_fr(monkeypatch):
+    # the oracle is the independent check of w, big_f and fresnel_fr, so it
+    # must still give Fr with all three unavailable, wherever they are bound
+    def unavailable(*args, **kwargs):
+        raise AssertionError("the oracle called the library's Fr")
+
+    for module in (shadowhp.kernel, shadowhp.specfun, oracles):
+        for name in ("faddeeva_w", "big_f", "fresnel_fr"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, unavailable)
+    z = 0.5 + 0.5j
+    with mpmath.workdps(30):
+        exact = complex(0.5 * mpmath.erfc(mpmath.exp(-0.25j * mpmath.pi) * mpmath.mpc(z)))
+    assert abs(fresnel_oracle(z) - exact) <= 1e-12 * abs(exact)
 
 
 def test_sector_cert_requires_min_samples():
