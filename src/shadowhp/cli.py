@@ -47,11 +47,11 @@ if TYPE_CHECKING:
 __all__ = ["main"]
 
 
-def run_grid(grid: ExperimentGrid, parallelism: int = 1) -> list[GridRow]:
+def run_grid(grid: ExperimentGrid) -> list[GridRow]:
     """experiments.run_grid, imported at the first call."""
     from shadowhp import experiments
 
-    return experiments.run_grid(grid, parallelism)
+    return experiments.run_grid(grid)
 
 
 def write_csv(rows: list[GridRow], out: TextIO) -> None:

@@ -98,6 +98,8 @@ _CONFIG_SCHEMA = {
     "sigma": float,
     "c": float,
     "quad_order": int,
+    # retired: it changes nothing, and parse_config checks and drops it; it
+    # stays while the benchmark's sweep config writes it (ROADMAP item 11)
     "parallelism": int,
     "output": str,
 }
@@ -110,7 +112,7 @@ def parse_config(text: str, output: str | None = None) -> dict:
     Unknown keys, duplicate keys, unparsable values and missing required
     keys all raise ConfigError before any computation starts. An output
     given here (`experiment --output`) replaces the config's, which is then
-    not required.
+    not required. The result holds the grid's fields and `output`.
     """
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -135,11 +137,14 @@ def parse_config(text: str, output: str | None = None) -> dict:
     missing = [k for k in _CONFIG_REQUIRED if k not in values]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
+    parallelism = values.pop("parallelism", 1)
+    if parallelism < 1:
+        raise ConfigError(f"parallelism must be an integer >= 1, got {parallelism}")
     return values
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from shadowhp.experiments import ExperimentGrid, check_parallelism
+    from shadowhp.experiments import ExperimentGrid
 
     try:
         # utf-8-sig: a byte order mark some editors write is not part of a key
@@ -150,12 +155,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
     values = parse_config(text, args.output)
     out = values.pop("output")
-    parallelism = values.pop("parallelism", 1)
     grid = ExperimentGrid(**values)
-    check_parallelism(parallelism)
     # every option is checked: opening the output checks its path before any row
     with open_output(out) as fh:
-        rows = cli.run_grid(grid, parallelism=parallelism)
+        rows = cli.run_grid(grid)
         cli.write_csv(rows, fh)
     n_failed = sum(1 for r in rows if r.status != "ok")
     # on stderr, so that an output of /dev/stdout carries the CSV alone

@@ -6,10 +6,9 @@ Rows are pure functions of their parameters. The unit of work is a
 all of the pair's degrees, and a pair whose batch fails reruns each
 degree as a one-row batch, so each row keeps its own status. The pairs
 run one after another in this process, in canonical (k, alpha, p) order,
-so the output is bit-identical across reruns. `parallelism` is an upper
-bound on the worker processes a sweep may use, and a sweep meets it with
-one: it is checked and changes no number. The rate fit and the error-dip
-locator that the tests run on sweeps live with them (tests/oracles.py).
+so the output is bit-identical across reruns. The rate fit and the
+error-dip locator that the tests run on sweeps live with them
+(tests/oracles.py).
 
 write_csv writes the CSV to an open text stream; the command line opens
 it with runio.open_output, which overwrites an existing file in place and
@@ -23,7 +22,6 @@ import math
 from dataclasses import dataclass
 from typing import TextIO
 
-from shadowhp._arrays import is_count
 from shadowhp.amplitudes import ShadowConfig
 from shadowhp.errors import ConfigError, DomainError
 from shadowhp.hpspace import (
@@ -41,7 +39,6 @@ __all__ = [
     "CSV_HEADER",
     "ExperimentGrid",
     "GridRow",
-    "check_parallelism",
     "format_csv",
     "layers_for_degree",
     "run_grid",
@@ -148,25 +145,15 @@ def _pair_task(grid: ExperimentGrid, pair: tuple, ps: list[int] | None = None) -
     ]
 
 
-def check_parallelism(parallelism: int) -> None:
-    """Raise ConfigError, naming it, unless parallelism is an integer >= 1."""
-    if not (is_count(parallelism) and parallelism >= 1):
-        raise ConfigError(f"parallelism must be an integer >= 1, got {parallelism}")
-
-
-def run_grid(grid: ExperimentGrid, parallelism: int = 1) -> list[GridRow]:
+def run_grid(grid: ExperimentGrid) -> list[GridRow]:
     """One row per (k, alpha, p), in canonical sorted order. A row that
     fails with a domain or overflow error records its reason in the
     status column and the sweep continues; any other exception propagates.
-    A bad `parallelism` raises ConfigError before any row.
 
     The unit of work is a (k, alpha) pair: V is evaluated once for all of
     its degrees (see _pair_task), and the pairs run in this process in
-    sorted pair order. `parallelism` is an upper bound on the worker
-    processes, which the sweep meets with one; only w's thread split
-    (kernel.faddeeva_w), on an array large enough, uses a second core.
+    sorted pair order.
     """
-    check_parallelism(parallelism)
     pairs = itertools.product(sorted(grid.k_values), sorted(grid.alpha_values))
     return [row for pair in pairs for row in _pair_task(grid, pair)]
 

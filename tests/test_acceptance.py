@@ -215,7 +215,7 @@ def test_criterion_7a_exponential_rate(capsys):
     grid = ExperimentGrid(
         k_values=(16.0,), alpha_values=(0.75 * PI,), p_values=tuple(range(2, 11))
     )
-    rows = run_grid(grid, parallelism=4)
+    rows = run_grid(grid)
     fit = fit_rate([(r.p, r.relative_error) for r in rows])
     ok = fit.tau >= 0.3 and fit.r_squared >= 0.95
     _report(capsys, "7a", "exponential rate", ok, f"tau {fit.tau:.4f}, r^2 {fit.r_squared:.5f}")
@@ -226,7 +226,7 @@ def test_criterion_7a_exponential_rate(capsys):
 def test_criterion_7b_uniform_in_alpha(capsys):
     alphas = tuple(float(a) for a in np.linspace(0.5 * PI, PI, 33)[1:])
     grid = ExperimentGrid(k_values=(16.0,), alpha_values=alphas, p_values=(8,))
-    rows = run_grid(grid, parallelism=4)
+    rows = run_grid(grid)
     errs = np.array([r.relative_error for r in rows])
     ratio = float(errs.max() / np.median(errs))
     ok = ratio <= 10.0
@@ -245,7 +245,7 @@ def test_criterion_7c_mild_k_growth(capsys):
     grid = ExperimentGrid(
         k_values=(4.0, 16.0, 64.0, 256.0), alpha_values=(0.75 * PI,), p_values=(8,)
     )
-    rows = run_grid(grid, parallelism=4)
+    rows = run_grid(grid)
     errs = np.array([r.relative_error for r in rows])
     factor = float(errs.max() / errs.min())
     ok = factor <= 100.0

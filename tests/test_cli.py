@@ -973,10 +973,41 @@ def test_experiment_names_a_bad_grid_value(tmp_path, capsys, key, value, message
     assert (code, out, err) == (2, "", f"config error: {message}\n")
 
 
+_SMALL_GRID = "k_values = 16\nalpha_values = 2.4\np_values = 2, 3\n"
+
+
+def test_the_retired_parallelism_key_changes_nothing(tmp_path, capsys):
+    written = []
+    for i, extra in enumerate(("", "parallelism = 2\n")):
+        cfg, out_file = tmp_path / "run.conf", tmp_path / f"run{i}.csv"
+        cfg.write_text(_SMALL_GRID + extra + f"output = {out_file}\n", encoding="ascii")
+        assert run_cli(["experiment", str(cfg)], capsys) == (0, "", f"wrote 2 rows to {out_file}\n")
+        written.append(out_file.read_bytes())
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("0", "parallelism must be an integer >= 1, got 0\n"),
+        ("2.5", "line 4: bad value for 'parallelism': "),
+    ],
+)
+def test_the_retired_parallelism_key_is_still_checked(tmp_path, capsys, value, message):
+    never = tmp_path / "never.csv"
+    cfg = tmp_path / "run.conf"
+    cfg.write_text(_SMALL_GRID + f"parallelism = {value}\noutput = {never}\n", encoding="ascii")
+    code, out, err = run_cli(["experiment", str(cfg)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: {message}")
+    assert not never.exists()
+
+
 def test_config_schema_is_the_grid_plus_run_options():
-    run_options = {"parallelism", "output"}
+    # parallelism is the one retired key: parse_config checks it and drops it
+    retired = {"parallelism"}
     grid_fields = {f.name for f in dataclasses.fields(ExperimentGrid)}
-    assert set(_CONFIG_SCHEMA) - run_options == grid_fields
+    assert set(_CONFIG_SCHEMA) - retired - {"output"} == grid_fields
 
 
 # Documented ranges of the config values, and values on either side of them.
@@ -1094,7 +1125,8 @@ def test_parse_config():
     )
     assert values["k_values"] == (4.0, 16.0)
     assert values["p_values"] == (2,)
-    assert values["parallelism"] == 2
+    # the retired key is checked and dropped: the grid's fields and output remain
+    assert "parallelism" not in values
     with pytest.raises(ConfigError):
         parse_config("k_values=4\nk_values=5\nalpha_values=2\np_values=2\noutput=o\n")
     with pytest.raises(ConfigError):
@@ -1597,7 +1629,7 @@ def test_cert_and_experiment_call_the_functions_on_the_cli_module(tmp_path, monk
     monkeypatch.setattr(shadowhp.cli, "sector_bound_cert", lambda n_samples: cert)
     assert run_cli(["cert"], capsys) == (0, "max_observed=1.25,c_upper=1.5,n_samples=1234\n", "")
     rows = [types.SimpleNamespace(status="ok")] * 3
-    monkeypatch.setattr(shadowhp.cli, "run_grid", lambda grid, parallelism=1: rows)
+    monkeypatch.setattr(shadowhp.cli, "run_grid", lambda grid: rows)
     monkeypatch.setattr(shadowhp.cli, "write_csv", lambda rows, out: out.write(f"{len(rows)}\n"))
     cfg = tmp_path / "a.conf"
     csv = tmp_path / "a.csv"
@@ -1615,7 +1647,7 @@ def test_an_os_error_that_is_no_write_propagates(tmp_path, monkeypatch):
         encoding="ascii",
     )
 
-    def broken(grid, parallelism=1):
+    def broken(grid):
         raise OSError(errno.EIO, "not a write")
 
     monkeypatch.setattr(shadowhp.cli, "run_grid", broken)

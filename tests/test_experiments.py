@@ -144,13 +144,11 @@ def test_run_grid_canonical_order():
     assert all(r.n_layers == layers_for_degree(r.p, 1.0) for r in rows)
 
 
-def test_run_grid_deterministic_and_parallel_identical():
-    serial_a = run_grid(SMALL)
-    serial_b = run_grid(SMALL)
-    parallel = run_grid(SMALL, parallelism=2)
-    assert serial_a == serial_b
-    assert serial_a == parallel
-    assert format_csv(serial_a) == format_csv(parallel)
+def test_run_grid_reruns_identically():
+    first = run_grid(SMALL)
+    again = run_grid(SMALL)
+    assert first == again
+    assert format_csv(first) == format_csv(again)
 
 
 def test_run_grid_monotone_trend():
@@ -169,7 +167,6 @@ def test_a_grid_of_numpy_integers_writes_the_same_csv():
     arange = replace(ints, p_values=tuple(np.arange(2, 11)))
     want = format_csv(run_grid(ints))
     assert format_csv(run_grid(arange)) == want
-    assert format_csv(run_grid(ints, parallelism=np.int64(2))) == want
     # a bool is never a count
     with pytest.raises(ConfigError, match="degree must be a nonnegative integer, got True"):
         replace(ints, p_values=(True, 2))
@@ -272,14 +269,6 @@ def test_run_grid_propagates_bugs(monkeypatch, error):
     monkeypatch.setattr(experiments, "best_approx_error", broken)
     with pytest.raises(error, match="bug"):
         run_grid(SMALL)
-
-
-def test_run_grid_rejects_bad_parallelism():
-    for parallelism in (0, 2.5, True):
-        with pytest.raises(
-            ConfigError, match=f"parallelism must be an integer >= 1, got {parallelism}$"
-        ):
-            run_grid(SMALL, parallelism=parallelism)
 
 
 def test_n_layers_is_the_requested_depth_and_dof_the_mesh_built():
@@ -414,9 +403,8 @@ README_GRID = ExperimentGrid(
 README_GRID_SHA256 = "873c1e369159a6d4604f9b4598b53698baf15b02f13a26dfb9fc4fa911fba9a9"
 
 
-@pytest.mark.parametrize("parallelism", [1, 2, 64])
-def test_sweep_csv_bytes_are_pinned(parallelism):
-    rows = run_grid(README_GRID, parallelism=parallelism)
+def test_sweep_csv_bytes_are_pinned():
+    rows = run_grid(README_GRID)
     assert len(rows) == 84
     text = format_csv(rows)
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == README_GRID_SHA256
@@ -431,9 +419,8 @@ REFERENCE_GRID = ExperimentGrid(
 REFERENCE_GRID_SHA256 = "2a6e352fa93af7b6ff4f3f743e3a27c64eed7af04bfad3ad72160dfbd84df884"
 
 
-@pytest.mark.parametrize("parallelism", [1, 2])
-def test_reference_grid_csv_bytes_are_pinned(parallelism):
-    rows = run_grid(REFERENCE_GRID, parallelism=parallelism)
+def test_reference_grid_csv_bytes_are_pinned():
+    rows = run_grid(REFERENCE_GRID)
     assert len(rows) == 1152
     text = format_csv(rows)
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == REFERENCE_GRID_SHA256

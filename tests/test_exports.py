@@ -7,6 +7,7 @@ from there.
 import ast
 import importlib
 import importlib.util
+import inspect
 import pathlib
 import pkgutil
 
@@ -151,6 +152,19 @@ def test_names_moved_to_the_tests_are_gone_from_the_library(module):
     for owner in (shadowhp, importlib.import_module(module)):
         assert [name for name in names if hasattr(owner, name)] == []
     assert set(names).isdisjoint(shadowhp.__all__)
+
+
+def test_run_grid_takes_the_grid_alone():
+    # parallelism changed nothing, so run_grid no longer takes it
+    import shadowhp.cli
+
+    for run_grid in (shadowhp.run_grid, shadowhp.cli.run_grid):
+        assert list(inspect.signature(run_grid).parameters) == ["grid"]
+
+
+def test_check_parallelism_is_gone():
+    # the config key is checked where it is read, by commands.parse_config
+    assert not hasattr(importlib.import_module("shadowhp.experiments"), "check_parallelism")
 
 
 def test_every_package_name_is_in_its_modules_all():
