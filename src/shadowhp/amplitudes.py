@@ -143,7 +143,11 @@ def _h_mu(s, r, geo: KnifeGeometry, k: float):
     mu, root = mu_with_root(s, r, geo, k)
     with np.errstate(over="ignore", invalid="ignore"):
         denom = 2.0 * r * (r + geo.R)
-    bad = ~np.isfinite(denom) | (denom == 0.0)
+    zero = denom == 0.0
+    if zero.any():
+        point = complex(first(s, zero))
+        raise OverflowError(f"h(s) is undefined: r(s) rounds to 0 at s = {point!r} for {geo}")
+    bad = ~np.isfinite(denom)
     if bad.any():
         point = complex(first(s, bad))
         raise OverflowError(

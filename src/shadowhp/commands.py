@@ -66,7 +66,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 #: project's options whose defaults are the sweep's, and their ExperimentGrid fields
-_GRID_DEFAULTS = {"lnc": "l_nc", "lncp": "l_nc_prime", "sigma": "sigma", "c": "c"}
+_GRID_DEFAULTS = {"lnc": "l_nc", "lncp": "l_nc_prime", "sigma": "sigma"}
 
 
 def _cmd_project(args: argparse.Namespace) -> int:
@@ -77,8 +77,8 @@ def _cmd_project(args: argparse.Namespace) -> int:
         if getattr(args, option) is None:
             setattr(args, option, getattr(ExperimentGrid, field))
     cfg = _shadow_config(args)
-    n = args.n if args.n is not None else layers_for_degree(args.p, args.c)
-    res = best_approx_error(cfg, n, args.sigma, args.p, args.quad_order)
+    n = args.n if args.n is not None else layers_for_degree(args.p, ExperimentGrid.c)
+    (res,) = best_approx_error(cfg, [n], args.sigma, [args.p], args.quad_order)
     lines = [f"{_fmt(res.error_l2)},{_fmt(res.relative_error)},{res.dof}"]
     if args.elements:
         for i, ((a, b), err2, share) in enumerate(
@@ -219,9 +219,7 @@ def _project_arguments(pj: argparse.ArgumentParser) -> None:
     pj.add_argument("--lnc", type=float, default=None)
     pj.add_argument("--lncp", type=float, default=None)
     pj.add_argument("--sigma", type=float, default=None)
-    depth = pj.add_mutually_exclusive_group()
-    depth.add_argument("--c", type=float, default=None)
-    depth.add_argument("--n", type=int, default=None, help="override n = max(1, ceil(c p))")
+    pj.add_argument("--n", type=int, default=None, help="mesh layers (default max(1, p))")
     pj.add_argument("--quad-order", type=int, default=None)
     pj.add_argument("--degrees", action="store_true", help="alpha is given in degrees")
     pj.add_argument(

@@ -295,70 +295,66 @@ def _project_values(
 
 
 def l2_project(
-    target: Callable[[np.ndarray], np.ndarray | complex],
-    space_or_spaces: PiecewisePolySpace | Sequence[PiecewisePolySpace],
+    target: Callable[[np.ndarray], np.ndarray],
+    spaces: Sequence[PiecewisePolySpace],
     quad_order: int | None = None,
-) -> ProjectionResult | list[ProjectionResult]:
-    """L2-orthogonal projection of target onto a space, or onto each space
-    of a sequence, which returns a list of results in order.
+) -> list[ProjectionResult]:
+    """L2-orthogonal projection of target onto each space of a nonempty
+    sequence: a list of results, one per space, in order.
 
     target is called once, on a 1-d array of the Gauss nodes of every
-    element of every space, and returns the values there (a constant is
-    broadcast). quad_order is the per-element Gauss-Legendre size; the
-    default 2p + 16 resolves (polynomial) x (smooth amplitude) integrands,
-    which the doubling self-test in the suite confirms. Raises DomainError
-    on quad_order <= p (the coefficients would alias), on target values that
-    are not finite (None reads as NaN) or of another shape, naming the first
-    such node or both shapes, on a target whose squared norm is 0 (the
-    relative error would be undefined), and where the squared norm, or a
-    nonzero squared error, is subnormal (its digits are lost).
+    element of every space, and returns an array of their shape (a
+    constant c is np.full(s.shape, c)). quad_order is the per-element
+    Gauss-Legendre size; the default 2p + 16 resolves (polynomial) x
+    (smooth amplitude) integrands, which the doubling self-test in the
+    suite confirms. Raises DomainError on spaces that are not a nonempty
+    sequence, on quad_order <= p (the coefficients would alias), on target
+    values of another shape or not finite, naming both shapes or the first
+    such node, on a target whose squared norm is 0 (the relative error
+    would be undefined), and where the squared norm, or a nonzero squared
+    error, is subnormal (its digits are lost).
     """
-    scalar = isinstance(space_or_spaces, PiecewisePolySpace)
-    spaces = [space_or_spaces] if scalar else list(space_or_spaces)
-    if not spaces:
-        raise DomainError("l2_project needs at least one space")
+    if not (isinstance(spaces, Sequence) and spaces):
+        raise DomainError(
+            f"l2_project needs a nonempty sequence of spaces, got {type(spaces).__name__}"
+        )
     quads = [_quadrature(space, quad_order) for space in spaces]
     nodes = np.concatenate([q.ravel() for q, _, _ in quads])
     values = np.asarray(target(nodes), dtype=complex)
-    if values.shape not in ((), nodes.shape):
+    if values.shape != nodes.shape:
         raise DomainError(f"target values of shape {values.shape} for nodes of shape {nodes.shape}")
-    values = np.broadcast_to(values, nodes.shape)
     bad = ~np.isfinite(values)
     if bad.any():
         raise DomainError(f"target not finite at s = {first(nodes, bad)!r}: {first(values, bad)!r}")
     cuts = np.cumsum([q.size for q, _, _ in quads])[:-1]
-    results = [
+    return [
         _project_values(f.reshape(q.shape), half, m, space)
         for space, (q, half, m), f in zip(spaces, quads, np.split(values, cuts))
     ]
-    return results[0] if scalar else results
 
 
 def best_approx_error(
     cfg: ShadowConfig,
-    n: int | Sequence[int],
+    n: Sequence[int],
     sigma: float,
-    p: int | Sequence[int],
+    p: Sequence[int],
     quad_order: int | None = None,
-) -> ProjectionResult | list[ProjectionResult]:
+) -> list[ProjectionResult]:
     """Best-approximation error of the shadow-boundary amplitude V on the
-    graded mesh: V projected by one l2_project call onto the piecewise
-    polynomials of degree p on shadow_mesh(cfg, n, sigma).
+    graded mesh, for a batch of rows on one configuration: V projected by
+    one l2_project call onto the piecewise polynomials of degree p[i] on
+    shadow_mesh(cfg, n[i], sigma), a list of results, one per row, in order.
 
-    n and p are integers, or equal-length sequences of them for a batch of
-    rows on one configuration, which returns a list of results in order.
-    A scalar call is a one-row batch, so both give the same bits. Anything
-    else (a mix of the two, empty or unequal sequences) raises DomainError.
+    n and p are nonempty sequences of equal length (one row is [n], [p]);
+    anything else raises DomainError. A row's bits do not depend on the
+    other rows of its batch.
     """
-    scalar = np.ndim(n) == 0
-    if np.ndim(p) != np.ndim(n) or not scalar and not 0 < len(n) == len(p):
+    if not (isinstance(n, Sequence) and isinstance(p, Sequence) and 0 < len(n) == len(p)):
         raise DomainError(
-            "n and p must be integers or nonempty sequences of equal length, "
-            f"got {n!r} and {p!r}"
+            f"n and p must be nonempty sequences of equal length, got {n!r} and {p!r}"
         )
-    ns, ps = ([n], [p]) if scalar else (list(n), list(p))
     spaces = [
         PiecewisePolySpace(mesh=shadow_mesh(cfg, layers, sigma), degree=degree)
-        for layers, degree in zip(ns, ps)
+        for layers, degree in zip(n, p)
     ]
-    return l2_project(lambda s: amplitude_v(s, cfg), spaces[0] if scalar else spaces, quad_order)
+    return l2_project(lambda s: amplitude_v(s, cfg), spaces, quad_order)

@@ -292,7 +292,7 @@ def test_criterion_8_pole_decay_rate(capsys):
         )
         ps = np.arange(2, 15)
         errs = np.array(
-            [l2_project(lambda s: 1.0 / (s - c), space(int(p))).error_l2 for p in ps]
+            [l2_project(lambda s: 1.0 / (s - c), [space(int(p))])[0].error_l2 for p in ps]
         )
         slope = float(np.polyfit(ps, np.log(errs), 1)[0])
         dev = abs(slope + math.log(rho)) / math.log(rho)
@@ -315,9 +315,9 @@ def test_criterion_9_projection_algebra(capsys):
                 return complex(np.polynomial.legendre.legval(t, c * scale)) / math.sqrt(half)
         raise AssertionError
 
-    res = l2_project(lambda s: amplitude_v(s, BASE), space)
-    again = l2_project(
-        np.vectorize(lambda s: reconstruct(res.coefficients, s), otypes=[complex]), space
+    (res,) = l2_project(lambda s: amplitude_v(s, BASE), [space])
+    (again,) = l2_project(
+        np.vectorize(lambda s: reconstruct(res.coefficients, s), otypes=[complex]), [space]
     )
     idem = again.error_l2
 
@@ -325,7 +325,7 @@ def test_criterion_9_projection_algebra(capsys):
     proj2 = sum(float(np.sum(np.abs(c) ** 2)) for c in res.coefficients)
     pyth = abs(norm2 - (proj2 + res.error_l2**2)) / norm2
 
-    poly = l2_project(lambda s: (0.3 + 0.7j) * s**4 - 2.0 * s + 1.0, space)
+    (poly,) = l2_project(lambda s: (0.3 + 0.7j) * s**4 - 2.0 * s + 1.0, [space])
     repro = poly.relative_error
 
     ok = idem <= 1e-13 and pyth <= 1e-10 and repro <= 1e-12

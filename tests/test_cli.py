@@ -558,9 +558,9 @@ def test_project_matches_library(capsys):
     )
     assert code == 0
     err_s, rel_s, dof_s = out.strip().split(",")
-    want = best_approx_error(
+    (want,) = best_approx_error(
         ShadowConfig(k=16.0, alpha=float(repr(alpha)), l_nc=1.5, l_nc_prime=1.0),
-        4, 0.15, 4,
+        [4], 0.15, [4],
     )
     assert float(err_s) == want.error_l2
     assert float(rel_s) == want.relative_error
@@ -575,7 +575,8 @@ def test_project_elements(capsys):
     assert (code, err) == (0, "")
     first, *lines = out.splitlines()
     assert first + "\n" == plain
-    res = best_approx_error(ShadowConfig(k=16.0, alpha=PI, l_nc=1.5, l_nc_prime=1.0), 8, 0.15, 8)
+    cfg = ShadowConfig(k=16.0, alpha=PI, l_nc=1.5, l_nc_prime=1.0)
+    (res,) = best_approx_error(cfg, [8], 0.15, [8])
     assert len(lines) == len(res.element_err2)
     rows = [line.split(",") for line in lines]
     assert [int(r[0]) for r in rows] == list(range(len(rows)))
@@ -597,17 +598,11 @@ def test_project_elements(capsys):
         ("--quad-order", "2", 2, "quad_order for degree 4 must be an integer in [5, 256], got 2"),
         ("--p", "121", 2, "quad_order (the default 2p + 16) for degree 121 must be an integer"),
         ("--lnc", "inf", 1, "side length l_nc"),
-        ("--c", "nan", 2, "layer constant c"),
-        ("--c", "inf", 2, "layer constant c"),
-        ("--c", "0", 2, "layer constant c"),
-        ("--c", "-3", 2, "layer constant c"),
         ("--n", "0", 2, "layer count must be an integer >= 1, got 0"),
         ("--n", str(MAX_LAYERS + 1), 2, f"layer count {MAX_LAYERS + 1} exceeds MAX_LAYERS"),
         ("--n", "80000", 2, "exceeds MAX_LAYERS"),
         ("--n", "400", 2, "400 layers at grading 0.15 put the finest point at 0.0"),
         ("--sigma", "1e-200", 2, "4 layers at grading 1e-200 put the finest point at 0.0"),
-        ("--c", str(MAX_LAYERS / 4 + 1), 2, "asks for more than MAX_LAYERS"),
-        ("--c", "1e308", 2, "asks for more than MAX_LAYERS"),
         ("--p", "-1", 2, "degree must be a nonnegative integer, got -1"),
         ("--sigma", "1.5", 2, "grading must lie in (0, 1), got 1.5"),
         ("--sigma", "0", 2, "grading must lie in (0, 1), got 0.0"),
@@ -645,14 +640,35 @@ def test_config_errors_are_domain_errors():
     assert issubclass(ConfigError, DomainError)
 
 
-def test_project_rejects_both_c_and_n(capsys):
-    # --n overrides the depth that --c sets, so giving both would ignore --c
+def test_project_takes_its_depth_as_n_alone(capsys):
+    # a layer constant is a sweep's rule for every p; one row names its n
     with pytest.raises(SystemExit) as exc:
-        main(["project", "--k", "16", "--alpha", "2.4", "--p", "4", "--c", "7", "--n", "3"])
+        main(["project", "--k", "16", "--alpha", "2.4", "--p", "4", "--c", "2"])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--n: not allowed with argument --c" in captured.err
+    assert "unrecognized arguments: --c 2" in captured.err
+
+
+def test_project_n_prints_what_the_layer_constant_printed(capsys):
+    # the line that `--c 2` printed in 3.0.0: n = ceil(2 * 4) = 8
+    argv = ["project", "--k", "16", "--alpha", "2.4", "--p", "4", "--n", "8"]
+    assert run_cli(argv, capsys) == (
+        0, "0.00059745428508006283,0.00013842336511666367,80\n", ""
+    )
+
+
+def test_project_names_where_r_rounds_to_zero(capsys):
+    # alpha = pi/2 + 1e-8 puts s_sb near 1e8; at the point s_sb - s of the
+    # node s = 0.0463 the radicand of r on the minus geometry cancels to 0,
+    # though the distance is sqrt(s^2 + l_nc'^2), about 1.001
+    argv = ["project", "--k", "16", "--alpha", "1.5707963367948966", "--p", "4"]
+    assert run_cli(argv, capsys) == (
+        1,
+        "",
+        "domain error: h(s) is undefined: r(s) rounds to 0 at s = (99999999.9491296+0j) "
+        "for KnifeGeometry(R=99999999.9954237, beta=9.99999993922529e-09)\n",
+    )
 
 
 CONFIG_OK = """\

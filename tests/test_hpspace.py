@@ -163,7 +163,8 @@ def test_best_approx_converges_past_the_merge_tolerance():
     # displaced s_sb, one element would straddle the jump and the error stall
     # near 1e-6
     cfg = ShadowConfig(k=1024.0, alpha=0.75 * math.pi, l_nc=1.5, l_nc_prime=1.0)
-    assert best_approx_error(cfg, 24, 0.15, 24).relative_error < 1e-11
+    (res,) = best_approx_error(cfg, [24], 0.15, [24])
+    assert res.relative_error < 1e-11
 
 
 def test_gauss_rule_examples():
@@ -235,7 +236,7 @@ def test_projection_reproduces_polynomials():
     def target(s: float) -> complex:
         return (0.3 + 0.7j) * s**3 - 2.0 * s + 1.0
 
-    res = l2_project(target, space)
+    (res,) = l2_project(target, [space])
     assert res.relative_error <= 1e-12
     assert res.dof == 8
     for s in (0.1, 0.39, 0.41, 1.2):
@@ -244,9 +245,9 @@ def test_projection_reproduces_polynomials():
 
 def test_projection_idempotent():
     space = _space((0.0, 0.5, 1.5), 4)
-    res = l2_project(lambda s: amplitude_v(s, CFG), space)
-    again = l2_project(
-        np.vectorize(lambda s: _evaluate(space, res.coefficients, s), otypes=[complex]), space
+    (res,) = l2_project(lambda s: amplitude_v(s, CFG), [space])
+    (again,) = l2_project(
+        np.vectorize(lambda s: _evaluate(space, res.coefficients, s), otypes=[complex]), [space]
     )
     assert again.error_l2 <= 1e-13
     for c0, c1 in zip(res.coefficients, again.coefficients):
@@ -255,7 +256,7 @@ def test_projection_idempotent():
 
 def test_projection_pythagoras():
     space = _space((0.0, 0.3, 0.8, 1.5), 5)
-    res = l2_project(lambda s: amplitude_v(s, CFG), space)
+    (res,) = l2_project(lambda s: amplitude_v(s, CFG), [space])
     norm2 = (res.error_l2 / res.relative_error) ** 2
     proj2 = sum(float(np.sum(np.abs(c) ** 2)) for c in res.coefficients)
     assert norm2 == pytest.approx(proj2 + res.error_l2**2, rel=1e-10)
@@ -263,7 +264,7 @@ def test_projection_pythagoras():
 
 def test_element_errors_sum_to_the_l2_error():
     space = _space((0.0, 0.3, 0.8, 1.5), 5)
-    res = l2_project(lambda s: amplitude_v(s, CFG), space)
+    (res,) = l2_project(lambda s: amplitude_v(s, CFG), [space])
     assert res.element_err2.shape == (space.mesh.n_elements,)
     assert not res.element_err2.flags.writeable
     assert (res.element_err2 >= 0.0).all()
@@ -282,14 +283,14 @@ def test_element_errors_sum_to_the_l2_error():
 
 
 def test_a_result_holds_the_space_it_was_projected_on():
-    res = best_approx_error(CFG, 8, 0.15, 8)
+    (res,) = best_approx_error(CFG, [8], 0.15, [8])
     assert res.space == PiecewisePolySpace(mesh=shadow_mesh(CFG, 8, 0.15), degree=8)
     assert res.dof == res.space.dof == res.space.mesh.n_elements * 9
 
 
 def test_projection_results_compare_and_hash_by_identity():
-    a = best_approx_error(CFG, 4, 0.15, 4)
-    b = best_approx_error(CFG, 4, 0.15, 4)
+    (a,) = best_approx_error(CFG, [4], 0.15, [4])
+    (b,) = best_approx_error(CFG, [4], 0.15, [4])
     assert a == a and a != b
     assert len({a, b, a}) == 2
     assert a.element_shares.sum() == pytest.approx(1.0, abs=1e-12)
@@ -302,7 +303,7 @@ def test_projection_results_compare_and_hash_by_identity():
 def test_worst_element_holds_the_error(k, alpha, element):
     # at p = n = 8 one element holds all but 1e-4 of the squared error
     cfg = ShadowConfig(k=k, alpha=alpha, l_nc=1.5, l_nc_prime=1.0)
-    res = best_approx_error(cfg, 8, 0.15, 8)
+    (res,) = best_approx_error(cfg, [8], 0.15, [8])
     index, share = res.worst_element
     assert shadow_mesh(cfg, 8, 0.15).elements()[index] == pytest.approx(element, rel=1e-12)
     assert share > 0.9999
@@ -310,20 +311,20 @@ def test_worst_element_holds_the_error(k, alpha, element):
 
 
 def test_projection_quadrature_converged():
-    r1 = best_approx_error(CFG, 4, 0.15, 4)
-    r2 = best_approx_error(CFG, 4, 0.15, 4, quad_order=2 * (2 * 4 + 16))
+    (r1,) = best_approx_error(CFG, [4], 0.15, [4])
+    (r2,) = best_approx_error(CFG, [4], 0.15, [4], quad_order=2 * (2 * 4 + 16))
     assert r2.error_l2 == pytest.approx(r1.error_l2, rel=1e-10)
 
 
 def test_projection_validation():
     space = _space((0.0, 1.0), 3)
     with pytest.raises(DomainError):
-        l2_project(lambda s: s, space, quad_order=3)
+        l2_project(lambda s: s, [space], quad_order=3)
     with pytest.raises(DomainError):
-        l2_project(lambda s: 0.0, space)
+        l2_project(lambda s: np.zeros(s.shape), [space])
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, None])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_l2_project_names_the_first_node_where_the_target_is_not_finite(bad):
     # refused before any product: no numpy warning, no OverflowError
     space = _space((0.0, 0.4, 1.5), 3)
@@ -331,36 +332,35 @@ def test_l2_project_names_the_first_node_where_the_target_is_not_finite(bad):
 
     def target(s):
         nodes.append(s)
-        if bad is None:
-            return None
         return np.where(s > 1.0, bad, 1.0)
 
     with pytest.raises(DomainError, match="not finite") as info:
-        l2_project(target, space)
-    s = nodes[0] if bad is None else nodes[0][nodes[0] > 1.0]
+        l2_project(target, [space])
+    s = nodes[0][nodes[0] > 1.0]
     assert f"at s = {s[0].item()!r}: " in str(info.value)
 
 
 def test_l2_project_names_both_shapes_of_a_misshapen_target():
     space = _space((0.0, 1.5), 4)  # 24 nodes
     with pytest.raises(DomainError, match=r"shape \(3,\) for nodes of shape \(24,\)"):
-        l2_project(lambda s: np.ones(3), space)
+        l2_project(lambda s: np.ones(3), [space])
 
 
 def test_a_tiny_target_underflows_where_a_zero_one_has_zero_norm():
     space = _space((0.0, 1.5), 2)
     with pytest.raises(DomainError, match="squared L2 norm underflows to 0"):
-        l2_project(lambda s: 1e-170, space)
+        l2_project(lambda s: np.full(s.shape, 1e-170), [space])
     with pytest.raises(DomainError, match="^zero-norm target"):
-        l2_project(lambda s: 0.0, space)
+        l2_project(lambda s: np.full(s.shape, 0.0), [space])
 
 
 def test_a_subnormal_squared_norm_is_refused():
     # the squared norm 1.5 * 1e-320 reads 1.501e-320: its digits are lost
     space = _space((0.0, 1.5), 2)
     with pytest.raises(DomainError, match=r"or norm 1\.501e-320 of the target is subnormal"):
-        l2_project(lambda s: 1e-160, space)
-    assert l2_project(lambda s: 1e-150, space).relative_error == 0.0
+        l2_project(lambda s: np.full(s.shape, 1e-160), [space])
+    (res,) = l2_project(lambda s: np.full(s.shape, 1e-150), [space])
+    assert res.relative_error == 0.0
 
 
 def test_l2_project_calls_the_target_once_on_every_node():
@@ -377,21 +377,33 @@ def test_l2_project_calls_the_target_once_on_every_node():
     assert seen[0].size == 2 * 22 + 26 + 3 * 20
     assert isinstance(batch, list) and len(batch) == 3
     for space, got in zip(spaces, batch):
-        want = l2_project(lambda s: amplitude_v(s, CFG), space)
+        (want,) = l2_project(lambda s: amplitude_v(s, CFG), [space])
         assert (got.error_l2, got.relative_error, got.dof) == (
             want.error_l2, want.relative_error, want.dof
         )
         assert all(np.array_equal(a, b) for a, b in zip(got.coefficients, want.coefficients))
 
 
-def test_l2_project_broadcasts_a_constant_target():
-    space = _space((0.0, 0.4, 1.5), 2)
-    res = l2_project(lambda s: 2.0 - 1.0j, space)
+@pytest.mark.parametrize("value", [2.0 - 1.0j, None], ids=["constant", "none"])
+def test_l2_project_refuses_a_target_that_is_not_an_array_of_the_nodes(value):
+    # a constant c is np.full(s.shape, c); None, read as NaN, is 0-d too
+    space = _space((0.0, 0.4, 1.5), 2)  # 40 nodes
+    with pytest.raises(DomainError, match=r"shape \(\) for nodes of shape \(40,\)"):
+        l2_project(lambda s: value, [space])
+    (res,) = l2_project(lambda s: np.full(s.shape, 2.0 - 1.0j), [space])
     assert res.relative_error <= 1e-13
     for s in (0.1, 0.9):
         assert _evaluate(space, res.coefficients, s) == pytest.approx(2.0 - 1.0j, rel=1e-13)
-    with pytest.raises(DomainError, match="at least one space"):
-        l2_project(lambda s: 1.0, [])
+
+
+@pytest.mark.parametrize(
+    "spaces, what", [([], "list"), ((), "tuple"), (_space((0.0, 1.5), 2), "PiecewisePolySpace")]
+)
+def test_l2_project_needs_a_nonempty_sequence_of_spaces(spaces, what):
+    # one space is [space]; the message names what was passed instead
+    with pytest.raises(DomainError) as info:
+        l2_project(lambda s: np.ones(s.shape), spaces)
+    assert str(info.value) == f"l2_project needs a nonempty sequence of spaces, got {what}"
 
 
 def test_best_approx_error_projects_once(monkeypatch):
@@ -400,11 +412,11 @@ def test_best_approx_error_projects_once(monkeypatch):
     monkeypatch.setattr(
         hpspace, "l2_project", lambda *args: calls.append(args) or project(*args)
     )
-    best_approx_error(CFG, 4, 0.15, 4)
     best_approx_error(CFG, [2, 4, 6], 0.15, [2, 4, 6])
-    # one call each: the scalar call hands l2_project its one space, the batch a list
-    (_, one, _), (_, batch, _) = calls
-    assert isinstance(one, PiecewisePolySpace) and len(batch) == 3
+    # one call, handed the list of the batch's spaces
+    ((_, batch, _),) = calls
+    assert isinstance(batch, list) and len(batch) == 3
+    assert all(isinstance(space, PiecewisePolySpace) for space in batch)
 
 
 def test_single_element_pole_witness():
@@ -420,7 +432,7 @@ def test_single_element_pole_witness():
         boundary = 0.5 + 0.25 * (ring + 1.0 / ring)
         m_sup = 1.001 / float(np.min(np.abs(boundary - c)))
         for p in (2, 5, 8, 11, 14):
-            res = l2_project(lambda s: 1.0 / (s - c), _space(space_points, p))
+            (res,) = l2_project(lambda s: 1.0 / (s - c), [_space(space_points, p)])
             assert res.error_l2 <= 2.0 * rho ** (-p) / (rho - 1.0) * m_sup
 
 
@@ -434,19 +446,19 @@ def test_bernstein_rho_values():
 
 
 def test_best_approx_plateau():
-    res = best_approx_error(CFG, 12, 0.15, 12)
+    (res,) = best_approx_error(CFG, [12], 0.15, [12])
     assert res.relative_error <= 1e-6
     assert res.dof == len(res.coefficients) * 13
 
 
 def test_best_approx_monotone_in_p_on_fixed_mesh():
-    errors = [best_approx_error(CFG, 6, 0.15, p).error_l2 for p in range(2, 7)]
+    errors = [best_approx_error(CFG, [6], 0.15, [p])[0].error_l2 for p in range(2, 7)]
     for lo, hi in zip(errors[1:], errors[:-1]):
         assert lo <= hi * (1.0 + 1e-10)
 
 
 def test_best_approx_decreases_with_layered_refinement():
-    errors = [best_approx_error(CFG, max(1, p), 0.15, p).error_l2 for p in (2, 4, 6)]
+    errors = [best_approx_error(CFG, [max(1, p)], 0.15, [p])[0].error_l2 for p in (2, 4, 6)]
     assert errors[2] < errors[1] < errors[0]
 
 
@@ -458,8 +470,8 @@ def test_best_approx_matches_pointwise_projection():
 
     for n, p in ((1, 0), (4, 3), (8, 8)):
         space = PiecewisePolySpace(mesh=shadow_mesh(CFG, n, 0.15), degree=p)
-        batch = best_approx_error(CFG, n, 0.15, p)
-        pointwise = l2_project(pointwise_v, space)
+        (batch,) = best_approx_error(CFG, [n], 0.15, [p])
+        (pointwise,) = l2_project(pointwise_v, [space])
         assert batch.dof == pointwise.dof
         assert batch.error_l2 == pytest.approx(pointwise.error_l2, rel=1e-12)
         for c0, c1 in zip(batch.coefficients, pointwise.coefficients):
@@ -470,7 +482,7 @@ def test_dof_counting():
     mesh = shadow_mesh(CFG, 3, 0.15)
     space = PiecewisePolySpace(mesh=mesh, degree=4)
     assert space.dof == mesh.n_elements * 5
-    res = l2_project(lambda s: amplitude_v(s, CFG), space)
+    (res,) = l2_project(lambda s: amplitude_v(s, CFG), [space])
     assert res.dof == space.dof
 
 
@@ -501,7 +513,7 @@ def test_best_approx_batch_equals_rows_bitwise(cfg, sigma, c):
     batch = best_approx_error(cfg, ns, sigma, ps)
     assert isinstance(batch, list) and len(batch) == len(ps)
     for n, p, got in zip(ns, ps, batch):
-        want = best_approx_error(cfg, n, sigma, p)
+        (want,) = best_approx_error(cfg, [n], sigma, [p])
         assert (got.error_l2, got.relative_error, got.dof) == (
             want.error_l2, want.relative_error, want.dof
         )
@@ -514,14 +526,16 @@ def test_best_approx_batch_validation():
         best_approx_error(CFG, [2, 3], 0.15, [2])
     with pytest.raises(DomainError, match="nonempty"):
         best_approx_error(CFG, [], 0.15, [])
-    # an integer with a sequence is neither a row nor a batch
-    for n, p in ((4, [2, 3]), ([2, 3], 4)):
-        with pytest.raises(DomainError, match="must be integers or nonempty sequences") as exc:
-            best_approx_error(CFG, n, 0.15, p)
-        assert str(exc.value).endswith(f"got {n} and {p}")
+    # one row is [n], [p]: a bare integer, or a bare space, is not a batch
+    with pytest.raises(DomainError, match="must be nonempty sequences") as exc:
+        best_approx_error(CFG, 4, 0.15, 4)
+    assert str(exc.value).endswith("got 4 and 4")
+    space = PiecewisePolySpace(mesh=shadow_mesh(CFG, 4, 0.15), degree=4)
+    with pytest.raises(DomainError, match="nonempty sequence of spaces, got PiecewisePolySpace"):
+        l2_project(lambda s: amplitude_v(s, CFG), space)
     # a rule of at most p nodes is a run option out of range, and one bad row
     # fails the whole batch
-    for n, p in ((8, 8), ([2, 8], [2, 8])):
+    for n, p in (([8], [8]), ([2, 8], [2, 8])):
         with pytest.raises(ConfigError, match=r"degree 8 must be an integer in \[9, 256\]"):
             best_approx_error(CFG, n, 0.15, p, quad_order=5)
 
@@ -529,4 +543,4 @@ def test_best_approx_batch_validation():
 def test_best_approx_non_finite_error_raises():
     huge_k = ShadowConfig(k=1.7976931348623157e308, alpha=2.4, l_nc=1.5, l_nc_prime=1.0)
     with pytest.raises(OverflowError, match="not finite"):
-        best_approx_error(huge_k, 2, 0.15, 2)
+        best_approx_error(huge_k, [2], 0.15, [2])
