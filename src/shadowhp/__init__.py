@@ -12,7 +12,7 @@ every module.
 
 from importlib import import_module
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 #: the public names of each module, each listed in that module's __all__
 _EXPORTS = {

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from shadowhp._arrays import as_points, first, unwrap
+from shadowhp._arrays import as_points, first
 from shadowhp.errors import DomainError
 from shadowhp.geometry import mu_of_s  # noqa: F401  (perfbench/tracer.py wraps it here)
 from shadowhp.geometry import check_wavenumber, mu_with_root, r_of_s
@@ -132,7 +132,7 @@ def e_field(p: FieldPoint, k: float) -> complex:
     check_wavenumber(k)
     mu = _finite_phase(-math.sqrt(2.0 * k * p.r) * math.cos(0.5 * p.psi), k=k, r=p.r, psi=p.psi)
     phase = _finite_phase(-1j * k * p.r * math.cos(p.psi), k=k, r=p.r, psi=p.psi)
-    return cmath.exp(phase) * fresnel_fr(mu)
+    return cmath.exp(phase) * complex(fresnel_fr(np.array([mu]))[0])
 
 
 def _h_mu(s, r, geo: KnifeGeometry, k: float):
@@ -159,8 +159,8 @@ def _h_mu(s, r, geo: KnifeGeometry, k: float):
 
 def h_of_s(s, geo: KnifeGeometry, k: float):
     """Normal derivative of mu along the line:
-    h(s) = k sin(beta) (r(s) - R) / (2 r(s) mu(s)), for a scalar or an
-    array of s.
+    h(s) = k sin(beta) (r(s) - R) / (2 r(s) mu(s)), on an array of s,
+    returned in its shape.
 
     Evaluated in the rationalized form
     sqrt(k) (s - 2 R cos beta) sqrt(R - s cos beta + r) / (2 r (r + R)),
@@ -171,9 +171,9 @@ def h_of_s(s, geo: KnifeGeometry, k: float):
     0, near s = R cos(beta) for beta within about 1e-8 of 0 or pi).
     """
     check_wavenumber(k)
-    s, scalar = as_points(s)
+    s = as_points(s)
     h, _ = _h_mu(s, r_of_s(s, geo), geo, k)
-    return unwrap(h, scalar)
+    return h
 
 
 def _g(s, geo: KnifeGeometry, k: float):
@@ -184,7 +184,7 @@ def _g(s, geo: KnifeGeometry, k: float):
 
 def g_of_s(s, geo: KnifeGeometry, k: float):
     """Normal-derivative amplitude g(s) = e^{i 3pi/4}/sqrt(pi) h(s) - i k sin(beta) F(mu(s)),
-    for a scalar or an array of s.
+    on an array of s, returned in its shape.
 
     On the negative real axis the boundary trace satisfies the mirror rule
     g(-s; R, beta) = g(s; R, pi - beta), which is taken as the definition
@@ -193,10 +193,10 @@ def g_of_s(s, geo: KnifeGeometry, k: float):
     uses the analytic continuation of the formula.
     """
     check_wavenumber(k)
-    s, scalar = as_points(s)
+    s = as_points(s)
     mirror = (s.imag == 0.0) & (s.real < 0.0)
     if not mirror.any():
-        return unwrap(_g(s, geo, k), scalar)
+        return _g(s, geo, k)
     out = np.empty(s.shape, dtype=complex)
     out[~mirror] = _g(s[~mirror], geo, k)
     if math.pi - geo.beta == math.pi:
@@ -206,14 +206,14 @@ def g_of_s(s, geo: KnifeGeometry, k: float):
             f"which needs pi - beta to stay below pi; beta = {geo.beta!r} rounds it to pi"
         )
     out[mirror] = _g(-s.real[mirror], KnifeGeometry(geo.R, math.pi - geo.beta), k)
-    return unwrap(out, scalar)
+    return out
 
 
 def amplitude_v(s, cfg: ShadowConfig):
     """Shadow-boundary amplitude
     V(s) = -H(s - s_sb) g+(s - s_sb) + H(s_sb - s) g-(s_sb - s) - g-(s + s_sb)
-    with g+-(t) = g(t; r_alpha, beta+-) and H(0) = 1/2, for a scalar or an
-    array of arc lengths.
+    with g+-(t) = g(t; r_alpha, beta+-) and H(0) = 1/2, on an array of arc
+    lengths, returned in its shape.
 
     beta+ = pi - beta-, so by the mirror rule of g_of_s one call on the
     points s_sb - s and s + s_sb of the minus geometry gives every term; only
@@ -223,7 +223,7 @@ def amplitude_v(s, cfg: ShadowConfig):
     shadow boundary wherever alpha puts it. An arc length of complex type
     raises DomainError naming its first point.
     """
-    s, scalar = as_points(s)
+    s = as_points(s)
     if s.dtype.kind == "c":
         raise DomainError(f"arc length must be real, got {complex(s.flat[0])!r}")
     if (s < 0.0).any():
@@ -233,9 +233,10 @@ def amplitude_v(s, cfg: ShadowConfig):
     out = np.where(s > cfg.s_sb, 0.0 - jump, jump)
     at = s == cfg.s_sb
     if at.any():
-        out[at] = (0.0 - 0.5 * g_of_s(0.0, cfg.geo_plus, cfg.k)) + 0.5 * jump[at]
+        g_plus_0 = complex(g_of_s(np.zeros(1), cfg.geo_plus, cfg.k)[0])
+        out[at] = (0.0 - 0.5 * g_plus_0) + 0.5 * jump[at]
     out -= g[s.size :].reshape(s.shape)
-    return unwrap(out, scalar)
+    return out
 
 
 def psi_go(s: float, cfg: ShadowConfig) -> complex:

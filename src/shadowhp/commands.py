@@ -31,6 +31,13 @@ def _print_complex(v: complex) -> None:
     _print(f"{_fmt(v.real)},{_fmt(v.imag)}")
 
 
+def _print_at(f, x, *args) -> None:
+    """Print f(x, *args) at one point x, given to f as a one-element array."""
+    import numpy as np
+
+    _print_complex(complex(f(np.array([x]), *args)[0]))
+
+
 def _shadow_config(args: argparse.Namespace) -> ShadowConfig:
     from shadowhp.amplitudes import ShadowConfig
 
@@ -45,8 +52,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
     fn = args.function
     if fn in ("fr", "F"):
-        z = complex(args.re, args.im)
-        _print_complex(fresnel_fr(z) if fn == "fr" else big_f(z))
+        _print_at(fresnel_fr if fn == "fr" else big_f, complex(args.re, args.im))
         return 0
     deg = args.degrees
     if fn == "E":
@@ -56,12 +62,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         if len(args.s) > 2:
             raise ConfigError(f"--s takes RE [IM], got {len(args.s)} values")
         geo = KnifeGeometry(R=args.R, beta=_rad(args.beta, deg))
-        s = complex(*args.s)
-        f = g_of_s if fn == "g" else h_of_s
-        _print_complex(f(s, geo, args.k))
+        _print_at(g_of_s if fn == "g" else h_of_s, complex(*args.s), geo, args.k)
+    elif fn == "V":
+        _print_at(amplitude_v, args.s, _shadow_config(args))
     else:
-        f = amplitude_v if fn == "V" else psi_go
-        _print_complex(f(args.s, _shadow_config(args)))
+        _print_complex(psi_go(args.s, _shadow_config(args)))
     return 0
 
 
@@ -70,14 +75,16 @@ _GRID_DEFAULTS = {"lnc": "l_nc", "lncp": "l_nc_prime", "sigma": "sigma"}
 
 
 def _cmd_project(args: argparse.Namespace) -> int:
-    from shadowhp.experiments import ExperimentGrid, layers_for_degree
-    from shadowhp.hpspace import best_approx_error
+    from shadowhp.experiments import ExperimentGrid
+    from shadowhp.hpspace import MAX_LAYERS, best_approx_error
 
     for option, field in _GRID_DEFAULTS.items():
         if getattr(args, option) is None:
             setattr(args, option, getattr(ExperimentGrid, field))
     cfg = _shadow_config(args)
-    n = args.n if args.n is not None else layers_for_degree(args.p, ExperimentGrid.c)
+    n = max(1, args.p) if args.n is None else args.n
+    if args.n is None and n > MAX_LAYERS:
+        raise ConfigError(f"--n defaults to max(1, p) = {n}, above MAX_LAYERS = {MAX_LAYERS}")
     (res,) = best_approx_error(cfg, [n], args.sigma, [args.p], args.quad_order)
     lines = [f"{_fmt(res.error_l2)},{_fmt(res.relative_error)},{res.dof}"]
     if args.elements:

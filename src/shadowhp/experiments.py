@@ -108,7 +108,10 @@ def layers_for_degree(p: int, c: float) -> int:
     """
     if not (math.isfinite(c) and c > 0.0):
         raise ConfigError(f"layer constant c must be finite and positive, got {c}")
-    depth = c * p
+    try:
+        depth = c * p
+    except OverflowError:  # a p beyond the double range
+        depth = math.inf
     # compared before ceil, which would raise on a c p that overflows to inf
     if depth > MAX_LAYERS:
         raise ConfigError(

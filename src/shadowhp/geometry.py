@@ -1,4 +1,4 @@
-"""Analytic continuation of r(s) and mu(s), for a scalar or an array of s.
+"""Analytic continuation of r(s) and mu(s), on arrays of s.
 
 The distance function r(s) = sqrt(R^2 + s^2 - 2 s R cos(beta)) has branch
 points at s = R e^{+-i beta}; the continuation is taken in the plane cut
@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from shadowhp._arrays import as_points, first, unwrap
+from shadowhp._arrays import as_points, first
 from shadowhp.errors import BranchCutError, DomainError
 from shadowhp.regions import KnifeGeometry, cut_distance
 
@@ -60,8 +60,8 @@ def _require_off_cut(s: np.ndarray, geo: KnifeGeometry) -> None:
 
 
 def r_of_s(s, geo: KnifeGeometry):
-    """Principal branch of sqrt(R^2 + s^2 - 2 s R cos beta), for a scalar
-    or an array of s.
+    """Principal branch of sqrt(R^2 + s^2 - 2 s R cos beta), on an array
+    of s, returned in its shape.
 
     Off the cuts the radicand avoids the negative real axis, so the
     principal square root is the analytic continuation of the positive
@@ -69,7 +69,7 @@ def r_of_s(s, geo: KnifeGeometry):
     BranchCutError for an s on a cut and OverflowError for an s whose
     radicand leaves the double range, naming the first such point.
     """
-    s, scalar = as_points(s)
+    s = as_points(s)
     _require_off_cut(s, geo)
     # an overflow here is reported by the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -77,7 +77,7 @@ def r_of_s(s, geo: KnifeGeometry):
     big = ~np.isfinite(radicand)
     if big.any():
         raise OverflowError(f"r(s)^2 overflows at s = {complex(first(s, big))!r} for {geo}")
-    return unwrap(_principal_sqrt(radicand), scalar)
+    return _principal_sqrt(radicand)
 
 
 def mu_with_root(s, r, geo: KnifeGeometry, k: float):
@@ -103,12 +103,12 @@ def mu_with_root(s, r, geo: KnifeGeometry, k: float):
 
 def mu_of_s(s, geo: KnifeGeometry, k: float):
     """Fresnel argument mu(s) = sqrt(k) s sin(beta) / sqrt(R - s cos(beta) + r(s)),
-    for a scalar or an array of s.
+    on an array of s, returned in its shape.
 
     Satisfies mu(s)^2 = k (-R + s cos(beta) + r(s)); nonnegative for real
     s >= 0.
     """
     check_wavenumber(k)
-    s, scalar = as_points(s)
+    s = as_points(s)
     mu, _ = mu_with_root(s, r_of_s(s, geo), geo, k)
-    return unwrap(mu, scalar)
+    return mu

@@ -32,8 +32,8 @@ chunk runs under a copy of the caller's context, which carries numpy's
 error state. The chunks call the ufunc itself, never a module attribute,
 so a tracer that wraps faddeeva_w sees one call. Before a fork the pool is
 shut down and dropped, so a forked child never inherits an executor
-without threads; the next split starts a new one. Scalars, smaller arrays
-and one-core processes make one ufunc call, and concurrent.futures is
+without threads; the next split starts a new one. Smaller arrays and
+one-core processes make one ufunc call, and concurrent.futures is
 imported only at the first split.
 """
 
@@ -49,7 +49,7 @@ from importlib.util import module_from_spec
 
 import numpy as np
 
-from shadowhp._arrays import as_points, first, unwrap
+from shadowhp._arrays import as_points, first
 
 KERNEL_BACKEND = "scipy"
 
@@ -162,20 +162,20 @@ def load_wofz():
 
 
 def faddeeva_w(z):
-    """Evaluate w(z) for a scalar or an array; raises OverflowError deep in
+    """Evaluate w(z) on an array, in its shape; raises OverflowError deep in
     the lower half-plane and, by the rule of every evaluation function
-    (_arrays.as_points), DomainError at the first point that is not finite.
+    (_arrays.as_points), DomainError for a scalar or a non-finite point.
 
     For Im z < 0 the Faddeeva Package itself reflects, w(z) = 2 exp(-z^2) -
     w(-z), and exp(-z^2) overflows once Im(z)^2 - Re(z)^2 exceeds
     _RE_MZ2_MAX, or is itself not representable (inf - inf far out). This is
     the one overflow check on the w path, and it costs one comparison per
     point when no point lies below the real axis. The error names the first
-    such point. Scalar input returns a Python complex. An array of
-    2 * _MIN_POINTS_PER_THREAD points or more is evaluated in one chunk per
-    usable core (see the module docstring), bit for bit as in one call.
+    such point. An array of 2 * _MIN_POINTS_PER_THREAD points or more is
+    evaluated in one chunk per usable core (see the module docstring), bit
+    for bit as in one call.
     """
-    arr, scalar = as_points(z)
+    arr = as_points(z)
     im = arr.imag
     lower = im < 0.0
     if lower.any():
@@ -193,5 +193,5 @@ def faddeeva_w(z):
     if arr.size >= 2 * _MIN_POINTS_PER_THREAD:
         n_chunks = min(arr.size // _MIN_POINTS_PER_THREAD, _usable_cores())
         if n_chunks >= 2:
-            return unwrap(_split_wofz(wofz, arr, n_chunks), scalar)
-    return unwrap(wofz(arr), scalar)
+            return _split_wofz(wofz, arr, n_chunks)
+    return wofz(arr)

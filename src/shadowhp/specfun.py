@@ -24,7 +24,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from shadowhp._arrays import as_points, first, is_count, unwrap
+from shadowhp._arrays import as_points, first, is_count
 from shadowhp.errors import CertificationError, ConfigError
 from shadowhp.kernel import faddeeva_w
 from shadowhp.runio import MAX_SAMPLES
@@ -63,14 +63,14 @@ def _rotate(z: np.ndarray) -> np.ndarray:
 def fresnel_fr(z):
     """Fresnel integral Fr(z) = (1/2) erfc(e^{-i pi/4} z), entire in z.
 
-    Takes a scalar or an array. Raises OverflowError, naming the first such
-    point, when the factor e^{i z^2} exceeds the double range (only
-    possible in the half-plane handled by the symmetry reflection) or
-    i z^2 itself does (|z| beyond about 1.3e154), except where Re(i z^2)
-    is -inf and the factor is 0; and, as big_f does, where e^{i pi/4} z
-    leaves the double range.
+    Takes an array and returns one of its shape. Raises OverflowError,
+    naming the first such point, when the factor e^{i z^2} exceeds the
+    double range (only possible in the half-plane handled by the symmetry
+    reflection) or i z^2 itself does (|z| beyond about 1.3e154), except
+    where Re(i z^2) is -inf and the factor is 0; and, as big_f does, where
+    e^{i pi/4} z leaves the double range.
     """
-    z, scalar = as_points(z)
+    z = as_points(z)
     # Fr(z) = 1 - Fr(-z) carries the half-plane Im(e^{i pi/4} z) < 0 into
     # the one where e^{i z^2} w(e^{i pi/4} z) is computed directly
     flip = _rotate(z).imag < 0.0
@@ -82,22 +82,25 @@ def fresnel_fr(z):
     if over.any():
         raise OverflowError(f"exp(i z^2) overflows at z = {complex(first(z, over))!r}")
     fr = np.exp(iz2) * big_f(zz)
-    return unwrap(np.where(flip, 1.0 - fr, fr), scalar)
+    return np.where(flip, 1.0 - fr, fr)
 
 
 def big_f(z):
     """F(z) = e^{-i z^2} Fr(z) = (1/2) w(e^{i pi/4} z): one Faddeeva call.
 
-    Takes a scalar or an array. Bounded on arg z in [-pi/2, pi]; in the
-    growth sector arg z in (-pi, -pi/2) it equals e^{-i z^2} - F(-z), a
-    reflection that scipy's Faddeeva code applies. faddeeva_w raises
-    OverflowError, naming the first rotated point e^{i pi/4} z, once
-    Re(-i z^2) exceeds its bound of 708. Where the rotation itself leaves
-    the double range (|z| near 1.3e308), the OverflowError names the first
-    such z instead.
+    Takes an array and returns one of its shape; F alone also takes a
+    scalar and returns a Python complex, as the benchmark's mpmath check
+    (perfbench/checks.py) calls it (ROADMAP item 19). Bounded on arg z in
+    [-pi/2, pi]; in the growth sector arg z in (-pi, -pi/2) it equals
+    e^{-i z^2} - F(-z), a reflection that scipy's Faddeeva code applies.
+    faddeeva_w raises OverflowError, naming the first rotated point
+    e^{i pi/4} z, once Re(-i z^2) exceeds its bound of 708. Where the
+    rotation itself leaves the double range (|z| near 1.3e308), the
+    OverflowError names the first such z instead.
     """
-    z, scalar = as_points(z)
-    return unwrap(0.5 * faddeeva_w(_rotate(z)), scalar)
+    scalar = np.ndim(z) == 0
+    out = 0.5 * faddeeva_w(_rotate(as_points([z] if scalar else z)))
+    return complex(out[0]) if scalar else out
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,7 @@ def fresnel_oracle(z: complex) -> complex:
     tolerance _ORACLE_TOL; DomainError, naming its shape, for an array of
     more than one point.
     """
-    pts, _ = as_points(z)
+    pts = as_points(np.atleast_1d(z))
     if pts.size != 1:
         raise DomainError(f"fresnel_oracle takes one point, got an array of shape {pts.shape}")
     z = complex(pts.item())
@@ -124,7 +124,8 @@ def e_remainder_check(p: FieldPoint, k: float) -> float:
     rhs = e_go(p, k)
     if sgn != 0.0:
         mu = _finite_phase(math.sqrt(2.0 * k * p.r) * abs(math.cos(0.5 * p.psi)), k=k, r=p.r)
-        rhs -= sgn * big_f(mu) * cmath.exp(_finite_phase(1j * k * p.r, k=k, r=p.r))
+        f_mu = complex(big_f(np.array([mu]))[0])
+        rhs -= sgn * f_mu * cmath.exp(_finite_phase(1j * k * p.r, k=k, r=p.r))
     return abs(e_field(p, k) - rhs)
 
 
@@ -174,7 +175,8 @@ def de_dn_check(s: float, geo: KnifeGeometry, k: float) -> float:
     fd = (field_at(_FD_STEP) - field_at(-_FD_STEP)) / (2.0 * _FD_STEP)
     r = math.hypot(x1, x2)
     go = -1j * k * sb * _heaviside(math.pi - psi) * cmath.exp(-1j * k * x1)
-    analytic = go - _sign(math.pi - psi) * g_of_s(s, geo, k) * cmath.exp(1j * k * r)
+    g = complex(g_of_s(np.array([s]), geo, k)[0])
+    analytic = go - _sign(math.pi - psi) * g * cmath.exp(1j * k * r)
     return abs(fd - analytic)
 
 

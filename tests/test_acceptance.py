@@ -46,7 +46,7 @@ def test_criterion_1_oracle_agreement(capsys):
     for x in np.linspace(-3.0, 3.0, 21):
         for y in np.linspace(-3.0, 3.0, 21):
             z = complex(x, y)
-            ours = fresnel_fr(z)
+            ours = fresnel_fr([z])[0]
             ref = fresnel_oracle(z)
             worst = max(worst, abs(ours - ref) / max(abs(ref), 1e-300))
     elapsed = time.perf_counter() - start
@@ -65,10 +65,11 @@ def test_criterion_2_symmetry_suites(capsys):
         return rad * cmath.exp(1j * rng.uniform(0.0, 2.0 * PI))
 
     worst["Fr"] = max(
-        abs(fresnel_fr(-z) + fresnel_fr(z) - 1.0) for z in (draw_z() for _ in range(1000))
+        abs(fresnel_fr([-z])[0] + fresnel_fr([z])[0] - 1.0)
+        for z in (draw_z() for _ in range(1000))
     )
     worst["F"] = max(
-        abs(big_f(-z) + big_f(z) - cmath.exp(-1j * z * z))
+        abs(big_f([-z])[0] + big_f([z])[0] - cmath.exp(-1j * z * z))
         for z in (draw_z() for _ in range(1000))
     )
 
@@ -101,8 +102,8 @@ def test_criterion_2_symmetry_suites(capsys):
 
     worst["g mirror"] = max(
         abs(
-            g_of_s(-s, KnifeGeometry(R, beta), k)
-            - g_of_s(s, KnifeGeometry(R, PI - beta), k)
+            g_of_s([-s], KnifeGeometry(R, beta), k)[0]
+            - g_of_s([s], KnifeGeometry(R, PI - beta), k)[0]
         )
         for s, R, beta, k in (draw_line() for _ in range(1000))
     )
@@ -159,7 +160,7 @@ def test_criterion_5_sector_bound(capsys):
 
 
 def _trace(s: float, cfg: ShadowConfig) -> complex:
-    return psi_go(s, cfg) + amplitude_v(s, cfg) * cmath.exp(
+    return psi_go(s, cfg) + amplitude_v([s], cfg)[0] * cmath.exp(
         1j * cfg.k * math.hypot(s, cfg.l_nc_prime)
     )
 

@@ -121,16 +121,15 @@ def test_gtd_far_field_decay_rate():
 def test_h_at_zero_limit():
     geo = KnifeGeometry(R=1.0, beta=math.pi / 3)
     expected = -math.cos(geo.beta) * math.sqrt(5.0 / 2.0)
-    assert abs(h_of_s(0.0, geo, 5.0) - expected) <= 1e-14
+    assert abs(h_of_s([0.0], geo, 5.0)[0] - expected) <= 1e-14
     # and by one-sided numerical limit with Richardson extrapolation
-    f1 = h_of_s(1e-7, geo, 5.0)
-    f2 = h_of_s(2e-7, geo, 5.0)
+    f1, f2 = h_of_s([1e-7, 2e-7], geo, 5.0)
     assert abs(2.0 * f1 - f2 - expected) <= 1e-9
 
 
 def test_h_at_zero_perpendicular():
     geo = KnifeGeometry(R=1.0, beta=0.5 * math.pi)
-    assert abs(h_of_s(0.0, geo, 5.0)) <= 1e-15
+    assert abs(h_of_s([0.0], geo, 5.0)[0]) <= 1e-15
 
 
 def test_h_matches_displayed_formula_off_origin():
@@ -143,21 +142,21 @@ def test_h_matches_displayed_formula_off_origin():
         s = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
         if abs(s) < 1e-3:
             continue
-        mu = mu_of_s(s, geo, k)
+        mu = mu_of_s([s], geo, k)[0]
         if abs(mu) < 1e-6:
             continue
-        r = r_of_s(s, geo)
+        r = r_of_s([s], geo)[0]
         displayed = k * math.sin(geo.beta) * (r - geo.R) / (2.0 * r * mu)
-        assert abs(h_of_s(s, geo, k) - displayed) <= 1e-10 * max(abs(displayed), 1.0)
+        assert abs(h_of_s([s], geo, k)[0] - displayed) <= 1e-10 * max(abs(displayed), 1.0)
 
 
 @pytest.mark.parametrize("f", [h_of_s, g_of_s])
 def test_h_and_g_raise_where_the_denominator_overflows(f):
     # 2 r (r + R) overflows from about s = 9.5e153 on; h read 0 there
     geo = KnifeGeometry(1.0, 2.0)
-    assert h_of_s(9e153, geo, 5.0).real == pytest.approx(1.4024516413464941e-77, rel=1e-12)
+    assert h_of_s([9e153], geo, 5.0)[0].real == pytest.approx(1.4024516413464941e-77, rel=1e-12)
     with pytest.raises(OverflowError, match=re.escape(f"at s = {complex(1.2e154)!r}")):
-        f(1.2e154, geo, 5.0)
+        f([1.2e154], geo, 5.0)
     with pytest.raises(OverflowError, match=re.escape(f"at s = {complex(1.2e154)!r}")):
         f(np.array([0.5, 9e153, 1.2e154, 1.3e154]), geo, 5.0)
 
@@ -193,12 +192,12 @@ _GEO = KnifeGeometry(1.0, 2.0)
 @pytest.mark.parametrize(
     "call",
     [
-        lambda k: mu_of_s(0.5, _GEO, k),
+        lambda k: mu_of_s([0.5], _GEO, k),
         lambda k: e_field(FieldPoint(1.0, 4.0), k),
         lambda k: e_go(FieldPoint(1.0, 4.0), k),
         lambda k: gtd_far_field(FieldPoint(1.0, 1.0), k),
-        lambda k: h_of_s(0.5, _GEO, k),
-        lambda k: g_of_s(0.5, _GEO, k),
+        lambda k: h_of_s([0.5], _GEO, k),
+        lambda k: g_of_s([0.5], _GEO, k),
         lambda k: de_dn_check(1.0, _GEO, k),
     ],
     ids=["mu_of_s", "e_field", "e_go", "gtd_far_field", "h_of_s", "g_of_s", "de_dn_check"],
@@ -225,7 +224,7 @@ def test_h_strip_bound_regression():
     worst = 0.0
     for _ in range(5000):
         s = complex(rng.uniform(-10, 10), rng.uniform(-cap, cap))
-        worst = max(worst, abs(h_of_s(s, geo, k)) / scale)
+        worst = max(worst, abs(h_of_s([s], geo, k)[0]) / scale)
     assert worst <= 0.45
 
 
@@ -235,14 +234,14 @@ def test_g_at_zero():
     expected = E3IPI4 / SQRTPI * (-math.cos(geo.beta)) * math.sqrt(k / 2.0) - 0.5j * k * math.sin(
         geo.beta
     )
-    assert abs(g_of_s(0.0, geo, k) - expected) <= 1e-13
+    assert abs(g_of_s([0.0], geo, k)[0] - expected) <= 1e-13
 
 
 def test_g_mirror_symmetry():
     # the negative real points are the mirrored geometry's points, bit for bit
     geo = KnifeGeometry(R=1.0, beta=math.pi / 3)
     mirrored = KnifeGeometry(R=1.0, beta=math.pi - math.pi / 3)
-    assert g_of_s(-0.3, geo, 5.0) == g_of_s(0.3, mirrored, 5.0)
+    assert g_of_s([-0.3], geo, 5.0) == g_of_s([0.3], mirrored, 5.0)
     rng = np.random.default_rng(46)
     for _ in range(100):
         geo = KnifeGeometry(R=rng.uniform(0.1, 3.0), beta=rng.uniform(0.05, 3.09))
@@ -269,7 +268,7 @@ def test_g_strip_sector_bound_regression():
         if not strip_S_delta(s, geo, 0.25):
             continue
         n += 1
-        worst = max(worst, abs(g_of_s(s, geo, k)) / scale)
+        worst = max(worst, abs(g_of_s([s], geo, k)[0]) / scale)
     assert worst <= 0.65
 
 
@@ -323,17 +322,17 @@ def test_amplitude_v_head_on_incidence():
     cfg = ShadowConfig(k=9.0, alpha=math.pi, l_nc=1.5, l_nc_prime=1.0)
     geo = KnifeGeometry(R=1.0, beta=0.5 * math.pi)
     for s in (0.2, 0.9, 1.4):
-        assert abs(amplitude_v(s, cfg) + 2.0 * g_of_s(s, geo, cfg.k)) <= 1e-13
+        assert abs(amplitude_v([s], cfg)[0] + 2.0 * g_of_s([s], geo, cfg.k)[0]) <= 1e-13
 
 
 def test_amplitude_v_rejects_negative_s():
     cfg = ShadowConfig(k=9.0, alpha=math.pi, l_nc=1.5, l_nc_prime=1.0)
     with pytest.raises(DomainError):
-        amplitude_v(-0.1, cfg)
+        amplitude_v([-0.1], cfg)
 
 
 def total_trace(s, cfg):
-    return psi_go(s, cfg) + amplitude_v(s, cfg) * cmath.exp(
+    return psi_go(s, cfg) + amplitude_v([s], cfg)[0] * cmath.exp(
         1j * cfg.k * math.hypot(s, cfg.l_nc_prime)
     )
 
@@ -387,35 +386,35 @@ def test_v_scaling_with_k():
     grid = np.linspace(0.0, 1.5, 400)
     ratios = []
     for cfg in cfgs:
-        peak = max(abs(amplitude_v(float(s), cfg)) for s in grid)
+        peak = max(abs(amplitude_v([float(s)], cfg)[0]) for s in grid)
         ratios.append(peak / cfg.k)
     assert all(0.30 <= r <= 0.45 for r in ratios), ratios
     assert max(ratios) / min(ratios) <= 1.15
 
 
-def _assert_scalar_array_parity(fn, pts):
+def _assert_batch_matches_one_point_calls(fn, pts):
     batch = fn(pts)
     assert isinstance(batch, np.ndarray) and batch.shape == pts.shape
-    scalar = [fn(v.item()) for v in pts.flat]
-    assert all(type(v) is complex for v in scalar)
-    np.testing.assert_allclose(batch.ravel(), scalar, rtol=1e-13, atol=0.0)
+    one = [fn(pts.ravel()[i : i + 1]) for i in range(pts.size)]
+    assert all(v.shape == (1,) for v in one)
+    np.testing.assert_allclose(batch.ravel(), np.concatenate(one), rtol=1e-13, atol=0.0)
 
 
-def test_h_and_g_scalar_array_parity():
+def test_h_and_g_batch_and_one_point_calls_agree():
     geo = KnifeGeometry(R=1.0, beta=math.pi / 3)
     rng = np.random.default_rng(45)
     strip = rng.uniform(-3, 6, 1000) + 1j * rng.uniform(-0.75, 0.75, 1000)
     # mixed-sign real points take the mirror rule for s < 0 inside one call
     real = np.concatenate((rng.uniform(-3, 3, 500), [0.0, -0.3, 0.3])).astype(complex)
     for pts in (strip, real):
-        _assert_scalar_array_parity(lambda s: h_of_s(s, geo, 10.0), pts)
-        _assert_scalar_array_parity(lambda s: g_of_s(s, geo, 10.0), pts)
+        _assert_batch_matches_one_point_calls(lambda s: h_of_s(s, geo, 10.0), pts)
+        _assert_batch_matches_one_point_calls(lambda s: g_of_s(s, geo, 10.0), pts)
     mirrored = g_of_s(np.array([-0.3, 0.3]), geo, 5.0)
-    other = g_of_s(0.3, KnifeGeometry(R=1.0, beta=math.pi - math.pi / 3), 5.0)
-    assert abs(mirrored[0] - other) <= 1e-13
+    other = g_of_s([0.3], KnifeGeometry(R=1.0, beta=math.pi - math.pi / 3), 5.0)
+    assert abs(mirrored[0] - other[0]) <= 1e-13
 
 
-def test_amplitude_v_scalar_array_parity_on_reference_nodes():
+def test_amplitude_v_batch_and_one_point_calls_agree_on_reference_nodes():
     from shadowhp.hpspace import gauss_legendre_rule, shadow_mesh
 
     cfg = ShadowConfig(k=16.0, alpha=0.75 * math.pi, l_nc=1.5, l_nc_prime=1.0)
@@ -424,7 +423,7 @@ def test_amplitude_v_scalar_array_parity_on_reference_nodes():
     nodes = pts[:-1, None] + 0.5 * (pts[1:] - pts[:-1])[:, None] * (x + 1.0)
     # the shadow point itself, where H(0) = 1/2 takes both one-sided terms
     nodes = np.append(nodes, [0.0, cfg.s_sb]).reshape(-1, 2)
-    _assert_scalar_array_parity(lambda s: amplitude_v(s, cfg), nodes)
+    _assert_batch_matches_one_point_calls(lambda s: amplitude_v(s, cfg), nodes)
 
 
 def test_amplitude_v_reads_the_plus_geometry_only_at_the_shadow_point(monkeypatch):
@@ -437,7 +436,7 @@ def test_amplitude_v_reads_the_plus_geometry_only_at_the_shadow_point(monkeypatc
     nodes = (pts[:-1, None] + 0.5 * (pts[1:] - pts[:-1])[:, None] * (x + 1.0)).ravel()
     assert (nodes < cfg.s_sb).any() and (nodes > cfg.s_sb).any()
     expected = amplitude_v(nodes, cfg)
-    at_sb = amplitude_v(cfg.s_sb, cfg)
+    (at_sb,) = amplitude_v([cfg.s_sb], cfg)
 
     reads, calls = [], []
     plus = ShadowConfig.geo_plus
@@ -457,10 +456,11 @@ def test_amplitude_v_reads_the_plus_geometry_only_at_the_shadow_point(monkeypatc
     assert calls == [(2 * nodes.size, cfg.geo_minus)]
 
     # at s_sb, H(0) = 1/2 takes half of each one-sided term
-    assert amplitude_v(cfg.s_sb, cfg) == at_sb
+    assert amplitude_v([cfg.s_sb], cfg) == at_sb
     assert len(reads) == 1
-    half = 0.5 * (g(0.0, cfg.geo_minus, cfg.k) - g(0.0, cfg.geo_plus, cfg.k))
-    assert abs(at_sb - (half - g(2.0 * cfg.s_sb, cfg.geo_minus, cfg.k))) <= 1e-13 * abs(at_sb)
+    (half,) = 0.5 * (g([0.0], cfg.geo_minus, cfg.k) - g([0.0], cfg.geo_plus, cfg.k))
+    (far,) = g([2.0 * cfg.s_sb], cfg.geo_minus, cfg.k)
+    assert abs(at_sb - (half - far)) <= 1e-13 * abs(at_sb)
 
 
 def test_amplitude_v_array_rejects_one_bad_point():
@@ -471,7 +471,7 @@ def test_amplitude_v_array_rejects_one_bad_point():
         amplitude_v(np.array([0.2, math.nan]), cfg)
     # a complex arc length is refused, not cut to its real part
     with pytest.raises(DomainError, match=re.escape("arc length must be real, got (0.5+0.3j)")):
-        amplitude_v(0.5 + 0.3j, cfg)
+        amplitude_v([0.5 + 0.3j], cfg)
     with pytest.raises(DomainError, match=re.escape("arc length must be real, got (0.5+0.3j)")):
         amplitude_v(np.array([0.5 + 0.3j, 0.2]), cfg)
     geo = KnifeGeometry(R=1.0, beta=math.pi / 3)
@@ -479,7 +479,7 @@ def test_amplitude_v_array_rejects_one_bad_point():
         g_of_s(np.array([0.2, complex(0.0, math.inf)]), geo, 5.0)
     # pi - 1e-17 rounds to pi, so the mirrored geometry does not exist
     with pytest.raises(DomainError, match=r"needs pi - beta to stay below pi; beta = 1e-17"):
-        g_of_s(-1.0, KnifeGeometry(1.0, 1e-17), 5.0)
+        g_of_s([-1.0], KnifeGeometry(1.0, 1e-17), 5.0)
 
 
 def _assert_real_path_matches_complex(s, geo, k):
@@ -526,7 +526,7 @@ def test_h_and_g_raise_where_r_rounds_to_zero(f):
     # r(s) reads 0 and so does h's denominator 2 r (r + R)
     geo = KnifeGeometry(0.6395080848042881, 8.97898823953947e-12)
     s = 0.6395080848042852
-    assert r_of_s(s, geo) == 0.0
-    for points in (s, complex(s), np.array([0.1, s])):
+    assert r_of_s([s], geo)[0] == 0.0
+    for points in ([s], [complex(s)], np.array([0.1, s])):
         with pytest.raises(OverflowError, match=re.escape(f"at s = {complex(s)!r}")):
             f(points, geo, 5.0)

@@ -235,7 +235,7 @@ def test_eval_fr_matches_library(capsys):
     code, out, _ = run_cli(["eval", "fr", "1.5"], capsys)
     assert code == 0
     re, im = (float(x) for x in out.strip().split(","))
-    want = fresnel_fr(1.5)
+    (want,) = fresnel_fr([1.5])
     assert (re, im) == (want.real, want.imag)
 
 
@@ -257,8 +257,36 @@ def test_eval_v_round_trip_bit_exact(capsys):
     )
     assert code == 0
     re, im = (float(x) for x in out.strip().split(","))
-    want = amplitude_v(0.5, ShadowConfig(k=16.0, alpha=2.35619449, l_nc=1.5, l_nc_prime=1.0))
+    cfg = ShadowConfig(k=16.0, alpha=2.35619449, l_nc=1.5, l_nc_prime=1.0)
+    (want,) = amplitude_v([0.5], cfg)
     assert (re, im) == (want.real, want.imag)
+
+
+_V_AT = ["--k", "16", "--alpha", "2.4", "--lnc", "1.5", "--lncp", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["fr", "0.7", "-0.3"], "0.2503886542040572,0.42681108538700319"),
+        (["F", "1.2", "0.4"], "0.17819231658732346,0.061588892894313921"),
+        (["E", "--r", "1.3", "--psi", "2.1", "--k", "5"],
+         "-1.087579883281848,-0.25496007637816753"),
+        (["g", "--s", "0.4", "0.2", "--R", "1.5", "--beta", "1.1", "--k", "10"],
+         "0.57898463328280547,-2.5337427913274899"),
+        (["h", "--s", "0.4", "--R", "1.5", "--beta", "1.1", "--k", "10"],
+         "-0.63583749346446261,0"),
+        (["V", "--s", "0.3", *_V_AT], "0.80513759219843384,-1.3968752022369451"),
+        # s = s_sb of this config, where V also evaluates g+(0)
+        (["V", "--s", "0.9160142896734105", *_V_AT], "0.13982034883575378,-0.11335367412856823"),
+        (["psi_go", "--s", "-2", *_V_AT], "-10.741894676692082,-4.8797098925144562"),
+    ],
+    ids=["fr", "F", "E", "g", "h", "V", "V-at-s_sb", "psi_go"],
+)
+def test_eval_prints_the_pinned_line(capsys, argv, line):
+    # each line as the library printed it when eval's functions still took
+    # a scalar: converting one point to an array and back changes no bit
+    assert run_cli(["eval", *argv], capsys) == (0, line + "\n", "")
 
 
 def test_degrees_flag_equivalence(capsys):
@@ -391,7 +419,7 @@ def test_eval_fr_and_region_take_a_negative_number_with_an_exponent(capsys):
     code, out, err = run_cli(["eval", "fr", "-1e-3", "0"], capsys)
     assert (code, err) == (0, "")
     real, imag = (float(x) for x in out.strip().split(","))
-    want = fresnel_fr(-1e-3)
+    (want,) = fresnel_fr([-1e-3])
     assert (real, imag) == (want.real, want.imag)
     argv = ["region", "--R", "1", "--beta", "2", "--nx", "2", "--ny", "1"]
     code, out, err = run_cli([*argv, "--re-min", "-1e-1"], capsys)
@@ -590,6 +618,10 @@ def test_project_elements(capsys):
     assert share[worst] > 0.9999
 
 
+#: a degree of 401 digits, beyond the double range
+_HUGE_P = "1" + "0" * 400
+
+
 @pytest.mark.parametrize(
     "flag, value, code, message",
     [
@@ -599,6 +631,9 @@ def test_project_elements(capsys):
         ("--p", "121", 2, "quad_order (the default 2p + 16) for degree 121 must be an integer"),
         ("--lnc", "inf", 1, "side length l_nc"),
         ("--n", "0", 2, "layer count must be an integer >= 1, got 0"),
+        # --n's own default, not a layer constant that project does not take
+        ("--p", "2000", 2, f"--n defaults to max(1, p) = 2000, above MAX_LAYERS = {MAX_LAYERS}\n"),
+        ("--p", _HUGE_P, 2, f"max(1, p) = {_HUGE_P}, above MAX_LAYERS = {MAX_LAYERS}\n"),
         ("--n", str(MAX_LAYERS + 1), 2, f"layer count {MAX_LAYERS + 1} exceeds MAX_LAYERS"),
         ("--n", "80000", 2, "exceeds MAX_LAYERS"),
         ("--n", "400", 2, "400 layers at grading 0.15 put the finest point at 0.0"),
@@ -669,6 +704,23 @@ def test_project_names_where_r_rounds_to_zero(capsys):
         "domain error: h(s) is undefined: r(s) rounds to 0 at s = (99999999.9491296+0j) "
         "for KnifeGeometry(R=99999999.9954237, beta=9.99999993922529e-09)\n",
     )
+
+
+def test_experiment_with_a_degree_beyond_the_double_range_exits_2(tmp_path, capsys):
+    # c p overflowed the conversion of p to float, which exited 1 as a domain error
+    cfg = tmp_path / "a.conf"
+    out = tmp_path / "a.csv"
+    cfg.write_text(
+        f"k_values = 16\nalpha_values = 2.4\np_values = 2, {_HUGE_P}\noutput = {out}\n",
+        encoding="ascii",
+    )
+    assert run_cli(["experiment", str(cfg)], capsys) == (
+        2,
+        "",
+        f"config error: layer constant c = 1.0 at degree {_HUGE_P} asks for more than "
+        f"MAX_LAYERS = {MAX_LAYERS} layers\n",
+    )
+    assert not out.exists()
 
 
 CONFIG_OK = """\
@@ -1383,7 +1435,7 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     re, im = (float(x) for x in proc.stdout.strip().split(","))
-    want = fresnel_fr(1.5)
+    (want,) = fresnel_fr([1.5])
     assert (re, im) == (want.real, want.imag)
 
 

@@ -44,7 +44,10 @@ def test_layers_for_degree():
 
 def test_layer_cap_applies_to_the_grid_before_any_row():
     # the deepest row, not the first, decides: p = 2 fits at c = 300, p = 8 does not
-    for c, p_values in ((300.0, (2, 8)), (MAX_LAYERS / 2 + 1, (2,)), (1e308, (2,))):
+    # a p beyond the double range too: c p overflowed its conversion to float
+    for c, p_values in (
+        (300.0, (2, 8)), (MAX_LAYERS / 2 + 1, (2,)), (1e308, (2,)), (1.0, (2, 10**400))
+    ):
         with pytest.raises(ConfigError, match="asks for more than MAX_LAYERS"):
             ExperimentGrid(k_values=(16.0,), alpha_values=(2.0,), p_values=p_values, c=c)
         with pytest.raises(ConfigError, match="asks for more than MAX_LAYERS"):

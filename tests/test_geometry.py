@@ -108,25 +108,25 @@ def test_region_constants_are_pinned(R, beta, constants):
 
 def test_r_at_zero_is_R():
     geo = KnifeGeometry(R=2.3, beta=1.1)
-    assert abs(r_of_s(0.0, geo) - 2.3) <= 1e-15
+    assert abs(r_of_s([0.0], geo)[0] - 2.3) <= 1e-15
 
 
 def test_r_perpendicular_line():
     geo = KnifeGeometry(R=1.0, beta=0.5 * math.pi)
-    assert abs(r_of_s(1.0, geo) - math.sqrt(2.0)) <= 1e-15
+    assert abs(r_of_s([1.0], geo)[0] - math.sqrt(2.0)) <= 1e-15
 
 
 def test_r_positive_real_part_off_cuts():
     geo = KnifeGeometry(R=1.0, beta=2 * math.pi / 3)
     for s in random_off_cut_points(geo, 10000, seed=31):
-        assert r_of_s(s, geo).real > 0.0, f"s={s}"
+        assert r_of_s([s], geo)[0].real > 0.0, f"s={s}"
 
 
 def test_r_branch_cut_raises():
     geo = KnifeGeometry(R=1.0, beta=2 * math.pi / 3)
     on_cut = complex(math.cos(geo.beta), math.sin(geo.beta) + 0.5)
     with pytest.raises(BranchCutError):
-        r_of_s(on_cut, geo)
+        r_of_s([on_cut], geo)
 
 
 def test_r_vanishes_at_branch_point_radial_limit():
@@ -137,7 +137,7 @@ def test_r_vanishes_at_branch_point_radial_limit():
     vals = []
     deltas = (1e-10, 1e-12)
     for d in deltas:
-        vals.append(abs(r_of_s(bp * (1.0 - d), geo)))
+        vals.append(abs(r_of_s([bp * (1.0 - d)], geo)[0]))
     w1, w2 = math.sqrt(deltas[0]), math.sqrt(deltas[1])
     extrapolated = (vals[1] * w1 - vals[0] * w2) / (w1 - w2)
     assert abs(extrapolated) <= 1e-10
@@ -145,12 +145,12 @@ def test_r_vanishes_at_branch_point_radial_limit():
 
 def test_mu_at_zero():
     geo = KnifeGeometry(R=1.0, beta=1.0)
-    assert mu_of_s(0.0, geo, 5.0) == 0.0
+    assert mu_of_s([0.0], geo, 5.0)[0] == 0.0
 
 
 def test_mu_worked_value():
     geo = KnifeGeometry(R=1.0, beta=0.5 * math.pi)
-    mu = mu_of_s(1.0, geo, 2.0)
+    mu = mu_of_s([1.0], geo, 2.0)[0]
     expected = math.sqrt(2.0) / math.sqrt(1.0 + math.sqrt(2.0))
     assert abs(mu - expected) <= 1e-14
     assert abs(mu * mu - 2.0 * (-1.0 + math.sqrt(2.0))) <= 1e-14
@@ -160,15 +160,15 @@ def test_mu_squared_identity():
     geo = KnifeGeometry(R=1.4, beta=2.2)
     k = 7.0
     for s in random_off_cut_points(geo, 2000, seed=32):
-        mu = mu_of_s(s, geo, k)
-        rhs = k * (-geo.R + s * math.cos(geo.beta) + r_of_s(s, geo))
+        mu = mu_of_s([s], geo, k)[0]
+        rhs = k * (-geo.R + s * math.cos(geo.beta) + r_of_s([s], geo)[0])
         assert abs(mu * mu - rhs) <= 1e-12 * max(abs(rhs), 1.0)
 
 
 def test_denominator_has_positive_real_part():
     geo = KnifeGeometry(R=1.0, beta=2 * math.pi / 3)
     for s in random_off_cut_points(geo, 10000, seed=33):
-        val = geo.R - s * math.cos(geo.beta) + r_of_s(s, geo)
+        val = geo.R - s * math.cos(geo.beta) + r_of_s([s], geo)[0]
         assert val.real > 0.0, f"s={s}"
 
 
@@ -182,7 +182,7 @@ def test_mu_real_line_reduction():
         x2 = s * math.sin(geo.beta)
         r = math.hypot(x1, x2)
         psi = math.atan2(x2, x1)
-        mu = mu_of_s(s, geo, k)
+        mu = mu_of_s([s], geo, k)[0]
         assert abs(mu.imag) <= 1e-14
         assert mu.real >= 0.0
         assert abs(mu.real - math.sqrt(2.0 * k * r) * math.cos(0.5 * psi)) <= 1e-12
@@ -388,8 +388,8 @@ def test_region_label_returns_shared_labels():
 
 _GEO = KnifeGeometry(R=1.0, beta=2.0)
 _CFG = ShadowConfig(k=9.0, alpha=0.75 * math.pi, l_nc=1.5, l_nc_prime=1.0)
-#: every function that evaluates at points, as a function of the point alone
-_AT_POINTS = {
+#: every evaluation function, as a function of its array of points alone
+_EVALUATIONS = {
     "r_of_s": lambda s: r_of_s(s, _GEO),
     "mu_of_s": lambda s: mu_of_s(s, _GEO, 9.0),
     "h_of_s": lambda s: h_of_s(s, _GEO, 9.0),
@@ -398,6 +398,11 @@ _AT_POINTS = {
     "fresnel_fr": fresnel_fr,
     "faddeeva_w": faddeeva_w,
     "amplitude_v": lambda s: amplitude_v(s, _CFG),
+}
+#: every function that evaluates at points, as a function of the point (an
+#: array of one point for the evaluation functions) alone
+_AT_POINTS = {
+    **_EVALUATIONS,
     "region_label": lambda s: region_label(s, _GEO),
     "cut_distance": lambda s: cut_distance(s, _GEO),
     "strip_S_delta": lambda s: strip_S_delta(s, _GEO, 0.5),
@@ -414,7 +419,30 @@ def test_every_evaluation_refuses_a_non_finite_point_by_one_rule(name, s):
     # arc lengths of V are real; the other functions take complex points
     message = f"argument must have finite components, got {complex(s)!r}"
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-        _AT_POINTS[name](s)
+        _AT_POINTS[name]([s] if name in _EVALUATIONS else s)
+
+
+@pytest.mark.parametrize("name", [name for name in _EVALUATIONS if name != "big_f"])
+@pytest.mark.parametrize(
+    ("scalar", "shown"),
+    [(1.5, "1.5"), (1.5 + 0j, "(1.5+0j)"), (np.float64(1.5), "1.5"), (np.array(1.5), "1.5")],
+    ids=repr,
+)
+def test_every_evaluation_refuses_a_scalar(name, scalar, shown):
+    message = (
+        f"points must be an array of at least one dimension, "
+        f"got the scalar {shown}: pass [{shown}]"
+    )
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        _EVALUATIONS[name](scalar)
+
+
+@pytest.mark.parametrize("scalar", [1.5, 1.5 + 0j, np.float64(1.5), np.array(1.5)], ids=repr)
+def test_big_f_alone_still_takes_a_scalar(scalar):
+    # the benchmark's mpmath check calls F one Python complex at a time
+    value = big_f(scalar)
+    assert type(value) is complex
+    assert value == big_f(np.array([scalar]))[0]
 
 
 def test_strip_S_delta():
@@ -429,15 +457,15 @@ def test_strip_S_delta():
         strip_S_delta(0.5, geo, 1.5)
 
 
-def test_r_and_mu_scalar_array_parity():
+def test_r_and_mu_batch_and_one_point_calls_agree():
     geo = KnifeGeometry(R=1.4, beta=2.2)
     pts = np.array(random_off_cut_points(geo, 2000, seed=37))
     for fn in (lambda s: r_of_s(s, geo), lambda s: mu_of_s(s, geo, 7.0)):
         batch = fn(pts)
         assert isinstance(batch, np.ndarray) and batch.shape == pts.shape
-        scalar = [fn(complex(s)) for s in pts]
-        assert all(type(v) is complex for v in scalar)
-        np.testing.assert_allclose(batch, scalar, rtol=1e-13, atol=0.0)
+        one = [fn(pts[i : i + 1]) for i in range(pts.size)]
+        assert all(v.shape == (1,) for v in one)
+        np.testing.assert_allclose(batch, np.concatenate(one), rtol=1e-13, atol=0.0)
         grid = pts[:600].reshape(20, 30)
         np.testing.assert_array_equal(fn(grid), fn(grid.ravel()).reshape(20, 30))
 
@@ -482,7 +510,7 @@ def test_mu_subnormal_input_names_k_and_s():
     # k = 5e-324 on the geometry of l_nc_prime = 5e-324, alpha just above pi/2:
     # R^2 underflows and the root sqrt(R - s cos(beta) + r) rounds to 0
     geo = KnifeGeometry(R=1.7441082120055883e-308, beta=2.220446049250313e-16)
-    assert mu_of_s(0.0, geo, 5e-324) == 0.0
+    assert mu_of_s([0.0], geo, 5e-324)[0] == 0.0
     with pytest.raises(DomainError, match=r"s = \(0\.5\+0j\) for k = 5e-324"):
         mu_of_s(np.array([0.0, 0.5, 1.0]), geo, 5e-324)
 

@@ -464,9 +464,9 @@ def test_best_approx_decreases_with_layered_refinement():
 
 def test_best_approx_matches_pointwise_projection():
     # best_approx_error evaluates V on all nodes at once; the reference
-    # target evaluates the scalar V one node at a time
+    # target evaluates V one node at a time
     def pointwise_v(nodes: np.ndarray) -> np.ndarray:
-        return np.array([amplitude_v(float(s), CFG) for s in nodes], dtype=complex)
+        return np.concatenate([amplitude_v(nodes[i : i + 1], CFG) for i in range(nodes.size)])
 
     for n, p in ((1, 0), (4, 3), (8, 8)):
         space = PiecewisePolySpace(mesh=shadow_mesh(CFG, n, 0.15), degree=p)

@@ -1,4 +1,4 @@
-"""Kernel-level checks: accuracy, scalar/array parity, crossovers, reflections."""
+"""Kernel-level checks: accuracy, batch/point parity, crossovers, reflections."""
 
 import cmath
 import hashlib
@@ -45,7 +45,7 @@ REFERENCE_POINTS = [
 def test_against_high_precision_reference():
     for z in REFERENCE_POINTS:
         ref = w_reference(z)
-        got = faddeeva_w(z)
+        got = faddeeva_w([z])[0]
         assert abs(got - ref) <= 5e-14 * abs(ref), f"z={z}"
 
 
@@ -54,20 +54,20 @@ def test_series_recurrence_crossover_is_seamless():
     for t in np.linspace(0.25, 0.45, 200):
         z = complex(6.3 * t * 0.8, 4.4 * t * 0.6)
         ref = w_reference(z)
-        assert abs(faddeeva_w(z) - ref) <= 5e-14 * abs(ref)
+        assert abs(faddeeva_w([z])[0] - ref) <= 5e-14 * abs(ref)
 
 
 def test_real_axis_real_part_is_exact():
     for x in (0.3, 1.0, 2.7, 6.31, 15.0):
-        assert faddeeva_w(complex(x, 0.0)).real == math.exp(-x * x)
+        assert faddeeva_w([complex(x, 0.0)])[0].real == math.exp(-x * x)
 
 
 def test_conjugation_symmetry():
     rng = np.random.default_rng(11)
     for _ in range(500):
         z = complex(rng.uniform(-9, 9), rng.uniform(0, 9))
-        lhs = faddeeva_w(complex(-z.real, z.imag))
-        rhs = faddeeva_w(z).conjugate()
+        lhs = faddeeva_w([complex(-z.real, z.imag)])[0]
+        rhs = faddeeva_w([z])[0].conjugate()
         assert abs(lhs - rhs) <= 1e-15 * max(abs(rhs), 1e-300)
 
 
@@ -77,22 +77,22 @@ def test_lower_half_plane_reflection():
         x = rng.uniform(-6, 6)
         y = -rng.uniform(0.01, 4)
         z = complex(x, y)
-        direct = faddeeva_w(z)
-        reflected = 2.0 * cmath.exp(-z * z) - faddeeva_w(-z)
+        direct = faddeeva_w([z])[0]
+        reflected = 2.0 * cmath.exp(-z * z) - faddeeva_w([-z])[0]
         assert abs(direct - reflected) <= 1e-12 * max(abs(direct), 1e-300)
 
 
 def test_overflow_raises():
     with pytest.raises(OverflowError):
-        faddeeva_w(complex(0.0, -30.0))
+        faddeeva_w([complex(0.0, -30.0)])
 
 
 def test_nan_raises_naming_the_point():
     # the Faddeeva Package returns nan+nanj at a NaN
     with pytest.raises(DomainError, match=r"got \(nan\+0j\)"):
-        faddeeva_w(math.nan)
+        faddeeva_w([math.nan])
     with pytest.raises(DomainError, match=r"got \(nan\+1j\)"):
-        faddeeva_w(complex(math.nan, 1.0))
+        faddeeva_w([complex(math.nan, 1.0)])
     pts = np.array([1.0 + 1.0j, complex(2.0, math.nan), complex(math.nan, 0.0)])
     with pytest.raises(DomainError, match=r"got \(2\+nanj\)"):
         faddeeva_w(pts)
@@ -101,11 +101,11 @@ def test_nan_raises_naming_the_point():
         faddeeva_w(np.array([0.0 - 30.0j, complex(math.nan, 0.0)]).reshape(2, 1))
     # infinite components are refused too, though wofz has a limit there
     with pytest.raises(DomainError, match=r"got \(inf\+1j\)"):
-        faddeeva_w(complex(math.inf, 1.0))
+        faddeeva_w([complex(math.inf, 1.0)])
     with pytest.raises(DomainError, match=r"got \(inf\+1j\)"):
-        faddeeva_w(np.array([complex(math.inf, 1.0)]))
+        faddeeva_w(np.array([[complex(math.inf, 1.0)]]))
     with pytest.raises(OverflowError):
-        faddeeva_w(complex(0.0, -30.0))
+        faddeeva_w([complex(0.0, -30.0)])
 
 
 def _parity_points() -> np.ndarray:
@@ -120,13 +120,13 @@ def _parity_points() -> np.ndarray:
     return np.array(pts)
 
 
-def test_scalar_and_array_calls_agree_bitwise():
+def test_batch_and_one_point_calls_agree_bitwise():
     pts = _parity_points()
     batch = faddeeva_w(pts)
     assert isinstance(batch, np.ndarray) and batch.shape == pts.shape
-    scalar = [faddeeva_w(complex(z)) for z in pts]
-    assert all(type(v) is complex for v in scalar)
-    assert np.array_equal(batch, np.array(scalar))
+    one = [faddeeva_w(pts[i : i + 1]) for i in range(pts.size)]
+    assert all(v.shape == (1,) for v in one)
+    assert np.array_equal(batch, np.concatenate(one))
     assert np.array_equal(faddeeva_w(pts.reshape(-1, 2)[:50]), batch[:100].reshape(-1, 2))
 
 
@@ -139,9 +139,9 @@ def test_array_overflow_names_the_first_offending_point():
 def test_far_out_points():
     # Im(z)^2 - Re(z)^2 is inf - inf here: no longer representable, so an overflow
     with pytest.raises(OverflowError, match="nan"):
-        faddeeva_w(complex(1e160, -1e160))
+        faddeeva_w([complex(1e160, -1e160)])
     # in the upper half-plane the same size is fine: w(z) ~ i / (sqrt(pi) z)
-    w = faddeeva_w(complex(1e200, 1e200))
+    (w,) = faddeeva_w([complex(1e200, 1e200)])
     assert w == pytest.approx(1j / (math.sqrt(math.pi) * complex(1e200, 1e200)), rel=1e-15)
 
 
