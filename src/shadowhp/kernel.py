@@ -34,7 +34,9 @@ so a tracer that wraps faddeeva_w sees one call. Before a fork the pool is
 shut down and dropped, so a forked child never inherits an executor
 without threads; the next split starts a new one. Smaller arrays and
 one-core processes make one ufunc call, and concurrent.futures is
-imported only at the first split.
+imported only at the first split. No benchmarked command reaches a split:
+a sweep's w calls hold at most 4896 points and a 10 000-sample cert's
+3789; a cert of about 23 000 samples or more, or a large project, does.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ _RE_MZ2_MAX = 708.0
 #: Fewest points a thread evaluates when faddeeva_w splits an array. On a
 #: 2-core VM a 2-way split of faddeeva_w alone lost at 1024 points and won
 #: from 2048 on (figures in CHANGES.md); the floor keeps every w call of a
-#: sweep command (at most 4896 points) in one piece, where a split lost.
+#: sweep command (at most 4896 points) in one piece, where a split lost,
+#: and that of a 10 000-sample cert (3789 points, the ones it must evaluate).
 _MIN_POINTS_PER_THREAD = 4096
 
 #: threads that evaluate all but the first chunk of a split; started at the

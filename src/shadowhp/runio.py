@@ -27,8 +27,9 @@ import sys
 
 from shadowhp.errors import ConfigError
 
-#: largest sample sector_bound_cert draws: 100x the command's default,
-#: about 80 MB at the ~80 bytes a sample costs
+#: largest sample sector_bound_cert draws: 100x the command's default; a
+#: sample costs about 50 bytes while it is drawn and 16 bytes per point the
+#: cert keeps (about a third), so the cap's cert peaks near 82 MB resident
 MAX_SAMPLES = 1_000_000
 
 #: the names a failed write gives standard output and standard error

@@ -31,6 +31,10 @@ from shadowhp.runio import MAX_SAMPLES
 
 _EIPI4 = cmath.exp(0.25j * math.pi)
 _EXP_MAX = 709.0  # exp overflows just above this in double precision
+#: the proved |F| <= 1/2 where Im(e^{i pi/4} z) >= 0, plus an allowance for
+#: the kernel's error there (scipy's Faddeeva code is accurate to about
+#: 1e-13 relative)
+_HALF_PLANE_MAX = 0.5 + 1e-10
 
 __all__ = [
     "SectorBoundCert",
@@ -110,7 +114,9 @@ class SectorBoundCert:
     c_upper is the proved constant, the same in every record; max_observed
     is the sampled maximum of |F| (the sharp value is about 1.17), reached at
     the sample point z_max. Construction fails, naming z_max, rather than
-    recording a violated bound.
+    recording a violated bound. sector_bound_cert evaluates F only where
+    Im(e^{i pi/4} z) < 0: the proof below bounds |F| by 1/2 on the other
+    sample points, so they cannot hold a maximum above 1/2.
 
     Proof that |F| <= 3/2 < c_upper = 1.59 there. For Im zeta >= 0,
 
@@ -140,28 +146,36 @@ class SectorBoundCert:
 
 
 @functools.lru_cache(maxsize=4)
-def _cert_sample(n_samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """The cert's points and the growth envelopes of its last 420, cached
-    per n_samples, so shared and read-only. First the n_samples points of the
-    bounded-sector check: the 25 x 40 polar grid (angle-major), then seeded
-    (angle, radius) draws from one Generator.uniform call on [-pi/2, pi) x
-    [1e-3, 40), angle first in each row: the values of as many per-draw
-    uniform calls. Then the 21 x 20 growth-sector points (angles open at both
-    ends, angle-major), with envelopes e^X, X = |z|^2 sin(2 arg z) <= 693.
+def _cert_sample(n_samples: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """What the cert evaluates, cached per n_samples, so shared and read-only:
+    its points, how many of them are bounded-sector points, and the growth
+    envelopes of the rest.
+
+    The bounded-sector sample has n_samples points: the 25 x 40 polar grid
+    (angle-major), then seeded (angle, radius) draws from one
+    Generator.uniform call on [-pi/2, pi) x [1e-3, 40), angle first in each
+    row: the values of as many per-draw uniform calls. Of these only the
+    points with Im(e^{i pi/4} z) < 0 are kept, in sample order: big_f hands
+    w the same product e^{i pi/4} z, and |F| <= 1/2 is proved on the others
+    (SectorBoundCert), so the cert need not evaluate them. Then come the
+    21 x 20 growth-sector points (angles open at both ends, angle-major),
+    with envelopes e^X, X = |z|^2 sin(2 arg z) <= 693.
     """
     thetas = np.linspace(-0.5 * math.pi, math.pi, 25)
     grid = np.geomspace(0.05, 40.0, 40) * np.exp(1j * thetas)[:, None]
     m = n_samples - grid.size
     th, rad = np.random.default_rng(0).uniform((-0.5 * math.pi, 1e-3), (math.pi, 40.0), (m, 2)).T
+    bounded = np.concatenate((grid.ravel(), rad * np.exp(1j * th)))
+    bounded = bounded[(_EIPI4 * bounded).imag < 0.0]
     thetas = np.linspace(-math.pi + 0.02, -0.5 * math.pi - 0.02, 21)
     growth = np.sin(2.0 * thetas)
     r_cap = np.minimum(40.0, np.sqrt(693.0 / np.maximum(growth, 1e-6)))
     radii = np.geomspace(0.05, r_cap, 20, axis=1)
     zp = radii * np.exp(1j * thetas)[:, None]
     envelope = np.exp(radii * radii * growth[:, None]).ravel()
-    points = np.concatenate((grid.ravel(), rad * np.exp(1j * th), zp.ravel()))
+    points = np.concatenate((bounded, zp.ravel()))
     points.flags.writeable = envelope.flags.writeable = False
-    return points, envelope
+    return points, bounded.size, envelope
 
 
 def sector_bound_cert(n_samples: int) -> SectorBoundCert:
@@ -174,24 +188,29 @@ def sector_bound_cert(n_samples: int) -> SectorBoundCert:
 
         e^X - 1/2 <= |F(z)| <= e^X + 1/2,   X = |z|^2 sin(2 arg z),
 
-    on a growth-sector grid; one big_f call evaluates both (_cert_sample).
-    Any violation raises CertificationError naming the point. n_samples
-    must be an integer in [1000, MAX_SAMPLES]: the sample holds at least the
-    1000 points of its grid, and the cap bounds its memory.
+    on a growth-sector grid. One big_f call evaluates F on the growth grid
+    and on the sample points where Im(e^{i pi/4} z) < 0 (_cert_sample); on
+    the others |F| <= 1/2 is proved (SectorBoundCert), so the record is
+    the one a full evaluation gives once the evaluated maximum exceeds
+    _HALF_PLANE_MAX. Any violation raises CertificationError naming the
+    point, and so does an evaluated maximum at or below _HALF_PLANE_MAX,
+    which a skipped point might hold. n_samples must be an integer in
+    [1000, MAX_SAMPLES]: the sample holds at least the 1000 points of its
+    grid, and the cap bounds its memory.
     """
     if not (is_count(n_samples) and 1000 <= n_samples <= MAX_SAMPLES):
         raise ConfigError(
             f"n_samples must be an integer in [1000, {MAX_SAMPLES}], got {n_samples}"
         )
-    points, envelope = _cert_sample(n_samples)
+    points, n_bounded, envelope = _cert_sample(n_samples)
     mags = np.abs(big_f(points))
-    i_max = int(np.argmax(mags[:n_samples]))
+    i_max = int(np.argmax(mags[:n_bounded]))
     # the record's own check is the bound check
     cert = SectorBoundCert(n_samples, float(mags[i_max]), complex(points[i_max]))
 
     # the +-1/2 corridor is widened by a relative slack because once e^X
     # exceeds ~1e16 the corridor is narrower than one ulp of either side
-    zp, mag = points[n_samples:], mags[n_samples:]
+    zp, mag = points[n_bounded:], mags[n_bounded:]
     violated = np.abs(mag - envelope) > 0.5 + 1e-10 * envelope
     if violated.any():
         raise CertificationError(
@@ -199,4 +218,9 @@ def sector_bound_cert(n_samples: int) -> SectorBoundCert:
             f"|F| = {first(mag, violated)}, envelope = {first(envelope, violated)}"
         )
 
+    if not cert.max_observed > _HALF_PLANE_MAX:
+        raise CertificationError(
+            f"the largest evaluated |F|, |F({cert.z_max!r})| = {cert.max_observed}, "
+            f"does not exceed {_HALF_PLANE_MAX}, so a skipped point might hold the maximum"
+        )
     return cert

@@ -446,12 +446,22 @@ def state():
     return [threading.active_count(), sorted(m for m in sys.modules if m.startswith("concurrent"))]
 
 
+# a sweep command of the benchmark's pool whose largest w call, 4896 points,
+# is as large as any in the pool
+config = sys.argv[1] + "/sweep.cfg"
+with open(config, "w") as f:
+    for line in ("k_values=4", "alpha_values=2.5034566458293663",
+                 "p_values=2,3,4,5,6,7,8,9,10", f"output={sys.argv[1]}/sweep.csv"):
+        print(line, file=f)
+
 report = {}
 with contextlib.redirect_stdout(io.StringIO()):
     for name, argv in (
         ("region", ["region", "--R", "1", "--beta", "2", "--nx", "40", "--ny", "30"]),
         ("cert_1000", ["cert", "--n-samples", "1000"]),
         ("cert_10000", ["cert", "--n-samples", "10000"]),
+        ("experiment", ["experiment", config]),
+        ("cert_30000", ["cert", "--n-samples", "30000"]),
     ):
         assert main(argv) == 0
         report[name] = state()
@@ -459,11 +469,14 @@ print(json.dumps(report))
 """
 
 
-def test_small_commands_start_no_thread():
+def test_small_commands_start_no_thread(tmp_path):
     # only an array of 2 * FLOOR points or more starts the pool and loads
-    # concurrent.futures; cert at 10000 samples is the control that does
-    report = _run(_THREAD_PROBE)
+    # concurrent.futures: no benchmark-sized command reaches that, and cert
+    # at 30000 samples (10 532 points evaluated) is the control that does
+    report = _run(_THREAD_PROBE, str(tmp_path))
     assert report["region"] == [1, []]
     assert report["cert_1000"] == [1, []]
-    threads, modules = report["cert_10000"]
+    assert report["cert_10000"] == [1, []]
+    assert report["experiment"] == [1, []]
+    threads, modules = report["cert_30000"]
     assert threads == 2 and "concurrent.futures.thread" in modules

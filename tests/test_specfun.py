@@ -264,18 +264,27 @@ def test_array_input_rejects_one_bad_point():
             fn(np.append(fine, complex(0.5, math.nan)))
 
 
-def test_cert_sample_matches_the_per_draw_loop():
-    from shadowhp.specfun import _cert_sample
-
+def _per_draw_sample(n: int) -> np.ndarray:
+    # the cert's n bounded-sector points, one uniform call per value
     points = []
     for th in np.linspace(-0.5 * math.pi, math.pi, 25):
         for rad in np.geomspace(0.05, 40.0, 40):
             points.append(rad * cmath.exp(1j * th))
     rng = np.random.default_rng(0)
-    while len(points) < 10000:
+    while len(points) < n:
         th = rng.uniform(-0.5 * math.pi, math.pi)
         rad = rng.uniform(1e-3, 40.0)
         points.append(rad * cmath.exp(1j * th))
+    return np.array(points)
+
+
+def test_cert_sample_matches_the_per_draw_loop():
+    from shadowhp.specfun import _cert_sample
+
+    bounded = _per_draw_sample(10000)
+    # only the points where w's argument e^{i pi/4} z lies below the real axis
+    points = list(bounded[(_EIPI4 * bounded).imag < 0.0])
+    n_bounded = len(points)
     # then the growth grid: 21 angles open at both ends, 20 radii each
     envelopes = []
     for th in np.linspace(-math.pi + 0.02, -0.5 * math.pi - 0.02, 21):
@@ -284,11 +293,12 @@ def test_cert_sample_matches_the_per_draw_loop():
         for rad in np.geomspace(0.05, r_cap, 20):
             points.append(rad * cmath.exp(1j * th))
             envelopes.append(math.exp(rad * rad * growth))
-    got, envelope = _cert_sample(10000)
+    got, got_n_bounded, envelope = _cert_sample(10000)
     np.testing.assert_array_equal(got, np.array(points))
+    assert got_n_bounded == n_bounded == 3369
     np.testing.assert_allclose(envelope, envelopes, rtol=1e-12, atol=0.0)
     assert envelope.max() <= math.exp(693.0) * (1 + 1e-12)
-    assert _cert_sample(1000)[0].size == 1000 + 21 * 20
+    assert _cert_sample(1000)[0].size == 339 + 21 * 20
 
 
 def test_cert_sample_is_shared_and_read_only():
@@ -296,13 +306,16 @@ def test_cert_sample_is_shared_and_read_only():
 
     sample = _cert_sample(2000)
     assert _cert_sample(2000) is sample
-    points, envelope = sample
-    assert points.shape == (2000 + 420,) and envelope.shape == (420,)
-    for arr in sample:
+    points, n_bounded, envelope = sample
+    assert points.shape == (n_bounded + 420,) and envelope.shape == (420,)
+    assert 0 < n_bounded < 2000
+    for arr in (points, envelope):
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    for cached, fresh in zip(sample, _cert_sample.__wrapped__(2000)):
-        np.testing.assert_array_equal(cached, fresh)
+    fresh = _cert_sample.__wrapped__(2000)
+    np.testing.assert_array_equal(points, fresh[0])
+    assert n_bounded == fresh[1]
+    np.testing.assert_array_equal(envelope, fresh[2])
 
 
 def test_sector_cert_evaluates_f_once(monkeypatch):
@@ -317,7 +330,55 @@ def test_sector_cert_evaluates_f_once(monkeypatch):
 
     monkeypatch.setattr(specfun, "big_f", counted)
     assert specfun.sector_bound_cert(1000) == want
-    assert calls == [(1000 + 420,)]
+    assert calls == [(339 + 420,)]
+
+
+def test_sector_cert_is_the_record_of_the_full_sample():
+    from shadowhp.runio import MAX_SAMPLES
+    from shadowhp.specfun import SectorBoundCert
+
+    # the full sample at the cap from one uniform call per coordinate, which
+    # gives the per-draw values (checked on its first 30000 points: a per-draw
+    # loop over all of it would take seconds)
+    per_draw = _per_draw_sample(30000)
+    rng = np.random.default_rng(0)
+    th, rad = rng.uniform((-0.5 * math.pi, 1e-3), (math.pi, 40.0), (MAX_SAMPLES - 1000, 2)).T
+    full = np.concatenate((per_draw[:1000], rad * np.exp(1j * th)))
+    np.testing.assert_array_equal(full[:30000], per_draw)
+    mags = np.abs(big_f(full))
+    for n in (1000, 10000, 30000, MAX_SAMPLES):
+        i_max = int(np.argmax(mags[:n]))
+        want = SectorBoundCert(n, float(mags[i_max]), complex(full[i_max]))
+        # a nonzero float equals another only bit for bit
+        assert sector_bound_cert(n) == want
+    # the points the cert skips at 10000 samples stay within the proved 1/2
+    sample = full[:10000]
+    skipped = sample[(_EIPI4 * sample).imag >= 0.0]
+    assert skipped.size == 10000 - 3369
+    assert np.abs(big_f(skipped)).max() <= 0.5
+
+
+def test_sector_cert_refuses_a_maximum_a_skipped_point_might_hold(monkeypatch):
+    import shadowhp.specfun as specfun
+    from shadowhp.specfun import _cert_sample
+
+    # |F| scaled by 0.4 on the evaluated bounded points tops out near 0.47,
+    # below the 1/2 the skipped points may reach; the growth points keep F
+    points, n_bounded, _ = _cert_sample(1000)
+
+    def shrunk(z):
+        f = big_f(z)
+        f[:n_bounded] *= 0.4
+        return f
+
+    mags = np.abs(shrunk(points)[:n_bounded])
+    i_max = int(np.argmax(mags))
+    monkeypatch.setattr(specfun, "big_f", shrunk)
+    with pytest.raises(
+        CertificationError,
+        match=re.escape(f"|F({complex(points[i_max])!r})| = {float(mags[i_max])}, does not exceed"),
+    ):
+        sector_bound_cert(1000)
 
 
 def test_sector_cert_growth_check_names_the_violating_point(monkeypatch):
